@@ -1,7 +1,8 @@
 """Command-line front end: fit a layout, sweep alpha, or evaluate an
 existing layout. Emits CSV coordinates, SVG scatter plots, and JSON reports.
 
-Exit codes: 0 success, 1 malformed input, 2 invalid flags, 3 training failure.
+Exit codes: 0 success, 1 malformed or unreadable input, 2 invalid flags,
+3 training failure.
 """
 
 from __future__ import annotations
@@ -23,13 +24,9 @@ from .metrics import (DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_T_KS, DEFAULT_T_RS,
                       alpha_sweep, evaluate_layout)
 from .svg import write_svg
 from .trainer import (apply_overrides, default_config, embed,
-                      read_config_file, train)
+                      parse_comma_ints, read_config_file, train)
 
 DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(11))
-
-
-def _comma_ints(text: str):
-    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
 def _comma_floats(text: str):
@@ -61,9 +58,9 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--knn-k", type=int, default=DEFAULT_KNN_K,
                         help="k for the feature-space k-NN pair set")
-    parser.add_argument("--t-ks", type=_comma_ints, default=DEFAULT_T_KS,
+    parser.add_argument("--t-ks", type=parse_comma_ints, default=DEFAULT_T_KS,
                         help="comma list of k values for feature trustworthiness")
-    parser.add_argument("--t-rs", type=_comma_ints, default=DEFAULT_T_RS,
+    parser.add_argument("--t-rs", type=parse_comma_ints, default=DEFAULT_T_RS,
                         help="comma list of hop radii for graph trustworthiness")
 
 
@@ -71,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphtsne",
         description="Train 2-D graph layouts that blend graph and feature "
-                    "structure, and score them.",
-        epilog="Set GRAPHTSNE_THREADS to cap internal parallelism.")
+                    "structure, and score them.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -313,7 +309,7 @@ def main(argv=None) -> int:
     args.argv_used = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except MalformedInputError as exc:
+    except (MalformedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -9,8 +9,6 @@ code can branch on them exactly.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +20,6 @@ logger = logging.getLogger(__name__)
 
 #: Distance sentinel for node pairs with no connecting path (or beyond a hop cap).
 UNREACHABLE = np.inf
-
-
-def thread_cap() -> int:
-    """Worker thread budget: cpu count, capped by the GRAPHTSNE_THREADS env var."""
-    cap = os.cpu_count() or 1
-    raw = os.environ.get("GRAPHTSNE_THREADS", "").strip()
-    if raw:
-        try:
-            cap = min(cap, max(1, int(raw)))
-        except ValueError:
-            logger.warning("ignoring non-integer GRAPHTSNE_THREADS=%r", raw)
-    return cap
 
 
 @dataclass
@@ -219,52 +205,17 @@ def load_labels_csv(path) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _bfs_distances(graph: Graph, source: int, target_mask: np.ndarray | None,
-                   n_targets: int, hop_cap: int | None) -> np.ndarray:
-    """Hop distances from ``source`` to every node (UNREACHABLE where none).
-
-    Stops early once all masked targets are found, or when the hop cap is
-    reached; nodes beyond the cap keep the sentinel.
-    """
-    n = graph.num_nodes
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    remaining = n_targets - (1 if target_mask is not None and target_mask[source] else 0)
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    offsets, neighbors = graph.offsets, graph.neighbors
-    while frontier.size and remaining != 0:
-        if hop_cap is not None and level >= hop_cap:
-            break
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.repeat(starts, counts)
-        step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        neigh = neighbors[base + step]
-        fresh = neigh[dist[neigh] < 0]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        level += 1
-        dist[frontier] = level
-        if target_mask is not None:
-            remaining -= int(target_mask[frontier].sum())
-    out = dist.astype(np.float64)
-    out[dist < 0] = UNREACHABLE
-    return out
-
-
 def bfs_shortest_paths(graph: Graph, sources, targets,
                        hop_cap: int | None = None) -> np.ndarray:
     """Shortest-path hop distances for every (source, target) pair.
 
     Returns a float64 matrix of shape (len(sources), len(targets));
     unreachable pairs (or pairs beyond ``hop_cap``) hold UNREACHABLE.
-    BFS runs per source and terminates early once all targets are found.
-    Rows may be computed in parallel (bounded by GRAPHTSNE_THREADS).
+    Sources are searched in blocks of 64 that advance together, one level
+    at a time: every node carries a 64-bit word with one bit per source of
+    the block, and a level ORs together the words of each node's neighbors.
+    A block stops at ``hop_cap``, when no new node is reached, or once every
+    target is reached from every source of the block.
     """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -273,27 +224,40 @@ def bfs_shortest_paths(graph: Graph, sources, targets,
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise ValueError(f"{name} contain a node id outside [0, {n})")
 
-    full_targets = targets.size == n and np.array_equal(targets, np.arange(n))
-    if full_targets:
-        mask, n_targets = None, n
-    else:
-        mask = np.zeros(n, dtype=bool)
-        mask[targets] = True
-        n_targets = int(mask.sum())
-
-    out = np.empty((sources.size, targets.size), dtype=np.float64)
-
-    def fill(row: int) -> None:
-        dist = _bfs_distances(graph, int(sources[row]), mask, n_targets, hop_cap)
-        out[row] = dist[targets]
-
-    workers = thread_cap()
-    if workers > 1 and sources.size >= 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(sources.size)))
-    else:
-        for row in range(sources.size):
-            fill(row)
+    out = np.full((sources.size, targets.size), UNREACHABLE)
+    # reduceat returns the element itself for an empty segment and rejects a
+    # start equal to len(neighbors), so only nodes with neighbors are reduced
+    linked = np.flatnonzero(np.diff(graph.offsets))
+    starts = graph.offsets[linked]
+    for first in range(0, sources.size, 64):
+        block = sources[first:first + 64]
+        rows = out[first:first + 64]
+        # bit b of a node's word is set once block[b] reaches it; the words
+        # are little-endian, so the uint8 view lists bit b as bit b % 8 of
+        # byte b // 8 on any platform
+        frontier = np.zeros(n, dtype="<u8")
+        np.bitwise_or.at(frontier, block,
+                         np.uint64(1) << np.arange(block.size, dtype=np.uint64))
+        seen = frontier.copy()
+        remaining = rows.size
+        level = 0
+        while True:
+            bits = np.unpackbits(frontier[targets].view(np.uint8).reshape(-1, 8),
+                                 axis=1, bitorder="little")
+            hit = bits[:, :block.size].T.astype(bool)
+            rows[hit] = level
+            remaining -= np.count_nonzero(hit)
+            if remaining == 0 or (hop_cap is not None and level >= hop_cap):
+                break
+            reached = np.zeros_like(frontier)
+            reached[linked] = np.bitwise_or.reduceat(frontier[graph.neighbors],
+                                                     starts)
+            reached &= ~seen
+            if not reached.any():
+                break
+            seen |= reached
+            frontier = reached
+            level += 1
     return out
 
 

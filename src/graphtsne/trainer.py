@@ -26,7 +26,7 @@ from .graph import (Graph, LabeledDataset, all_pairs_distances,
 logger = logging.getLogger(__name__)
 
 SMALL_GRAPH_LIMIT = 10000   # node count at or below which the full-batch preset applies
-MINIBATCH_HOP_CAP = 20      # BFS guard for per-batch graph distances
+HOP_CAP = 20                # shortest paths are cut off at this many hops
 
 _MODES = ("full", "minibatch")
 
@@ -42,7 +42,7 @@ class TrainConfig:
     fanouts: tuple = (10, 15)
     lr: float = 0.00075
     seed: int = 0
-    hop_cap: int = MINIBATCH_HOP_CAP
+    hop_cap: int = HOP_CAP
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -149,9 +149,9 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
                      on_epoch=None) -> tuple[GcnModel, TrainReport]:
     """Train with one forward/backward/Adam step per epoch over the whole graph.
 
-    Both distance matrices (all-pairs BFS hops and squared Euclidean feature
-    distances) and both affinity matrices are built once up front. Fully
-    deterministic for a fixed seed.
+    Both distance matrices (all-pairs BFS hops cut off at cfg.hop_cap, and
+    squared Euclidean feature distances) and both affinity matrices are
+    built once up front. Fully deterministic for a fixed seed.
     """
     cfg.validate()
     if cfg.mode != "full":
@@ -160,7 +160,7 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
     features = data.features
     model = init_model(features.shape[1], cfg.hidden_dim, seed=cfg.seed)
 
-    d_graph = all_pairs_distances(data.graph)
+    d_graph = all_pairs_distances(data.graph, hop_cap=cfg.hop_cap)
     d_feat = pairwise_sq_euclidean(features)
     p_graph = _build_affinity(d_graph, cfg.perplexity, "graph")
     p_feat = _build_affinity(d_feat, cfg.perplexity, "feature")
@@ -279,7 +279,8 @@ def embed(model: GcnModel, data: LabeledDataset) -> np.ndarray:
 # Config files: flat "key = value" lines mirroring TrainConfig fields
 # ---------------------------------------------------------------------------
 
-def _parse_fanouts(text: str):
+def parse_comma_ints(text: str):
+    """Parse a comma-separated list of integers; empty items are ignored."""
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
@@ -289,7 +290,7 @@ _CONFIG_PARSERS = {
     "epochs": int,
     "hidden_dim": int,
     "batch_count": int,
-    "fanouts": _parse_fanouts,
+    "fanouts": parse_comma_ints,
     "lr": float,
     "seed": int,
     "mode": str,

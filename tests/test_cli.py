@@ -120,6 +120,17 @@ class TestFit:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_missing_input_file_exits_1_with_one_line(self, dataset_dir,
+                                                      tmp_path, capsys):
+        code = main(["fit", *base_args(dataset_dir)[:2],
+                     "--features", str(tmp_path / "absent.csv"),
+                     "--num-nodes", "45", "--alpha", "0.5",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.csv" in err
+        assert err.count("\n") == 1
+
     def test_unknown_config_key_exits_1(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("learning_rate = 0.1\n")

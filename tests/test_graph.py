@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtsne import (Graph, MalformedInputError, UNREACHABLE,
                        all_pairs_distances, bfs_shortest_paths, knn_graph,
@@ -145,6 +147,26 @@ class TestBfsShortestPaths:
     def test_source_bounds_validated(self, path_graph):
         with pytest.raises(ValueError):
             bfs_shortest_paths(path_graph, [9], [0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_floyd_warshall_property(self, data):
+        linked = data.draw(st.integers(1, 20))
+        n = linked + data.draw(st.integers(0, 4))  # trailing isolated nodes
+        node = st.integers(0, linked - 1)
+        g = Graph.from_edges(n, data.draw(st.lists(st.tuples(node, node),
+                                                   max_size=3 * linked)))
+        ids = st.integers(0, n - 1)
+        # short lists can be empty; long ones span several 64-source blocks
+        sources = data.draw(st.lists(ids, max_size=6)
+                            | st.lists(ids, min_size=65, max_size=140))
+        targets = data.draw(st.lists(ids, max_size=2 * n))
+        hop_cap = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+        want = floyd_warshall(n, g.edge_pairs)[np.ix_(sources, targets)]
+        if hop_cap is not None:
+            want[want > hop_cap] = UNREACHABLE
+        got = bfs_shortest_paths(g, sources, targets, hop_cap=hop_cap)
+        assert np.array_equal(got, want)
 
 
 class TestKnnGraph:

@@ -8,6 +8,7 @@ from graphtsne import (Graph, LabeledDataset, MalformedInputError,
                        default_config, embed, joint_p, kl_loss_and_grad,
                        pairwise_sq_euclidean, train_full_batch,
                        train_minibatch)
+from graphtsne import trainer
 from graphtsne.gcn import init_model
 from graphtsne.graph import all_pairs_distances
 from graphtsne.trainer import apply_overrides, read_config_file
@@ -116,6 +117,27 @@ class TestTrainFullBatch:
         assert (len(report.total_losses) == len(report.graph_losses)
                 == len(report.feature_losses) == 7)
         assert report.final_lr > 0 and report.wall_time_s >= 0
+
+    def test_hop_cap_zeroes_graph_affinity_beyond_cap(self, monkeypatch):
+        n, cap = 12, 3
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        data = LabeledDataset(graph=g,
+                              features=np.random.default_rng(0).normal(size=(n, 3)))
+        built = {}
+        build = trainer._build_affinity
+
+        def spy(distances, perplexity, which):
+            built[which] = build(distances, perplexity, which)
+            return built[which]
+
+        monkeypatch.setattr(trainer, "_build_affinity", spy)
+        cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=4, mode="full",
+                          perplexity=2.0, hop_cap=cap)
+        train_full_batch(data, cfg)
+        hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        p = built["graph"].p
+        assert np.all(p[hops > cap] == 0.0)
+        assert np.all(p[hops == 1] > 0.0)
 
     def test_identical_features_raise_named_training_error(self):
         # uniform feature rows: no bandwidth can hit the target perplexity
