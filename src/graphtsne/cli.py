@@ -217,7 +217,6 @@ def cmd_fit(args) -> int:
     model, report = train(data, cfg)
     y = embed(model, data)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     layout_path = os.path.join(args.out_dir, "layout.csv")
     svg_path = os.path.join(args.out_dir, "layout.svg")
     manifest_path = os.path.join(args.out_dir, "manifest.json")
@@ -241,7 +240,6 @@ def cmd_sweep(args) -> int:
     result = alpha_sweep(data, cfg, grid, knn_k=args.knn_k,
                          t_ks=args.t_ks, t_rs=args.t_rs)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     sweep_path = os.path.join(args.out_dir, "sweep.json")
     summary_path = os.path.join(args.out_dir, "summary.txt")
     layout_path = os.path.join(args.out_dir, "layout.csv")
@@ -292,7 +290,6 @@ def cmd_evaluate(args) -> int:
     report = evaluate_layout(data, y, knn_k=args.knn_k, t_ks=args.t_ks,
                              t_rs=args.t_rs, folds=DEFAULT_FOLDS)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     metrics_path = os.path.join(args.out_dir, "metrics.json")
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     _write_json_atomic(metrics_path, report.to_dict())
@@ -307,6 +304,11 @@ def cmd_evaluate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv_used = list(argv) if argv is not None else sys.argv[1:]
+    try:  # every command writes to --out-dir; check it before any work
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out-dir {args.out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (MalformedInputError, OSError) as exc:

@@ -20,6 +20,7 @@ logger = logging.getLogger(__name__)
 
 #: Distance sentinel for node pairs with no connecting path (or beyond a hop cap).
 UNREACHABLE = np.inf
+_RANK_BLOCK = 256  # rows per block of rank_blocks; its temporaries are O(block * N)
 
 
 @dataclass
@@ -157,30 +158,25 @@ def load_features_csv(path) -> np.ndarray:
     non-numeric cells, or non-finite values.
     """
     rows = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for rowno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+            if rows and len(cells) != rows[0].size:
                 raise MalformedInputError(
-                    f"{path}: row {rowno}: expected {width} columns, got {len(cells)}")
+                    f"{path}: row {rowno}: expected {rows[0].size} columns, got {len(cells)}")
             try:
-                values = [float(c) for c in cells]
+                values = np.array(cells, dtype=np.float64)
             except ValueError:
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: non-numeric cell") from None
-            if not all(np.isfinite(values)):
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: non-finite value")
+                raise MalformedInputError(f"{path}: row {rowno}: non-numeric cell") from None
+            if not np.isfinite(values).all():
+                raise MalformedInputError(f"{path}: row {rowno}: non-finite value")
             rows.append(values)
     if not rows:
         raise MalformedInputError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.vstack(rows)
 
 
 def load_labels_csv(path) -> np.ndarray:
@@ -267,6 +263,16 @@ def all_pairs_distances(graph: Graph, hop_cap: int | None = None) -> np.ndarray:
     return bfs_shortest_paths(graph, ids, ids, hop_cap=hop_cap)
 
 
+def rank_blocks(d: np.ndarray):
+    """Yield ``(rows, order)`` per row block of a square distance matrix: ``order[b]``
+    lists every column but ``rows[b]``, nearest first, ties to the smaller index."""
+    for first in range(0, len(d), _RANK_BLOCK):
+        rows = np.arange(first, min(first + _RANK_BLOCK, len(d)))
+        block = d[rows]
+        block[np.arange(rows.size), rows] = -np.inf  # self sorts first, then is cut
+        yield rows, np.argsort(block, axis=1, kind="stable")[:, 1:]
+
+
 def knn_graph(x: np.ndarray, k: int) -> np.ndarray:
     """Directed k-nearest-neighbor pairs over feature rows.
 
@@ -275,19 +281,13 @@ def knn_graph(x: np.ndarray, k: int) -> np.ndarray:
     broken by the smaller node index. Rows are ordered by source node,
     then by (distance, index) rank.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n = len(x)
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the number of rows ({n})")
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = pairwise_sq_euclidean(x)
-    idx = np.broadcast_to(np.arange(n), (n, n))
-    order = np.lexsort((idx, d), axis=-1)
-    keep = order != np.arange(n)[:, None]
-    ranked = order[keep].reshape(n, n - 1)[:, :k]
-    src = np.repeat(np.arange(n), k)
-    return np.stack([src, ranked.reshape(-1)], axis=1)
+    ranked = [order[:, :k] for _, order in rank_blocks(pairwise_sq_euclidean(x))]
+    return np.stack([np.repeat(np.arange(n), k), np.concatenate(ranked).ravel()], axis=1)
 
 
 @dataclass

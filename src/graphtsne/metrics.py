@@ -15,7 +15,8 @@ import numpy as np
 
 from .affinity import pairwise_sq_euclidean
 from .errors import TrainingError
-from .graph import Graph, LabeledDataset, bfs_shortest_paths, knn_graph
+from .graph import (Graph, LabeledDataset, bfs_shortest_paths,
+                    knn_graph, rank_blocks)  # noqa: F401 (knn_graph is re-exported)
 from .trainer import TrainConfig, embed, train
 
 DEFAULT_KNN_K = 10
@@ -38,18 +39,78 @@ def standardize_map(y: np.ndarray) -> np.ndarray:
     return centered / np.sqrt(mean_sq)
 
 
-def _rank_orders(distances: np.ndarray) -> np.ndarray:
-    """Per-row orderings by (distance, index) with self pushed to the end.
+def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | None = None,
+           labels=None, folds: int = DEFAULT_FOLDS, seed: int = 0):
+    """The requested metrics from one pass over row blocks of the map
+    distances and one over the feature distances, each matrix sorted once.
+    Returns ({k: T_X(k)}, {r: T_G(r)}, k-NN feature pairs, 1-NN accuracy)."""
+    y = np.asarray(y, dtype=np.float64)
+    n = y.shape[0]
+    if graph is not None and graph.num_nodes != n:
+        raise ValueError(f"layout has {n} rows for a graph of {graph.num_nodes} nodes")
+    if x is not None and len(x) != n:
+        raise ValueError(f"x has {len(x)} rows but y has {n}")
+    for k in ks:
+        if k < 1 or 3 * k + 1 >= 2 * n:
+            raise ValueError(f"k={k} too large for N={n} (need 3k + 1 < 2N)")
+    if min(rs, default=1) < 1:
+        raise ValueError(f"hop radius must be >= 1, got {min(rs)}")
+    if knn_k is not None and not 1 <= knn_k < n:
+        raise ValueError(f"k-NN k={knn_k} must lie in [1, {n})")
+    if labels is not None:
+        if labels.shape[0] != n:
+            raise ValueError("labels must match y rows")
+        if folds < 2:
+            raise ValueError(f"folds must be >= 2, got {folds}")
+        if n < folds:
+            raise ValueError(f"need at least {folds} points for {folds} folds, got {n}")
+        fold_members = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+        fold_of = np.empty(n, dtype=np.int64)
+        for f, members in enumerate(fold_members):
+            fold_of[members] = f
+        correct = np.empty(n, dtype=bool)
 
-    Row i of the result lists all other points from nearest to farthest;
-    ties broken by smaller index. Shape (N, N-1).
-    """
-    d = np.array(distances, dtype=np.float64)
-    n = d.shape[0]
-    np.fill_diagonal(d, np.inf)
-    idx = np.broadcast_to(np.arange(n), (n, n))
-    order = np.lexsort((idx, d), axis=1)
-    return order[:, :-1]  # drop self (always last: inf distance)
+    map_top = np.empty((n, max(ks, default=0)), dtype=np.int64)
+    jaccard = np.empty((len(rs), n))
+    d = pairwise_sq_euclidean(y)
+    for rows, order in rank_blocks(d):
+        map_top[rows] = order[:, :map_top.shape[1]]
+        if rs:  # one BFS for every radius; hops in map order, self cut
+            hops = bfs_shortest_paths(graph, rows, np.arange(n), hop_cap=max(rs))
+            hops = np.take_along_axis(hops, order, axis=1)
+            for slot, r in enumerate(rs):
+                # within[b, m - 1]: r-hop neighbors among the m map-nearest
+                within = np.cumsum(hops <= r, axis=1)
+                size = within[:, -1]
+                inter = within[np.arange(rows.size), size - 1]
+                jaccard[slot, rows] = np.where(
+                    size > 0, inter / np.maximum(2 * size - inter, 1), 1.0)
+        if labels is not None:
+            # argmin takes the first minimum, so ties go to the smaller index
+            outside = np.where(fold_of[rows, None] == fold_of, np.inf, d[rows])
+            correct[rows] = labels[np.argmin(outside, axis=1)] == labels[rows]
+    del d  # hold one N x N distance matrix at a time
+
+    penalty = [0] * len(ks)
+    knn = np.empty((n, knn_k or 0), dtype=np.int64)
+    if x is not None:
+        for rows, order in rank_blocks(pairwise_sq_euclidean(x)):
+            knn[rows] = order[:, :knn.shape[1]]
+            # feature rank (1 = nearest) of each kept map neighbor
+            rank = np.empty((rows.size, n), dtype=np.int64)
+            np.put_along_axis(rank, order, np.arange(1, n), axis=1)
+            near = np.take_along_axis(rank, map_top[rows], axis=1)
+            for slot, k in enumerate(ks):
+                # map neighbors outside the k feature neighbors have rank > k
+                penalty[slot] += int(np.maximum(near[:, :k] - k, 0).sum())
+    knn_pairs = np.stack([np.repeat(np.arange(n), knn.shape[1]), knn.ravel()], axis=1)
+    t_feature = {k: 1.0 - 2.0 * p / (n * k * (2 * n - 3 * k - 1))
+                 for k, p in zip(ks, penalty)}
+    # per-row values are summed in row order (cumsum), as a loop over rows would
+    t_graph = {r: float(np.cumsum(jaccard[slot])[-1]) / n for slot, r in enumerate(rs)}
+    accuracy = None if labels is None else float(
+        np.mean([np.mean(correct[members]) for members in fold_members]))
+    return t_feature, t_graph, knn_pairs, accuracy
 
 
 def feature_trustworthiness(x: np.ndarray, y: np.ndarray, k: int) -> float:
@@ -60,25 +121,7 @@ def feature_trustworthiness(x: np.ndarray, y: np.ndarray, k: int) -> float:
     r(i,j) is j's rank by feature-space distance from i (rank 1 = nearest,
     self excluded, ties by smaller index).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    if y.shape[0] != n:
-        raise ValueError("x and y must have the same number of rows")
-    if k < 1 or 3 * k + 1 >= 2 * n:
-        raise ValueError(f"k={k} too large for N={n} (need 3k + 1 < 2N)")
-    feat_order = _rank_orders(pairwise_sq_euclidean(x))
-    map_order = _rank_orders(pairwise_sq_euclidean(y))
-    ranks = np.empty((n, n), dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    ranks[rows, feat_order] = np.arange(1, n)
-    penalty = 0.0
-    for i in range(n):
-        s_x = set(feat_order[i, :k].tolist())
-        for j in map_order[i, :k].tolist():
-            if j not in s_x:
-                penalty += ranks[i, j] - k
-    return 1.0 - 2.0 * penalty / (n * k * (2 * n - 3 * k - 1))
+    return _score(y, x=x, ks=(k,))[0][k]
 
 
 def graph_trustworthiness(graph: Graph, y: np.ndarray, r: int) -> float:
@@ -87,26 +130,7 @@ def graph_trustworthiness(graph: Graph, y: np.ndarray, r: int) -> float:
 
     Nodes whose r-hop neighborhood is empty contribute similarity 1.
     """
-    if r < 1:
-        raise ValueError(f"hop radius must be >= 1, got {r}")
-    y = np.asarray(y, dtype=np.float64)
-    n = graph.num_nodes
-    if y.shape[0] != n:
-        raise ValueError("y row count must match graph size")
-    hops = bfs_shortest_paths(graph, np.arange(n), np.arange(n), hop_cap=r)
-    map_order = _rank_orders(pairwise_sq_euclidean(y))
-    total = 0.0
-    for i in range(n):
-        row = hops[i]
-        s_g = np.flatnonzero((row <= r) & (np.arange(n) != i))
-        k = s_g.size
-        if k == 0:
-            total += 1.0
-            continue
-        s_y = map_order[i, :k]
-        inter = np.intersect1d(s_g, s_y, assume_unique=True).size
-        total += inter / (2 * k - inter)  # |union| = |A| + |B| - |inter|
-    return total / n
+    return _score(y, graph=graph, rs=(r,))[1][r]
 
 
 def distance_metrics(graph: Graph, knn_pairs: np.ndarray,
@@ -132,26 +156,7 @@ def knn_1_accuracy(y: np.ndarray, labels: np.ndarray, folds: int = DEFAULT_FOLDS
     """Mean k-fold generalization accuracy of a 1-nearest-neighbor classifier
     in the map. Folds are a seeded random partition; nearest-neighbor ties go
     to the smaller node index."""
-    y = np.asarray(y, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = y.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError("labels must match y rows")
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
-    if n < folds:
-        raise ValueError(f"need at least {folds} points for {folds} folds, got {n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    accuracies = []
-    for fold in np.array_split(perm, folds):
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        train_idx = np.flatnonzero(mask)  # ascending, so argmin ties pick smaller index
-        d = pairwise_sq_euclidean(np.vstack([y[fold], y[train_idx]]))
-        d_test_train = d[:fold.size, fold.size:]
-        nearest = train_idx[np.argmin(d_test_train, axis=1)]
-        accuracies.append(float(np.mean(labels[nearest] == labels[fold])))
-    return float(np.mean(accuracies))
+    return _score(y, labels=np.asarray(labels), folds=folds, seed=seed)[3]
 
 
 @dataclass
@@ -196,19 +201,10 @@ def evaluate_layout(data: LabeledDataset, y: np.ndarray, alpha: float | None = N
                     seed: int = 0) -> MetricsReport:
     """Full metric suite for one layout of the given dataset."""
     start = time.perf_counter()
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] != data.graph.num_nodes:
-        raise ValueError(f"layout has {y.shape[0]} rows for a graph of "
-                         f"{data.graph.num_nodes} nodes")
-    t_feature = {int(k): feature_trustworthiness(data.features, y, int(k))
-                 for k in t_ks}
-    t_graph = {int(r): graph_trustworthiness(data.graph, y, int(r))
-               for r in t_rs}
-    knn_pairs = knn_graph(data.features, knn_k)
+    t_feature, t_graph, knn_pairs, accuracy = _score(
+        y, data.features, [int(k) for k in t_ks], data.graph, [int(r) for r in t_rs],
+        knn_k, data.labels, folds, seed)
     p_g, p_x = distance_metrics(data.graph, knn_pairs, y)
-    accuracy = None
-    if data.labels is not None:
-        accuracy = knn_1_accuracy(y, data.labels, folds=folds, seed=seed)
     return MetricsReport(alpha=alpha, t_feature=t_feature, t_graph=t_graph,
                          p_graph=p_g, p_feature=p_x, knn_accuracy=accuracy,
                          runtime_s=time.perf_counter() - start)

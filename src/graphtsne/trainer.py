@@ -62,6 +62,8 @@ class TrainConfig:
                 raise ValueError("fanouts must be positive counts, one per layer")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
+        if self.hop_cap < 1:
+            raise ValueError(f"hop_cap must be >= 1, got {self.hop_cap}")
 
 
 def default_config(num_nodes: int, alpha: float = 0.5, seed: int = 0) -> TrainConfig:

@@ -144,6 +144,33 @@ class TestFit:
             main(["fit", "--edges", str(dataset_dir / "edges.txt")])
         assert exc.value.code == 2
 
+    def test_zero_hop_cap_in_config_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("hidden_dim = 8\nepochs = 2\nhop_cap = 0\n")
+        code = main(["fit", *base_args(dataset_dir)[:8], "--config", str(cfg),
+                     "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "hop_cap" in capsys.readouterr().err
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("command", ["fit", "sweep", "evaluate"])
+    def test_existing_file_exits_2_before_loading(self, command, dataset_dir,
+                                                   tmp_path, capsys, monkeypatch):
+        def no_load(*args):
+            raise AssertionError("inputs were read before --out-dir was checked")
+        monkeypatch.setattr("graphtsne.cli._load_dataset", no_load)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = {"fit": ["fit", *base_args(dataset_dir), "--alpha", "0.5"],
+                "sweep": ["sweep", *base_args(dataset_dir), "--grid", "0.5"],
+                "evaluate": ["evaluate", *base_args(dataset_dir)[:6],
+                             "--layout", str(tmp_path / "layout.csv")]}[command]
+        assert main([*args, "--out-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out-dir ") and "taken" in err
+        assert err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def sweep_out(dataset_dir, tmp_path_factory):

@@ -93,6 +93,19 @@ class TestLoadCsv:
         with pytest.raises(MalformedInputError, match=r"row 2"):
             load_features_csv(p)
 
+    def test_non_finite_value_names_row(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("1,2\n\n3,inf\n")  # blank lines still count
+        with pytest.raises(MalformedInputError, match=r"row 3: non-finite"):
+            load_features_csv(p)
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text(" 1.5e3, -0 ,7\n2,0.1,1_000\n")
+        x = load_features_csv(p)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, [[1500.0, -0.0, 7.0], [2.0, 0.1, 1000.0]])
+
     def test_labels_roundtrip(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("0\n2\n1\n")

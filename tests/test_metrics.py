@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtsne.errors import TrainingError
 from graphtsne.graph import Graph, LabeledDataset, knn_graph
@@ -217,6 +219,60 @@ class TestEvaluateLayout:
     def test_row_mismatch_rejected(self, small_sbm, rng):
         with pytest.raises(ValueError, match="44"):
             evaluate_layout(small_sbm, rng.normal(size=(44, 2)))
+
+    def test_equals_single_metric_functions(self, small_sbm, rng):
+        y = rng.normal(size=(45, 2))
+        rep = evaluate_layout(small_sbm, y, t_ks=(3, 5, 12), t_rs=(1, 2, 3),
+                              knn_k=4, folds=5, seed=3)
+        x, g = small_sbm.features, small_sbm.graph
+        assert rep.t_feature == {k: feature_trustworthiness(x, y, k)
+                                 for k in (3, 5, 12)}
+        assert rep.t_graph == {r: graph_trustworthiness(g, y, r)
+                               for r in (1, 2, 3)}
+        assert (rep.p_graph, rep.p_feature) == distance_metrics(
+            g, knn_graph(x, 4), y)
+        assert rep.knn_accuracy == knn_1_accuracy(y, small_sbm.labels,
+                                                  folds=5, seed=3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracles_property(self, data):
+        linked = data.draw(st.integers(4, 24))
+        n = linked + data.draw(st.integers(0, 3))  # trailing isolated nodes
+        node = st.integers(0, linked - 1)
+        edges = data.draw(st.lists(st.tuples(node, node).filter(
+            lambda e: e[0] != e[1]), min_size=1, max_size=2 * linked))
+        g = Graph.from_edges(n, edges)
+        # small integer coordinates: exact distances, many ties and
+        # duplicated map points
+        dim = data.draw(st.integers(1, 4))
+        x = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=dim,
+                                                 max_size=dim),
+                                        min_size=n, max_size=n)), dtype=float)
+        y = np.array(data.draw(st.lists(st.tuples(st.integers(-2, 2),
+                                                  st.integers(-2, 2)),
+                                        min_size=n, max_size=n)), dtype=float)
+        labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                             max_size=n)))
+        t_ks = data.draw(st.lists(st.integers(1, (2 * n - 2) // 3), min_size=1,
+                                  max_size=3, unique=True))
+        t_rs = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
+                                  unique=True))
+        knn_k = data.draw(st.integers(1, min(5, n - 1)))
+        folds = data.draw(st.integers(2, min(5, n)))
+        seed = data.draw(st.integers(0, 100))
+        block = data.draw(st.integers(1, n + 1))  # often several row blocks
+        dataset = LabeledDataset(graph=g, features=x, labels=labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("graphtsne.graph._RANK_BLOCK", block)
+            rep = evaluate_layout(dataset, y, knn_k=knn_k, t_ks=t_ks,
+                                  t_rs=t_rs, folds=folds, seed=seed)
+        assert rep.t_feature == {k: trust_feature_oracle(x, y, k) for k in t_ks}
+        assert rep.t_graph == {r: trust_graph_oracle(n, g.edge_pairs, y, r)
+                               for r in t_rs}
+        assert rep.p_feature == distance_metrics(
+            g, brute_knn_pairs(x, knn_k), y)[1]
+        assert rep.knn_accuracy == knn_1_oracle(y, labels, folds, seed)
 
 
 @pytest.fixture(scope="module")
