@@ -6,7 +6,7 @@ over graph shortest-path distances and one over feature distances.
 """
 
 from .affinity import (AffinityMatrix, MapAffinity, calibrate_row, joint_p,
-                       kl_loss_and_grad, pairwise_sq_euclidean, studentt_q)
+                       pairwise_sq_euclidean, studentt_q)
 from .errors import (EmptyAffinityError, GraphTSNEError, MalformedInputError,
                      TrainingError)
 from .gcn import (GcnModel, backward, build_batch_plan, build_full_plan,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinityMatrix", "MapAffinity", "calibrate_row", "joint_p",
-    "kl_loss_and_grad", "pairwise_sq_euclidean", "studentt_q",
+    "pairwise_sq_euclidean", "studentt_q",
     "EmptyAffinityError", "GraphTSNEError", "MalformedInputError",
     "TrainingError",
     "GcnModel", "backward", "build_batch_plan", "build_full_plan", "forward",

@@ -1,4 +1,6 @@
-"""Perplexity-calibrated input affinities, Student-t map affinities, KL loss.
+"""Perplexity-calibrated input affinities and Student-t map affinities.
+
+The KL loss between them is ``trainer.composite_loss_and_grad``.
 
 All computations here run in float64. Input distances may contain the
 unreachable sentinel (inf); such entries always receive exactly zero
@@ -189,26 +191,3 @@ def studentt_q(y: np.ndarray) -> MapAffinity:
     w = _student_weights(y)
     z = float(w.sum())
     return MapAffinity(q=w / z, z=z)
-
-
-def _p_matrix(p) -> np.ndarray:
-    return p.p if isinstance(p, AffinityMatrix) else np.asarray(p, dtype=np.float64)
-
-
-def kl_loss_and_grad(p, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL divergence between input affinities p and map affinities q(y), with gradient.
-
-    Uses the convention 0*log(0/q) = 0. The gradient with respect to each
-    map point is 4 * sum_j (p_ij - q_ij) * w_ij * (y_i - y_j) with
-    w_ij = (1 + ||y_i - y_j||^2)^-1.
-    """
-    pm = _p_matrix(p)
-    y = np.asarray(y, dtype=np.float64)
-    w = _student_weights(y)
-    z = w.sum()
-    q = w / z
-    mask = pm > 0.0
-    loss = float(np.sum(pm[mask] * np.log(pm[mask] / q[mask])))
-    m = (pm - q) * w
-    grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
-    return loss, grad

@@ -379,9 +379,8 @@ class AdamState:
     stale_epochs: int = 0
 
 
-def init_adam(model: GcnModel, lr: float, patience: int = 5,
-              decay_factor: float = 1.25) -> AdamState:
-    state = AdamState(lr=lr, patience=patience, decay_factor=decay_factor)
+def init_adam(model: GcnModel, lr: float) -> AdamState:
+    state = AdamState(lr=lr)
     for name, arr in model.named_parameters():
         state.m[name] = np.zeros_like(arr)
         state.v[name] = np.zeros_like(arr)

@@ -1,10 +1,13 @@
-"""Composite-loss training loops: full-batch for small graphs, neighbor-
-subsampled mini-batches for large ones, plus inference-time embedding.
+"""Composite-loss training: full-batch for small graphs, neighbor-subsampled
+mini-batches for large ones, plus inference-time embedding.
 
 The training objective blends two KL losses over a shared Student-t map
 distribution: one whose input affinities come from graph shortest-path
 distances, one from squared Euclidean feature distances. alpha weights the
-graph term; (1 - alpha) the feature term.
+graph term; (1 - alpha) the feature term. Both modes run the same training
+loop and differ only in the steps they feed it: full-batch gives one step
+per epoch over the whole graph with affinities computed once, mini-batch
+gives one step per sampled batch with affinities computed within the batch.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.perplexity < 2.0:
-            raise ValueError(f"perplexity must be >= 2, got {self.perplexity}")
+        if not (np.isfinite(self.perplexity) and self.perplexity >= 2.0):
+            raise ValueError(f"perplexity must be finite and >= 2, got {self.perplexity}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.hidden_dim < 1:
@@ -60,8 +63,8 @@ class TrainConfig:
                 raise ValueError("batch_count must be >= 1")
             if len(self.fanouts) == 0 or any(f < 1 for f in self.fanouts):
                 raise ValueError("fanouts must be positive counts, one per layer")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.hop_cap < 1:
             raise ValueError(f"hop_cap must be >= 1, got {self.hop_cap}")
 
@@ -147,48 +150,108 @@ def _build_affinity(distances: np.ndarray, perplexity: float,
     return aff
 
 
-def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
-                     on_epoch=None) -> tuple[GcnModel, TrainReport]:
-    """Train with one forward/backward/Adam step per epoch over the whole graph.
+def _train(features: np.ndarray, cfg: TrainConfig, epochs,
+           on_step) -> tuple[GcnModel, TrainReport]:
+    """The training loop both modes share.
 
-    Both distance matrices (all-pairs BFS hops cut off at cfg.hop_cap, and
-    squared Euclidean feature distances) and both affinity matrices are
-    built once up front. Fully deterministic for a fixed seed.
+    ``epochs(model)`` returns one iterable of steps per epoch; a step is
+    ``(plan, p_graph, p_feat, args)`` and is followed by
+    ``on_step(epoch, *args, loss)`` when on_step is given. An epoch's losses
+    are means over its steps, and the learning-rate plateau schedule sees
+    the epoch mean.
     """
-    cfg.validate()
-    if cfg.mode != "full":
-        raise ValueError("train_full_batch requires cfg.mode == 'full'")
     start = time.perf_counter()
-    features = data.features
     model = init_model(features.shape[1], cfg.hidden_dim, seed=cfg.seed)
-
-    d_graph = all_pairs_distances(data.graph, hop_cap=cfg.hop_cap)
-    d_feat = pairwise_sq_euclidean(features)
-    p_graph = _build_affinity(d_graph, cfg.perplexity, "graph")
-    p_feat = _build_affinity(d_feat, cfg.perplexity, "feature")
-
-    plan = build_full_plan(data.graph, model.num_layers)
     adam = init_adam(model, cfg.lr)
     report = TrainReport()
-    for epoch in range(cfg.epochs):
-        y, trace = forward(model, plan, features, mode="train")
-        loss = composite_loss_and_grad(p_graph, p_feat, y, cfg.alpha)
-        grads = backward(model, trace, loss.grad)
-        adam_step(adam, model, grads)
-        maybe_decay_lr(adam, loss.total)
-        report.total_losses.append(loss.total)
-        report.graph_losses.append(loss.graph_term)
-        report.feature_losses.append(loss.feature_term)
-        if on_epoch is not None:
-            on_epoch(epoch, loss)
+    for epoch, steps in enumerate(epochs(model)):
+        losses = []
+        for plan, p_graph, p_feat, args in steps:
+            y, trace = forward(model, plan, features, mode="train")
+            loss = composite_loss_and_grad(p_graph, p_feat, y, cfg.alpha)
+            if not (np.isfinite(loss.total) and np.isfinite(loss.grad).all()):
+                raise TrainingError(f"epoch {epoch}: the loss or its gradient "
+                                    f"is not finite (lr {cfg.lr:g})")
+            adam_step(adam, model, backward(model, trace, loss.grad))
+            losses.append((loss.total, loss.graph_term, loss.feature_term))
+            if on_step is not None:
+                on_step(epoch, *args, loss)
+        if not losses:
+            raise TrainingError(f"epoch {epoch}: every batch was skipped")
+        # column by column: an axis-0 mean of the rows would sum in another
+        # order; the mean of one step's loss is that loss exactly
+        total, graph_term, feature_term = (float(np.mean(column))
+                                           for column in zip(*losses))
+        maybe_decay_lr(adam, total)
+        report.total_losses.append(total)
+        report.graph_losses.append(graph_term)
+        report.feature_losses.append(feature_term)
     report.final_lr = adam.lr
     report.wall_time_s = time.perf_counter() - start
     return model, report
 
 
+def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
+                     on_epoch=None) -> tuple[GcnModel, TrainReport]:
+    """Train with one forward/backward/Adam step per epoch over the whole graph.
+
+    Both affinity matrices are built once up front, from all-pairs BFS hops
+    cut off at cfg.hop_cap and from squared Euclidean feature distances;
+    each distance matrix is dropped once calibrated. Fully deterministic for
+    a fixed seed.
+    """
+    cfg.validate()
+    if cfg.mode != "full":
+        raise ValueError("train_full_batch requires cfg.mode == 'full'")
+
+    def epochs(model):
+        p_graph = _build_affinity(all_pairs_distances(data.graph, hop_cap=cfg.hop_cap),
+                                  cfg.perplexity, "graph")
+        p_feat = _build_affinity(pairwise_sq_euclidean(data.features),
+                                 cfg.perplexity, "feature")
+        step = (build_full_plan(data.graph, model.num_layers), p_graph, p_feat, ())
+        return ([step] for _ in range(cfg.epochs))
+
+    return _train(data.features, cfg, epochs, on_epoch)
+
+
 def _batch_seed(seed: int, epoch: int, batch_index: int) -> int:
     return int(np.random.SeedSequence([seed, epoch, batch_index])
                .generate_state(1)[0])
+
+
+def _batch_steps(data: LabeledDataset, cfg: TrainConfig, epoch: int):
+    """One epoch's mini-batch steps: a seeded partition of the nodes, each
+    batch subsampled and given its own affinities."""
+    graph, features = data.graph, data.features
+    perm = np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, epoch])).permutation(graph.num_nodes)
+    unconverged = 0
+    for b, batch_nodes in enumerate(np.array_split(perm, cfg.batch_count)):
+        if batch_nodes.size < 3:
+            logger.warning("epoch %d: skipping batch %d with %d node(s)",
+                           epoch, b, batch_nodes.size)
+            continue
+        batch_nodes = np.sort(batch_nodes)
+        sample = neighbor_subsample(graph, batch_nodes, cfg.fanouts,
+                                    seed=_batch_seed(cfg.seed, epoch, b))
+        plan = build_batch_plan(sample)
+        d_graph = bfs_shortest_paths(graph, batch_nodes, batch_nodes,
+                                     hop_cap=cfg.hop_cap)
+        d_feat = pairwise_sq_euclidean(features[batch_nodes])
+        try:
+            p_graph = joint_p(d_graph, cfg.perplexity)
+            p_feat = joint_p(d_feat, cfg.perplexity)
+        except EmptyAffinityError as exc:
+            logger.warning("epoch %d: skipping batch %d, degenerate "
+                           "affinity: %s", epoch, b, exc)
+            continue
+        unconverged += p_graph.n_converged == 0 or p_feat.n_converged == 0
+        yield plan, p_graph, p_feat, (b, sample)
+    if unconverged:
+        logger.warning("epoch %d: %d executed batch(es) have a graph or feature "
+                       "affinity with no row at perplexity %g", epoch,
+                       unconverged, cfg.perplexity)
 
 
 def train_minibatch(data: LabeledDataset, cfg: TrainConfig,
@@ -200,65 +263,21 @@ def train_minibatch(data: LabeledDataset, cfg: TrainConfig,
     between batch nodes (hop-capped), feature distances are restricted to the
     batch, and affinities are normalized within the batch. Batches smaller
     than 3 nodes, or whose affinities are fully degenerate, are skipped with
-    a warning. Reported epoch losses are means over executed batches.
+    a warning; executed batches whose graph or feature affinity has no row
+    at the target perplexity are counted in one warning per epoch. Reported
+    epoch losses are means over executed batches.
     """
     cfg.validate()
     if cfg.mode != "minibatch":
         raise ValueError("train_minibatch requires cfg.mode == 'minibatch'")
-    start = time.perf_counter()
-    graph = data.graph
-    features = data.features
-    n = graph.num_nodes
-    model = init_model(features.shape[1], cfg.hidden_dim, seed=cfg.seed)
-    if len(cfg.fanouts) != model.num_layers:
-        raise ValueError(f"need one fanout per layer "
-                         f"({model.num_layers}), got {cfg.fanouts}")
-    adam = init_adam(model, cfg.lr)
-    report = TrainReport()
 
-    for epoch in range(cfg.epochs):
-        perm = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, epoch])).permutation(n)
-        batches = np.array_split(perm, cfg.batch_count)
-        epoch_totals, epoch_graph, epoch_feat = [], [], []
-        for b, batch_nodes in enumerate(batches):
-            if batch_nodes.size < 3:
-                logger.warning("epoch %d: skipping batch %d with %d node(s)",
-                               epoch, b, batch_nodes.size)
-                continue
-            batch_nodes = np.sort(batch_nodes)
-            sample = neighbor_subsample(graph, batch_nodes, cfg.fanouts,
-                                        seed=_batch_seed(cfg.seed, epoch, b))
-            plan = build_batch_plan(sample)
-            d_graph = bfs_shortest_paths(graph, batch_nodes, batch_nodes,
-                                         hop_cap=cfg.hop_cap)
-            d_feat = pairwise_sq_euclidean(features[batch_nodes])
-            try:
-                p_graph = joint_p(d_graph, cfg.perplexity)
-                p_feat = joint_p(d_feat, cfg.perplexity)
-            except EmptyAffinityError as exc:
-                logger.warning("epoch %d: skipping batch %d, degenerate "
-                               "affinity: %s", epoch, b, exc)
-                continue
-            y, trace = forward(model, plan, features, mode="train")
-            loss = composite_loss_and_grad(p_graph, p_feat, y, cfg.alpha)
-            grads = backward(model, trace, loss.grad)
-            adam_step(adam, model, grads)
-            epoch_totals.append(loss.total)
-            epoch_graph.append(loss.graph_term)
-            epoch_feat.append(loss.feature_term)
-            if on_batch is not None:
-                on_batch(epoch, b, sample, loss)
-        if not epoch_totals:
-            raise TrainingError(f"epoch {epoch}: every batch was skipped")
-        mean_total = float(np.mean(epoch_totals))
-        maybe_decay_lr(adam, mean_total)
-        report.total_losses.append(mean_total)
-        report.graph_losses.append(float(np.mean(epoch_graph)))
-        report.feature_losses.append(float(np.mean(epoch_feat)))
-    report.final_lr = adam.lr
-    report.wall_time_s = time.perf_counter() - start
-    return model, report
+    def epochs(model):
+        if len(cfg.fanouts) != model.num_layers:
+            raise ValueError(f"need one fanout per layer "
+                             f"({model.num_layers}), got {cfg.fanouts}")
+        return (_batch_steps(data, cfg, epoch) for epoch in range(cfg.epochs))
+
+    return _train(data.features, cfg, epochs, on_batch)
 
 
 def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[GcnModel, TrainReport]:

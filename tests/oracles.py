@@ -161,6 +161,31 @@ def joint_p_reference(distances, target_perplexity):
     return joint / joint.sum()
 
 
+def kl_oracle(p, y):
+    """KL(P || Q) between input affinities p and the Student-t map
+    affinities Q(y), and its gradient with respect to y, as literal sums
+    over point pairs (pairs with p_ij = 0 add nothing to the loss)."""
+    n = y.shape[0]
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                diff = y[i] - y[j]
+                w[i, j] = 1.0 / (1.0 + float(np.dot(diff, diff)))
+    z = w.sum()
+    loss = 0.0
+    grad = np.zeros_like(y, dtype=np.float64)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            q = w[i, j] / z
+            if p[i, j] > 0.0:
+                loss += p[i, j] * np.log(p[i, j] / q)
+            grad[i] += 4.0 * (p[i, j] - q) * w[i, j] * (y[i] - y[j])
+    return loss, grad
+
+
 def adam_scalar_reference(grads_sequence, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Parameter trajectory of textbook Adam from 0 with bias correction."""
     theta, m, v = 0.0, 0.0, 0.0

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from graphtsne.affinity import joint_p, kl_loss_and_grad, pairwise_sq_euclidean, studentt_q
+from graphtsne.affinity import joint_p, pairwise_sq_euclidean, studentt_q
 from graphtsne.cli import main, read_layout_csv
 from graphtsne.gcn import backward, build_full_plan, forward, init_model
 from graphtsne.graph import Graph, all_pairs_distances, knn_graph

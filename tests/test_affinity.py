@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphtsne import (EmptyAffinityError, UNREACHABLE, calibrate_row,
-                       joint_p, kl_loss_and_grad, pairwise_sq_euclidean,
+                       composite_loss_and_grad, joint_p, pairwise_sq_euclidean,
                        studentt_q)
 
 from conftest import finite_difference_grads, max_relative_error
@@ -160,28 +160,28 @@ class TestKlLossAndGrad:
     def test_matched_distributions_zero(self):
         y = np.array([[0.0, 0.0], [3.0, 0.0]])
         p = studentt_q(y).q    # for 2 points q is 1/2 regardless of layout
-        loss, grad = kl_loss_and_grad(p, y)
-        assert loss == pytest.approx(0.0, abs=1e-12)
-        assert np.abs(grad).max() <= 1e-12
+        kl = composite_loss_and_grad(p, p, y, 1.0)
+        assert kl.total == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(kl.grad).max() <= 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         y = rng.normal(size=(10, 2))
         d = pairwise_sq_euclidean(rng.normal(size=(10, 3)))
         p = joint_p(d, 4.0)
-        _, grad = kl_loss_and_grad(p, y)
-        (fd,) = finite_difference_grads(lambda: kl_loss_and_grad(p, y)[0], [y])
+        grad = composite_loss_and_grad(p, p, y, 1.0).grad
+        (fd,) = finite_difference_grads(
+            lambda: composite_loss_and_grad(p, p, y, 1.0).total, [y])
         assert max_relative_error(grad, fd, floor=1e-8) <= 1e-6
 
     def test_attraction_when_p_exceeds_q(self):
         y = np.array([[-50.0, 0.0], [50.0, 0.0], [0.0, 1e6]])
         p = np.zeros((3, 3))
         p[0, 1] = p[1, 0] = 0.5   # want 0 and 1 together; far third point
-        _, grad = kl_loss_and_grad(p, y)
+        grad = composite_loss_and_grad(p, p, y, 1.0).grad
         assert grad[0, 0] < 0.0 < grad[1, 0]  # moving against grad pulls them closer
 
     def test_loss_nonnegative(self, rng):
         for trial in range(5):
             y = rng.normal(size=(15, 2))
             p = joint_p(pairwise_sq_euclidean(rng.normal(size=(15, 3))), 5.0)
-            loss, _ = kl_loss_and_grad(p, y)
-            assert loss >= 0.0
+            assert composite_loss_and_grad(p, p, y, 1.0).total >= 0.0

@@ -152,6 +152,29 @@ class TestFit:
         assert code == 2
         assert "hop_cap" in capsys.readouterr().err
 
+    def test_nan_lr_in_config_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("hidden_dim = 8\nepochs = 2\nlr = nan\n")
+        code = main(["fit", *base_args(dataset_dir)[:8], "--config", str(cfg),
+                     "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "lr" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "layout.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_lr_exits_3_without_layout(self, dataset_dir, tmp_path,
+                                                   capsys):
+        # finite, so valid, but the first update drives the weights to about
+        # 1e308 and the next forward pass overflows
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("hidden_dim = 8\nepochs = 2\nlr = 1e308\n")
+        code = main(["fit", *base_args(dataset_dir)[:8], "--config", str(cfg),
+                     "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "layout.csv").exists()
+
 
 class TestOutDir:
     @pytest.mark.parametrize("command", ["fit", "sweep", "evaluate"])

@@ -5,14 +5,15 @@ import pytest
 
 from graphtsne import (Graph, LabeledDataset, MalformedInputError,
                        TrainingError, TrainConfig, composite_loss_and_grad,
-                       default_config, embed, joint_p, kl_loss_and_grad,
-                       pairwise_sq_euclidean, train_full_batch,
-                       train_minibatch)
+                       default_config, embed, joint_p, pairwise_sq_euclidean,
+                       train_full_batch, train_minibatch)
 from graphtsne import trainer
 from graphtsne.gcn import init_model
 from graphtsne.graph import all_pairs_distances
 from graphtsne.trainer import apply_overrides, read_config_file
 from graphtsne.synthetic import random_dataset, sbm_dataset
+
+from oracles import kl_oracle
 
 
 def affinity_pair(rng, n=12):
@@ -21,29 +22,52 @@ def affinity_pair(rng, n=12):
     return pg, px
 
 
+def random_cases(rng, count=50):
+    """(p_graph, p_feat, y) triples of varied size and map scale."""
+    for _ in range(count):
+        n = int(rng.integers(4, 16))
+        pg = joint_p(all_pairs_distances(random_dataset(
+            n, 3 * n, seed=int(rng.integers(1 << 30))).graph), 3.0)
+        px = joint_p(pairwise_sq_euclidean(rng.normal(size=(n, 3))), 3.0)
+        yield pg, px, rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0)
+
+
+def assert_same_loss(a, b):
+    assert a.total == b.total
+    assert np.array_equal(a.grad, b.grad)
+
+
 class TestCompositeLoss:
     def test_alpha_zero_equals_feature_loss(self, rng):
         pg, px = affinity_pair(rng)
         y = rng.normal(size=(12, 2))
         combo = composite_loss_and_grad(pg, px, y, alpha=0.0)
-        loss_x, grad_x = kl_loss_and_grad(px, y)
-        assert combo.total == loss_x
-        assert np.array_equal(combo.grad, grad_x)
+        loss_x, grad_x = kl_oracle(px.p, y)
+        assert abs(combo.total - loss_x) <= 1e-12
+        assert np.abs(combo.grad - grad_x).max() <= 1e-12
+        # the graph affinity has no effect at alpha = 0
+        for pg, px, y in random_cases(rng):
+            assert_same_loss(composite_loss_and_grad(pg, px, y, 0.0),
+                             composite_loss_and_grad(px, px, y, 0.0))
 
     def test_alpha_one_equals_graph_loss(self, rng):
         pg, px = affinity_pair(rng)
         y = rng.normal(size=(12, 2))
         combo = composite_loss_and_grad(pg, px, y, alpha=1.0)
-        loss_g, grad_g = kl_loss_and_grad(pg, y)
-        assert combo.total == loss_g
-        assert np.array_equal(combo.grad, grad_g)
+        loss_g, grad_g = kl_oracle(pg.p, y)
+        assert abs(combo.total - loss_g) <= 1e-12
+        assert np.abs(combo.grad - grad_g).max() <= 1e-12
+        # the feature affinity has no effect at alpha = 1
+        for pg, px, y in random_cases(rng):
+            assert_same_loss(composite_loss_and_grad(pg, px, y, 1.0),
+                             composite_loss_and_grad(pg, pg, y, 1.0))
 
     def test_midpoint_matches_independent_recomposition(self, rng):
         pg, px = affinity_pair(rng)
         y = rng.normal(size=(12, 2))
         combo = composite_loss_and_grad(pg, px, y, alpha=0.5)
-        loss_g, grad_g = kl_loss_and_grad(pg, y)
-        loss_x, grad_x = kl_loss_and_grad(px, y)
+        loss_g, grad_g = kl_oracle(pg.p, y)
+        loss_x, grad_x = kl_oracle(px.p, y)
         assert abs(combo.total - 0.5 * (loss_g + loss_x)) <= 1e-12
         assert np.abs(combo.grad - 0.5 * (grad_g + grad_x)).max() <= 1e-12
 
@@ -71,7 +95,9 @@ class TestTrainConfig:
         good = dict(alpha=0.5, epochs=5, hidden_dim=8, mode="full")
         TrainConfig(**good).validate()
         for bad in (dict(alpha=-0.1), dict(perplexity=1.0), dict(epochs=-1),
-                    dict(mode="bogus"), dict(lr=0.0)):
+                    dict(mode="bogus"), dict(lr=0.0), dict(lr=float("nan")),
+                    dict(lr=float("inf")), dict(perplexity=float("nan")),
+                    dict(perplexity=float("inf"))):
             cfg = TrainConfig(**{**good, **bad})
             with pytest.raises(ValueError):
                 cfg.validate()
@@ -202,6 +228,25 @@ class TestTrainMinibatch:
         assert len(counted) == 6
         assert report.num_epochs == 2
 
+    def test_unconverged_batches_counted_once_per_epoch(self, caplog):
+        ds = random_dataset(11, 40, feature_dim=4, seed=16)
+        # batches of 3-4 nodes can never reach perplexity 30
+        cfg = TrainConfig(alpha=0.5, epochs=2, hidden_dim=4, mode="minibatch",
+                          batch_count=3, fanouts=(2, 2), seed=17)
+        with caplog.at_level(logging.WARNING, logger="graphtsne.trainer"):
+            train_minibatch(ds, cfg)
+        assert [rec.message for rec in caplog.records] == [
+            f"epoch {epoch}: 3 executed batch(es) have a graph or feature "
+            f"affinity with no row at perplexity 30" for epoch in (0, 1)]
+
+    def test_no_unconverged_warning_when_batches_converge(self, caplog):
+        ds = random_dataset(60, 240, feature_dim=5, seed=18)
+        cfg = TrainConfig(alpha=0.4, epochs=2, hidden_dim=8, mode="minibatch",
+                          batch_count=4, fanouts=(3, 3), seed=19, perplexity=5.0)
+        with caplog.at_level(logging.WARNING, logger="graphtsne.trainer"):
+            train_minibatch(ds, cfg)
+        assert caplog.records == []
+
     def test_determinism(self):
         ds = random_dataset(60, 240, feature_dim=5, seed=18)
         cfg = TrainConfig(alpha=0.4, epochs=2, hidden_dim=8, mode="minibatch",
@@ -216,6 +261,59 @@ class TestTrainMinibatch:
                           batch_count=2, fanouts=(3,), seed=21)
         with pytest.raises(ValueError, match="fanout"):
             train_minibatch(ds, cfg)
+
+
+class Stop(Exception):
+    pass
+
+
+def count_adam_steps(monkeypatch):
+    calls = []
+    step = trainer.adam_step
+
+    def counted(*args):
+        calls.append(args)
+        step(*args)
+
+    monkeypatch.setattr(trainer, "adam_step", counted)
+    return calls
+
+
+class TestStepCallbacks:
+    """An exception raised by a step callback ends training right after that
+    step and reaches the caller."""
+
+    def test_on_epoch_exception_propagates(self, small_sbm, monkeypatch):
+        steps = count_adam_steps(monkeypatch)
+        seen = []
+
+        def on_epoch(epoch, loss):
+            seen.append(epoch)
+            if epoch == 2:
+                raise Stop
+
+        cfg = TrainConfig(alpha=0.5, epochs=6, hidden_dim=8, mode="full", seed=1)
+        with pytest.raises(Stop):
+            train_full_batch(small_sbm, cfg, on_epoch=on_epoch)
+        assert seen == [0, 1, 2]
+        assert len(steps) == 3
+
+    def test_on_batch_exception_propagates(self, monkeypatch):
+        ds = random_dataset(60, 240, feature_dim=5, seed=18)
+        steps = count_adam_steps(monkeypatch)
+        seen = []
+
+        def on_batch(epoch, batch, sample, loss):
+            seen.append((epoch, batch))
+            if len(seen) == 6:
+                raise Stop
+
+        cfg = TrainConfig(alpha=0.4, epochs=3, hidden_dim=8, mode="minibatch",
+                          batch_count=4, fanouts=(3, 3), seed=19, perplexity=5.0)
+        with pytest.raises(Stop):
+            train_minibatch(ds, cfg, on_batch=on_batch)
+        assert seen == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)]
+        assert len(steps) == 6
 
 
 class TestEmbed:
