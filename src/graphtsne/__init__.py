@@ -20,8 +20,7 @@ from .metrics import (MetricsReport, SweepResult, alpha_sweep,
                       feature_trustworthiness, graph_trustworthiness,
                       knn_1_accuracy, standardize_map)
 from .svg import render_svg, write_svg
-from .synthetic import (binary_feature_dataset, citation_dataset,
-                        random_dataset, sbm_dataset)
+from .synthetic import citation_dataset, random_dataset, sbm_dataset
 from .trainer import (CompositeLoss, TrainConfig, TrainReport,
                       composite_loss_and_grad, default_config, embed,
                       read_config_file, train, train_full_batch,
@@ -44,8 +43,7 @@ __all__ = [
     "evaluate_layout", "feature_trustworthiness", "graph_trustworthiness",
     "knn_1_accuracy", "standardize_map",
     "render_svg", "write_svg",
-    "binary_feature_dataset", "citation_dataset", "random_dataset",
-    "sbm_dataset",
+    "citation_dataset", "random_dataset", "sbm_dataset",
     "CompositeLoss", "TrainConfig", "TrainReport", "composite_loss_and_grad",
     "default_config", "embed", "read_config_file", "train",
     "train_full_batch", "train_minibatch",

@@ -65,8 +65,9 @@ def _perplexity(p: np.ndarray) -> float:
 def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> CalibrationResult:
     """Find the Gaussian bandwidth whose conditional distribution hits a target perplexity.
 
-    ``dist_row`` excludes the self distance. Entries equal to the
-    unreachable sentinel (inf) get probability exactly zero. The bandwidth
+    ``dist_row`` holds one point's distances to the others (``joint_p``
+    passes the self entry as inf). Entries equal to the unreachable
+    sentinel (inf) get probability exactly zero. The bandwidth
     is found by bisection on log(sigma) over [1e-20, 1e20], stopping when
     the achieved perplexity (2^entropy) is within 1e-4 of the target or
     after 60 iterations; running into a search bound is reported, not
@@ -85,22 +86,18 @@ def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> Calibration
 
     d = row[finite]
     shifted = d - d.min()
-    lo, hi = SIGMA_LO, SIGMA_HI
-    sigma = 1.0
-    p = _conditional_for_sigma(shifted, sigma)
-    perp = _perplexity(p)
-    converged = abs(perp - target_perplexity) <= PERPLEXITY_TOL
-    iters = 0
-    while not converged and iters < MAX_SEARCH_ITERS:
+    lo, hi, sigma = SIGMA_LO, SIGMA_HI, 1.0
+    for step in range(MAX_SEARCH_ITERS + 1):
+        p = _conditional_for_sigma(shifted, sigma)
+        perp = _perplexity(p)
+        converged = abs(perp - target_perplexity) <= PERPLEXITY_TOL
+        if converged or step == MAX_SEARCH_ITERS:
+            break
         if perp > target_perplexity:
             hi = sigma
         else:
             lo = sigma
         sigma = float(np.sqrt(lo * hi))  # geometric midpoint: bisection in log space
-        p = _conditional_for_sigma(shifted, sigma)
-        perp = _perplexity(p)
-        converged = abs(perp - target_perplexity) <= PERPLEXITY_TOL
-        iters += 1
     bound_hit = (not converged) and (lo == SIGMA_LO or hi == SIGMA_HI)
     conditional[finite] = p
     return CalibrationResult(sigma=sigma, conditional=conditional, perplexity=perp,
@@ -144,9 +141,9 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     sigmas = np.full(n, np.nan)
     n_degenerate = 0
     n_converged = 0
-    others = np.arange(n)
     for i in range(n):
-        row = d[i][np.concatenate([others[:i], others[i + 1:]])]
+        row = d[i].copy()
+        row[i] = np.inf  # the self entry gets probability exactly zero
         res = calibrate_row(row, target_perplexity)
         if res.degenerate:
             n_degenerate += 1
@@ -154,8 +151,7 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
         if res.converged:
             n_converged += 1
         sigmas[i] = res.sigma
-        conditionals[i, :i] = res.conditional[:i]
-        conditionals[i, i + 1:] = res.conditional[i:]
+        conditionals[i] = res.conditional
     if n_degenerate == n:
         raise EmptyAffinityError("every row of the distance matrix is unreachable")
 
@@ -171,10 +167,6 @@ class MapAffinity:
 
     q: np.ndarray
     z: float
-
-    @property
-    def size(self) -> int:
-        return self.q.shape[0]
 
 
 def _student_weights(y: np.ndarray) -> np.ndarray:

@@ -138,13 +138,18 @@ def _write_json_atomic(path, payload) -> None:
     os.replace(tmp, path)
 
 
-def _write_layout_csv(path, y: np.ndarray) -> None:
+def _write_layout(out_dir, y: np.ndarray, data: LabeledDataset) -> dict:
+    """Write layout.csv and layout.svg; return their paths by output name."""
+    paths = {"layout": os.path.join(out_dir, "layout.csv"),
+             "svg": os.path.join(out_dir, "layout.svg")}
     lines = ["node_id,x,y"]
     for i in range(y.shape[0]):
         lines.append(f"{i},{float(y[i, 0])!r},{float(y[i, 1])!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(paths["layout"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
+    write_svg(paths["svg"], y, labels=data.labels, edges=data.graph.edge_pairs)
+    return paths
 
 
 def read_layout_csv(path, num_nodes: int) -> np.ndarray:
@@ -187,14 +192,13 @@ def read_layout_csv(path, num_nodes: int) -> np.ndarray:
 
 
 def _manifest(command: str, args, cfg, inputs: dict, outputs: dict) -> dict:
-    argv = getattr(args, "argv_used", None)
     return {
         "command": command,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": inputs,
         "config": None if cfg is None else dataclasses.asdict(cfg),
-        "argv": [str(a) for a in (sys.argv[1:] if argv is None else argv)],
+        "argv": [str(a) for a in args.argv_used],
         "outputs": outputs,
     }
 
@@ -217,17 +221,12 @@ def cmd_fit(args) -> int:
     model, report = train(data, cfg)
     y = embed(model, data)
 
-    layout_path = os.path.join(args.out_dir, "layout.csv")
-    svg_path = os.path.join(args.out_dir, "layout.svg")
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
-    _write_layout_csv(layout_path, y)
-    write_svg(svg_path, y, labels=data.labels, edges=data.graph.edge_pairs)
-    manifest = _manifest("fit", args, cfg, _input_paths(args),
-                         {"layout": layout_path, "svg": svg_path})
+    outputs = _write_layout(args.out_dir, y, data)
+    manifest = _manifest("fit", args, cfg, _input_paths(args), outputs)
     manifest["losses"] = report.total_losses
     manifest["final_loss"] = report.total_losses[-1] if report.total_losses else None
-    _write_json_atomic(manifest_path, manifest)
-    print(f"wrote {layout_path} ({y.shape[0]} nodes)")
+    _write_json_atomic(os.path.join(args.out_dir, "manifest.json"), manifest)
+    print(f"wrote {outputs['layout']} ({y.shape[0]} nodes)")
     return 0
 
 
@@ -242,21 +241,15 @@ def cmd_sweep(args) -> int:
 
     sweep_path = os.path.join(args.out_dir, "sweep.json")
     summary_path = os.path.join(args.out_dir, "summary.txt")
-    layout_path = os.path.join(args.out_dir, "layout.csv")
-    svg_path = os.path.join(args.out_dir, "layout.svg")
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
 
     _write_json_atomic(sweep_path, [r.to_dict() for r in result.reports])
     _write_summary(summary_path, result, args.t_ks, args.t_rs)
-    best = result.embeddings[result.alpha_star]
-    _write_layout_csv(layout_path, best)
-    write_svg(svg_path, best, labels=data.labels, edges=data.graph.edge_pairs)
+    layout = _write_layout(args.out_dir, result.embeddings[result.alpha_star], data)
     manifest = _manifest("sweep", args, cfg, _input_paths(args),
-                         {"sweep": sweep_path, "summary": summary_path,
-                          "layout": layout_path, "svg": svg_path})
+                         {"sweep": sweep_path, "summary": summary_path, **layout})
     manifest["grid"] = grid
     manifest["alpha_star"] = result.alpha_star
-    _write_json_atomic(manifest_path, manifest)
+    _write_json_atomic(os.path.join(args.out_dir, "manifest.json"), manifest)
     print(f"alpha* = {result.alpha_star}")
     return 0
 
@@ -286,6 +279,8 @@ def _write_summary(path, result, t_ks, t_rs) -> None:
 
 def cmd_evaluate(args) -> int:
     data = _load_dataset(args.edges, args.features, args.labels)
+    if data.graph.num_edges == 0:  # P_G is a mean over the edges
+        raise MalformedInputError(f"{args.edges}: no edges")
     y = read_layout_csv(args.layout, data.graph.num_nodes)
     report = evaluate_layout(data, y, knn_k=args.knn_k, t_ks=args.t_ks,
                              t_rs=args.t_rs, folds=DEFAULT_FOLDS)

@@ -84,13 +84,6 @@ class GcnModel:
             yield f"layer{l}.bn_mean", layer.bn_mean
             yield f"layer{l}.bn_var", layer.bn_var
 
-    def copy(self) -> "GcnModel":
-        layers = [ConvLayer(**{k: np.copy(v) for k, v in vars(layer).items()})
-                  for layer in self.layers]
-        return GcnModel(self.input_dim, self.hidden_dim, self.out_dim,
-                        np.copy(self.in_w), np.copy(self.in_b), layers,
-                        np.copy(self.out_w), np.copy(self.out_b))
-
 
 def init_model(input_dim: int, hidden_dim: int, seed: int,
                num_layers: int = 2, out_dim: int = 2) -> GcnModel:
@@ -222,7 +215,6 @@ class _LayerTrace:
 class ForwardTrace:
     plan: PropagationPlan
     x_sub: np.ndarray
-    h0: np.ndarray
     layers: list = field(default_factory=list)
     h_final: np.ndarray | None = None
     train_mode: bool = True
@@ -250,7 +242,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
 
     x_sub = features[plan.node_ids]
     h = x_sub @ model.in_w.T + model.in_b
-    trace = ForwardTrace(plan=plan, x_sub=x_sub, h0=h, train_mode=train)
+    trace = ForwardTrace(plan=plan, x_sub=x_sub, train_mode=train)
 
     for layer, lp in zip(model.layers, plan.layers):
         h_in = h
@@ -471,24 +463,12 @@ def load_model(path) -> GcnModel:
         if header.get("format_version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
         blob = fh.read()
-    tensors = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).copy()
-
+    entries = {entry["name"]: entry for entry in header["arrays"]}
     model = init_model(header["input_dim"], header["hidden_dim"], seed=0,
                        num_layers=header["num_layers"], out_dim=header["out_dim"])
-    model.in_w[:] = tensors["in_w"]
-    model.in_b[:] = tensors["in_b"]
-    model.out_w[:] = tensors["out_w"]
-    model.out_b[:] = tensors["out_b"]
-    for l, layer in enumerate(model.layers, start=1):
-        for attr in ("self_w", "self_b", "msg_w", "msg_b", "gate_dst_w",
-                     "gate_dst_b", "gate_src_w", "gate_src_b",
-                     "bn_scale", "bn_shift", "bn_mean", "bn_var"):
-            getattr(layer, attr)[:] = tensors[f"layer{l}.{attr}"]
+    for name, arr in model.named_state():
+        entry = entries[name]
+        shape = tuple(entry["shape"])
+        arr[:] = np.frombuffer(blob, dtype=entry["dtype"], count=int(np.prod(shape)),
+                               offset=entry["offset"]).reshape(shape)
     return model

@@ -41,9 +41,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.edge_pairs.shape[0])
 
-    def degree(self, node: int) -> int:
-        return int(self.offsets[node + 1] - self.offsets[node])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
@@ -113,10 +110,6 @@ class LabeledDataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.graph.num_nodes,):
                 raise ValueError("labels must have one entry per node")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.graph.num_nodes
 
 
 def load_edge_list(path, num_nodes: int) -> Graph:
@@ -306,7 +299,6 @@ class SubsampledBatch:
     batch_nodes: np.ndarray
     frontiers: list = field(default_factory=list)
     layer_edges: list = field(default_factory=list)
-    fanouts: tuple = ()
 
     @property
     def num_layers(self) -> int:
@@ -376,4 +368,4 @@ def neighbor_subsample(graph: Graph, batch_nodes, fanouts, seed: int) -> Subsamp
         in_frontier.update(new_nodes.tolist())
         frontiers.append(np.concatenate([current, new_nodes]))
     return SubsampledBatch(batch_nodes=batch, frontiers=frontiers,
-                           layer_edges=edges_by_step[::-1], fanouts=fanouts)
+                           layer_edges=edges_by_step[::-1])

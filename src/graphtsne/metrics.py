@@ -239,9 +239,9 @@ def alpha_sweep(data: LabeledDataset, cfg: TrainConfig, grid,
         cfg_a = replace(cfg, alpha=a, seed=run_seed)
         try:
             model, _ = train(data, cfg_a)
+            y = embed(model, data)
         except TrainingError as exc:
             raise TrainingError(f"alpha={a}: {exc}") from exc
-        y = embed(model, data)
         embeddings[a] = y
         reports.append(evaluate_layout(data, y, alpha=a, knn_k=knn_k,
                                        t_ks=t_ks, t_rs=t_rs, folds=folds,

@@ -39,32 +39,6 @@ def sbm_dataset(block_sizes, p_intra: float, p_inter: float,
     return LabeledDataset(graph=graph, features=features, labels=labels)
 
 
-def binary_feature_dataset(block_sizes, p_intra: float, p_inter: float,
-                           feature_dim: int, words_per_class: int = 150,
-                           background_rate: float = 0.008,
-                           class_rate: float = 0.05,
-                           seed: int = 0) -> LabeledDataset:
-    """Citation-network-shaped fixture: a block-model graph whose features
-    are sparse binary word indicators with per-class vocabularies.
-
-    Each class elevates the activation probability of its own random word
-    subset from background_rate to class_rate, giving bag-of-words-like rows
-    with a small number of nonzeros.
-    """
-    base = sbm_dataset(block_sizes, p_intra, p_inter, feature_dim=1, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    num_classes = len(block_sizes)
-    rates = np.full((num_classes, feature_dim), background_rate)
-    for c in range(num_classes):
-        words = rng.choice(feature_dim, size=min(words_per_class, feature_dim),
-                           replace=False)
-        rates[c, words] = class_rate
-    labels = base.labels
-    features = (rng.random((labels.size, feature_dim))
-                < rates[labels]).astype(np.float64)
-    return LabeledDataset(graph=base.graph, features=features, labels=labels)
-
-
 def citation_dataset(num_nodes: int = 2708, num_classes: int = 7,
                      community_size: int = 40, p_community: float = 0.25,
                      p_class: float = 0.003, p_inter: float = 0.0001,

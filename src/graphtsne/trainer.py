@@ -186,6 +186,8 @@ def _train(features: np.ndarray, cfg: TrainConfig, epochs,
         report.total_losses.append(total)
         report.graph_losses.append(graph_term)
         report.feature_losses.append(feature_term)
+    if not all(np.isfinite(arr).all() for _, arr in model.named_state()):
+        raise TrainingError(f"the trained weights are not finite (lr {cfg.lr:g})")
     report.final_lr = adam.lr
     report.wall_time_s = time.perf_counter() - start
     return model, report
@@ -282,7 +284,6 @@ def train_minibatch(data: LabeledDataset, cfg: TrainConfig,
 
 def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[GcnModel, TrainReport]:
     """Dispatch on cfg.mode."""
-    cfg.validate()
     if cfg.mode == "full":
         return train_full_batch(data, cfg)
     return train_minibatch(data, cfg)
@@ -290,9 +291,12 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[GcnModel, TrainReport
 
 def embed(model: GcnModel, data: LabeledDataset) -> np.ndarray:
     """Eval-mode forward over the full graph (running batch-norm statistics,
-    no subsampling). Returns the N x 2 coordinate matrix."""
+    no subsampling). Returns the N x 2 coordinate matrix; raises
+    TrainingError when a coordinate is not finite."""
     plan = build_full_plan(data.graph, model.num_layers)
     y, _ = forward(model, plan, data.features, mode="eval")
+    if not np.isfinite(y).all():
+        raise TrainingError("the model's layout is not finite")
     return y
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtsne import (EmptyAffinityError, UNREACHABLE, calibrate_row,
                        composite_loss_and_grad, joint_p, pairwise_sq_euclidean,
@@ -118,6 +120,34 @@ class TestJointP:
         np.fill_diagonal(d, 0.0)
         with pytest.raises(EmptyAffinityError):
             joint_p(d, 5.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference_property(self, data):
+        n = data.draw(st.integers(2, 12))
+        entry = (st.integers(0, 6).map(float) | st.floats(0.0, 1e3)
+                 | st.just(UNREACHABLE))
+        iu = np.triu_indices(n, k=1)
+        d = np.zeros((n, n))
+        d[iu] = data.draw(st.lists(entry, min_size=iu[0].size, max_size=iu[0].size))
+        d += d.T
+        for i in data.draw(st.sets(st.integers(0, n - 1), max_size=n)):
+            d[i, :] = d[:, i] = UNREACHABLE  # a fully unreachable row
+        d[np.diag_indices(n)] = data.draw(st.lists(st.floats(), min_size=n,
+                                                   max_size=n))
+        perplexity = data.draw(st.floats(2.0, 8.0))
+        off = np.where(np.eye(n, dtype=bool), UNREACHABLE, d)
+        degenerate = int((~np.isfinite(off)).all(axis=1).sum())
+        if degenerate == n:
+            with pytest.raises(EmptyAffinityError):
+                joint_p(d, perplexity)
+            return
+        aff = joint_p(d, perplexity)
+        assert np.abs(aff.p - joint_p_reference(d, perplexity)).max() <= 1e-10
+        assert np.array_equal(aff.p, aff.p.T)
+        assert abs(aff.p.sum() - 1.0) <= 1e-12
+        assert np.all(np.diag(aff.p) == 0.0) and np.all(aff.p >= 0.0)
+        assert aff.n_degenerate == degenerate
 
     def test_asymmetric_input_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])

@@ -175,6 +175,19 @@ class TestFit:
         assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "x" / "layout.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_lr_in_last_epoch_exits_3_without_layout(
+            self, dataset_dir, tmp_path, capsys):
+        # the only step sees a finite loss; the layout of its weights does not
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("hidden_dim = 8\nepochs = 1\nlr = 1e308\n")
+        code = main(["fit", *base_args(dataset_dir)[:8], "--config", str(cfg),
+                     "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "layout.csv").exists()
+
 
 class TestOutDir:
     @pytest.mark.parametrize("command", ["fit", "sweep", "evaluate"])
@@ -321,6 +334,19 @@ class TestEvaluate:
         code = main(self.eval_args(dataset_dir, layout, tmp_path / "m"))
         assert code == 1
         assert "44" in capsys.readouterr().err
+
+    def test_edgeless_graph_exits_1_naming_edges_file(self, dataset_dir,
+                                                     tmp_path, capsys):
+        edges = tmp_path / "none.txt"
+        edges.write_text("# no edges\n")
+        layout = tmp_path / "layout.csv"
+        self.write_layout(layout, np.zeros((45, 2)))
+        args = self.eval_args(dataset_dir, layout, tmp_path / "m")
+        args[args.index("--edges") + 1] = str(edges)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "none.txt" in err and "no edges" in err
+        assert err.count("\n") == 1
 
     def test_duplicate_node_id_exits_1(self, dataset_dir, tmp_path, capsys):
         layout = tmp_path / "dup.csv"

@@ -28,6 +28,24 @@ class TestGraphConstruction:
             for j in g.adj(i):
                 assert i in g.adj(j)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_from_edges_idempotent_property(self, data):
+        n = data.draw(st.integers(1, 15))
+        node = st.integers(0, n - 1)
+        g = Graph.from_edges(n, data.draw(st.lists(st.tuples(node, node),
+                                                   max_size=3 * n)))
+        pairs = [tuple(p) for p in g.edge_pairs.tolist()]
+        again = [*pairs, *((j, i) for i, j in pairs)]  # every edge, both ways
+        if pairs:
+            again += data.draw(st.lists(st.sampled_from(pairs), max_size=10))
+        again += [(v, v) for v in data.draw(st.lists(node, max_size=5))]
+        h = Graph.from_edges(n, data.draw(st.permutations(again)))
+        for name in ("edge_pairs", "offsets", "neighbors"):
+            want, got = getattr(g, name), getattr(h, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
     def test_endpoint_bounds_checked(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])

@@ -182,6 +182,30 @@ class TestTrainFullBatch:
         with pytest.raises(TrainingError, match="graph"):
             train_full_batch(data, cfg)
 
+    def test_non_finite_weights_after_last_step_raise(self, small_sbm,
+                                                      monkeypatch):
+        step = trainer.adam_step
+
+        def poisoned(state, model, grads):
+            step(state, model, grads)
+            model.out_b[0] = np.inf  # after the loss of the only step
+
+        monkeypatch.setattr(trainer, "adam_step", poisoned)
+        cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=8, mode="full", seed=1)
+        with pytest.raises(TrainingError, match="weights are not finite"):
+            train_full_batch(small_sbm, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_layout_raises_in_embed(self, small_sbm):
+        # one step at lr 1e308 leaves finite weights near 1e308, whose
+        # forward pass overflows
+        cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=8, mode="full", lr=1e308)
+        model, report = train_full_batch(small_sbm, cfg)
+        assert np.isfinite(report.total_losses).all()
+        with pytest.raises(TrainingError, match="layout .* not finite"):
+            embed(model, small_sbm)
+
     def test_wrong_mode_rejected(self, small_sbm):
         cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=8, mode="minibatch")
         with pytest.raises(ValueError):
