@@ -110,7 +110,6 @@ class AffinityMatrix:
 
     p: np.ndarray
     sigmas: np.ndarray
-    target_perplexity: float
     n_degenerate: int = 0
     n_converged: int = 0
 
@@ -157,22 +156,17 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
 
     p = (conditionals + conditionals.T) / (2.0 * n)
     p /= p.sum()
-    return AffinityMatrix(p=p, sigmas=sigmas, target_perplexity=float(target_perplexity),
-                          n_degenerate=n_degenerate, n_converged=n_converged)
+    return AffinityMatrix(p=p, sigmas=sigmas, n_degenerate=n_degenerate,
+                          n_converged=n_converged)
 
 
 @dataclass
 class MapAffinity:
-    """Normalized Student-t (1 dof) joint probabilities over map point pairs."""
+    """Normalized Student-t (1 dof) joint probabilities q over map point
+    pairs, and the unnormalized weights w = Z q that the loss gradient reads."""
 
     q: np.ndarray
-    z: float
-
-
-def _student_weights(y: np.ndarray) -> np.ndarray:
-    w = 1.0 / (1.0 + pairwise_sq_euclidean(y))
-    np.fill_diagonal(w, 0.0)
-    return w
+    w: np.ndarray
 
 
 def studentt_q(y: np.ndarray) -> MapAffinity:
@@ -180,6 +174,6 @@ def studentt_q(y: np.ndarray) -> MapAffinity:
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] < 2:
         raise ValueError("need at least 2 map points")
-    w = _student_weights(y)
-    z = float(w.sum())
-    return MapAffinity(q=w / z, z=z)
+    w = 1.0 / (1.0 + pairwise_sq_euclidean(y))
+    np.fill_diagonal(w, 0.0)
+    return MapAffinity(q=w / w.sum(), w=w)

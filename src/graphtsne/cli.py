@@ -23,8 +23,8 @@ from .graph import (LabeledDataset, load_edge_list, load_features_csv,
 from .metrics import (DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_T_KS, DEFAULT_T_RS,
                       alpha_sweep, evaluate_layout)
 from .svg import write_svg
-from .trainer import (apply_overrides, default_config, embed,
-                      parse_comma_ints, read_config_file, train)
+from .trainer import (default_config, embed, parse_comma_ints,
+                      read_config_file, train)
 
 DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -117,7 +117,7 @@ def _resolve_config(args, num_nodes, alpha):
     # sweep passes alpha=None; the placeholder is replaced per grid point
     cfg = default_config(num_nodes, alpha=0.5 if alpha is None else alpha)
     if args.config:
-        cfg = apply_overrides(cfg, read_config_file(args.config))
+        cfg = dataclasses.replace(cfg, **read_config_file(args.config))
     flag_overrides = {}
     for key in ("seed", "mode", "epochs", "perplexity"):
         value = getattr(args, key)
@@ -125,7 +125,7 @@ def _resolve_config(args, num_nodes, alpha):
             flag_overrides[key] = value
     if alpha is not None:
         flag_overrides["alpha"] = alpha
-    cfg = apply_overrides(cfg, flag_overrides)
+    cfg = dataclasses.replace(cfg, **flag_overrides)
     cfg.validate()
     return cfg
 

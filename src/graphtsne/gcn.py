@@ -139,21 +139,12 @@ def _group_edges(dst: np.ndarray, src: np.ndarray, out_size: int,
     order = np.lexsort((src, dst))
     dst = dst[order]
     src = src[order]
-    if dst.size:
-        dst_rows, dst_starts, counts = np.unique(dst, return_index=True,
-                                                 return_counts=True)
-    else:
-        dst_rows = np.empty(0, np.int64)
-        dst_starts = np.empty(0, np.int64)
-        counts = np.empty(0, np.int64)
+    dst_rows, dst_starts, counts = np.unique(dst, return_index=True,
+                                             return_counts=True)
     inv_deg = np.zeros(out_size)
     inv_deg[dst_rows] = 1.0 / counts
     src_order = np.argsort(src, kind="stable")
-    if src.size:
-        src_rows, src_starts = np.unique(src[src_order], return_index=True)
-    else:
-        src_rows = np.empty(0, np.int64)
-        src_starts = np.empty(0, np.int64)
+    src_rows, src_starts = np.unique(src[src_order], return_index=True)
     return LayerPlan(out_size=out_size, in_size=in_size, dst=dst, src=src,
                      dst_rows=dst_rows, dst_starts=dst_starts,
                      src_order=src_order, src_rows=src_rows,
@@ -175,14 +166,15 @@ def build_batch_plan(batch: SubsampledBatch) -> PropagationPlan:
     """Plan for a subsampled mini-batch forward pass (local indices, nested frontiers)."""
     num_layers = batch.num_layers
     node_ids = batch.frontiers[-1]
-    lookup = {int(g): i for i, g in enumerate(node_ids.tolist())}
+    order = np.argsort(node_ids)    # global id -> local id: order[searchsorted]
+    sorted_ids = node_ids[order]
     layers = []
     for l in range(num_layers):  # conv layer l+1; frontier index from the bottom
         dst_g, src_g = batch.layer_edges[l]
         out_size = batch.frontiers[num_layers - 1 - l].size
         in_size = batch.frontiers[num_layers - l].size
-        dst = np.fromiter((lookup[int(v)] for v in dst_g), np.int64, dst_g.size)
-        src = np.fromiter((lookup[int(v)] for v in src_g), np.int64, src_g.size)
+        dst = order[np.searchsorted(sorted_ids, dst_g)]
+        src = order[np.searchsorted(sorted_ids, src_g)]
         layers.append(_group_edges(dst, src, out_size, in_size))
     return PropagationPlan(node_ids=node_ids, layers=layers,
                            batch_size=batch.batch_nodes.size)

@@ -304,30 +304,6 @@ class SubsampledBatch:
     def num_layers(self) -> int:
         return len(self.layer_edges)
 
-    def receptive_field_sizes(self) -> np.ndarray:
-        """Distinct nodes reached per batch node along sampled edge chains.
-
-        Follows one sampled edge per conv layer from each batch node down to
-        the input level and counts the distinct endpoints (the leaves of the
-        sampling tree). With fanouts d, this is bounded by prod(d).
-        """
-        maps = []
-        for dst, src in reversed(self.layer_edges):  # top layer first
-            table: dict[int, list] = {}
-            for d, s in zip(dst.tolist(), src.tolist()):
-                table.setdefault(d, []).append(s)
-            maps.append(table)
-        sizes = np.zeros(self.batch_nodes.size, dtype=np.int64)
-        for pos, node in enumerate(self.batch_nodes.tolist()):
-            current = {node}
-            for table in maps:
-                nxt = set()
-                for u in current:
-                    nxt.update(table.get(u, ()))
-                current = nxt
-            sizes[pos] = len(current)
-        return sizes
-
 
 def neighbor_subsample(graph: Graph, batch_nodes, fanouts, seed: int) -> SubsampledBatch:
     """Expand a mini-batch layer by layer, sampling at most d(l) neighbors per node.
@@ -348,7 +324,6 @@ def neighbor_subsample(graph: Graph, batch_nodes, fanouts, seed: int) -> Subsamp
     fanouts = tuple(int(d) for d in fanouts)
     frontiers = [batch]
     edges_by_step = []
-    in_frontier = set(batch.tolist())
     for step in range(len(fanouts)):
         fanout = fanouts[len(fanouts) - 1 - step]
         current = frontiers[step]
@@ -364,8 +339,7 @@ def neighbor_subsample(graph: Graph, batch_nodes, fanouts, seed: int) -> Subsamp
         dst = np.concatenate(dst_list) if dst_list else np.empty(0, np.int64)
         src = np.concatenate(src_list) if src_list else np.empty(0, np.int64)
         edges_by_step.append((dst, src))
-        new_nodes = np.array(sorted(set(src.tolist()) - in_frontier), dtype=np.int64)
-        in_frontier.update(new_nodes.tolist())
-        frontiers.append(np.concatenate([current, new_nodes]))
+        # frontiers are prefix-nested, so ``current`` holds every node seen
+        frontiers.append(np.concatenate([current, np.setdiff1d(src, current)]))
     return SubsampledBatch(batch_nodes=batch, frontiers=frontiers,
                            layer_edges=edges_by_step[::-1])

@@ -185,15 +185,6 @@ class MetricsReport:
             "runtime_s": self.runtime_s,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        return cls(alpha=data["alpha"],
-                   t_feature={int(k): v for k, v in data["t_feature"].items()},
-                   t_graph={int(r): v for r, v in data["t_graph"].items()},
-                   p_graph=data["p_graph"], p_feature=data["p_feature"],
-                   knn_accuracy=data.get("knn_accuracy"),
-                   runtime_s=data.get("runtime_s", 0.0))
-
 
 def evaluate_layout(data: LabeledDataset, y: np.ndarray, alpha: float | None = None,
                     knn_k: int = DEFAULT_KNN_K, t_ks=DEFAULT_T_KS,

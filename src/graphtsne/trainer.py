@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import (AffinityMatrix, _student_weights, joint_p,
-                       pairwise_sq_euclidean)
+from .affinity import (AffinityMatrix, joint_p, pairwise_sq_euclidean,
+                       studentt_q)
 from .errors import EmptyAffinityError, MalformedInputError, TrainingError
 from .gcn import (GcnModel, build_batch_plan, build_full_plan, backward,
                   forward, init_adam, init_model, adam_step, maybe_decay_lr)
@@ -88,10 +88,6 @@ class TrainReport:
     final_lr: float = 0.0
     wall_time_s: float = 0.0
 
-    @property
-    def num_epochs(self) -> int:
-        return len(self.total_losses)
-
 
 @dataclass
 class CompositeLoss:
@@ -122,10 +118,8 @@ def composite_loss_and_grad(p_graph, p_feat, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if pg.shape != (y.shape[0], y.shape[0]) or px.shape != pg.shape:
         raise ValueError("affinity matrices must be BxB matching y rows")
-    if y.shape[0] < 2:
-        raise ValueError("need at least 2 map points")
-    w = _student_weights(y)
-    q = w / w.sum()
+    q_map = studentt_q(y)
+    q, w = q_map.q, q_map.w
     graph_term = _kl(pg, q)
     feature_term = _kl(px, q)
     p_bar = alpha * pg + (1.0 - alpha) * px
@@ -136,18 +130,25 @@ def composite_loss_and_grad(p_graph, p_feat, y: np.ndarray,
                          feature_term=feature_term, grad=grad)
 
 
-def _build_affinity(distances: np.ndarray, perplexity: float,
-                    which: str) -> AffinityMatrix:
-    try:
-        aff = joint_p(distances, perplexity)
-    except EmptyAffinityError as exc:
-        raise TrainingError(f"{which} affinity is degenerate: {exc}") from exc
-    if aff.n_converged == 0:
-        # e.g. all-identical feature rows: every conditional collapses to
-        # uniform and no bandwidth can reach the target perplexity
-        raise TrainingError(
-            f"{which} affinity is degenerate: no row reached the target perplexity")
-    return aff
+def _affinities(cfg: TrainConfig, size: int, graph_distances, feature_distances):
+    """One step's (p_graph, p_feat), each joint_p of what its distance function
+    returns, and the names of the terms with no row at the target perplexity.
+    A term with weight 0 is neither built nor checked: its P is all zeros,
+    which the loss scores as exactly 0 and adds as exactly 0 to the blend.
+    Raises TrainingError when no row of a built term is reachable."""
+    terms, unconverged = [], []
+    for which, weight, distances in (("graph", cfg.alpha, graph_distances),
+                                     ("feature", 1.0 - cfg.alpha, feature_distances)):
+        if weight == 0.0:
+            terms.append(np.zeros((size, size)))
+            continue
+        try:
+            terms.append(joint_p(distances(), cfg.perplexity))
+        except EmptyAffinityError as exc:
+            raise TrainingError(f"{which} affinity is degenerate: {exc}") from exc
+        if terms[-1].n_converged == 0:
+            unconverged.append(which)
+    return terms[0], terms[1], unconverged
 
 
 def _train(features: np.ndarray, cfg: TrainConfig, epochs,
@@ -199,18 +200,21 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
 
     Both affinity matrices are built once up front, from all-pairs BFS hops
     cut off at cfg.hop_cap and from squared Euclidean feature distances;
-    each distance matrix is dropped once calibrated. Fully deterministic for
-    a fixed seed.
+    each distance matrix is dropped once calibrated. A term with weight 0 is
+    not built and reports 0. Fully deterministic for a fixed seed.
     """
     cfg.validate()
     if cfg.mode != "full":
         raise ValueError("train_full_batch requires cfg.mode == 'full'")
 
     def epochs(model):
-        p_graph = _build_affinity(all_pairs_distances(data.graph, hop_cap=cfg.hop_cap),
-                                  cfg.perplexity, "graph")
-        p_feat = _build_affinity(pairwise_sq_euclidean(data.features),
-                                 cfg.perplexity, "feature")
+        p_graph, p_feat, unconverged = _affinities(
+            cfg, data.graph.num_nodes,
+            lambda: all_pairs_distances(data.graph, hop_cap=cfg.hop_cap),
+            lambda: pairwise_sq_euclidean(data.features))
+        if unconverged:  # e.g. identical feature rows: every conditional is uniform
+            raise TrainingError(f"{unconverged[0]} affinity is degenerate: "
+                                "no row reached the target perplexity")
         step = (build_full_plan(data.graph, model.num_layers), p_graph, p_feat, ())
         return ([step] for _ in range(cfg.epochs))
 
@@ -238,17 +242,16 @@ def _batch_steps(data: LabeledDataset, cfg: TrainConfig, epoch: int):
         sample = neighbor_subsample(graph, batch_nodes, cfg.fanouts,
                                     seed=_batch_seed(cfg.seed, epoch, b))
         plan = build_batch_plan(sample)
-        d_graph = bfs_shortest_paths(graph, batch_nodes, batch_nodes,
-                                     hop_cap=cfg.hop_cap)
-        d_feat = pairwise_sq_euclidean(features[batch_nodes])
         try:
-            p_graph = joint_p(d_graph, cfg.perplexity)
-            p_feat = joint_p(d_feat, cfg.perplexity)
-        except EmptyAffinityError as exc:
-            logger.warning("epoch %d: skipping batch %d, degenerate "
-                           "affinity: %s", epoch, b, exc)
+            p_graph, p_feat, unconverged_terms = _affinities(
+                cfg, batch_nodes.size,
+                lambda: bfs_shortest_paths(graph, batch_nodes, batch_nodes,
+                                           hop_cap=cfg.hop_cap),
+                lambda: pairwise_sq_euclidean(features[batch_nodes]))
+        except TrainingError as exc:
+            logger.warning("epoch %d: skipping batch %d: %s", epoch, b, exc)
             continue
-        unconverged += p_graph.n_converged == 0 or p_feat.n_converged == 0
+        unconverged += bool(unconverged_terms)
         yield plan, p_graph, p_feat, (b, sample)
     if unconverged:
         logger.warning("epoch %d: %d executed batch(es) have a graph or feature "
@@ -263,11 +266,12 @@ def train_minibatch(data: LabeledDataset, cfg: TrainConfig,
     Each epoch randomly partitions the nodes into cfg.batch_count batches.
     Per batch: graph distances are true shortest paths on the full graph
     between batch nodes (hop-capped), feature distances are restricted to the
-    batch, and affinities are normalized within the batch. Batches smaller
-    than 3 nodes, or whose affinities are fully degenerate, are skipped with
-    a warning; executed batches whose graph or feature affinity has no row
-    at the target perplexity are counted in one warning per epoch. Reported
-    epoch losses are means over executed batches.
+    batch, and affinities are normalized within the batch (a term with
+    weight 0 is not built and reports 0). Batches smaller than 3 nodes, or
+    whose built affinities are fully degenerate, are skipped with a warning;
+    executed batches whose graph or feature affinity has no row at the
+    target perplexity are counted in one warning per epoch. Reported epoch
+    losses are means over executed batches.
     """
     cfg.validate()
     if cfg.mode != "minibatch":
@@ -352,7 +356,3 @@ def read_config_file(path) -> dict:
                     f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return overrides
 
-
-def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
-    """New config with the given field overrides applied."""
-    return replace(cfg, **overrides)

@@ -186,6 +186,26 @@ def kl_oracle(p, y):
     return loss, grad
 
 
+def receptive_field_sizes(sample):
+    """Distinct nodes reached per batch node of a SubsampledBatch along
+    sampled edge chains: one sampled edge per conv layer from each batch node
+    down to the input level, counting the distinct endpoints (the leaves of
+    the sampling tree). With fanouts d, this is bounded by prod(d)."""
+    tables = []
+    for dst, src in reversed(sample.layer_edges):  # top layer first
+        table = {}
+        for d, s in zip(dst.tolist(), src.tolist()):
+            table.setdefault(d, []).append(s)
+        tables.append(table)
+    sizes = np.zeros(sample.batch_nodes.size, dtype=np.int64)
+    for pos, node in enumerate(sample.batch_nodes.tolist()):
+        current = {node}
+        for table in tables:
+            current = {s for u in current for s in table.get(u, ())}
+        sizes[pos] = len(current)
+    return sizes
+
+
 def adam_scalar_reference(grads_sequence, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Parameter trajectory of textbook Adam from 0 with bias correction."""
     theta, m, v = 0.0, 0.0, 0.0

@@ -29,7 +29,8 @@ from graphtsne.trainer import TrainConfig, composite_loss_and_grad, train_miniba
 import conftest
 from conftest import finite_difference_grads, max_relative_error
 from oracles import (brute_knn_pairs, distance_metrics_oracle, floyd_warshall,
-                     knn_1_oracle, trust_feature_oracle, trust_graph_oracle)
+                     knn_1_oracle, receptive_field_sizes, trust_feature_oracle,
+                     trust_graph_oracle)
 
 GRAD_TOL = 1e-5          # criterion 1: max relative error vs central differences
 GRAD_TIME_LIMIT_S = 10.0
@@ -273,7 +274,7 @@ class TestCriterion7MinibatchPath:
 
         def on_batch(epoch, batch_index, sample, loss):
             nonlocal worst
-            worst = max(worst, max(sample.receptive_field_sizes()))
+            worst = max(worst, max(receptive_field_sizes(sample)))
 
         _, report = train_minibatch(ds, cfg, on_batch=on_batch)
         decreased = report.total_losses[2] < report.total_losses[0]

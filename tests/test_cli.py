@@ -188,6 +188,25 @@ class TestFit:
         assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "x" / "layout.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_degenerate_zero_weight_term_is_not_built(self, dataset_dir, tmp_path,
+                                                      alpha):
+        # alpha 0: no edges, so no graph affinity row is reachable; alpha 1:
+        # identical feature rows, so no feature affinity row can converge
+        edges, features = dataset_dir / "edges.txt", dataset_dir / "features.csv"
+        if alpha == "0":
+            edges = tmp_path / "none.txt"
+            edges.write_text("# no edges\n")
+        else:
+            features = tmp_path / "same.csv"
+            features.write_text("1.0,2.0,3.0\n" * 45)
+        out = tmp_path / "x"
+        code = main(["fit", "--edges", str(edges), "--features", str(features),
+                     "--num-nodes", "45", "--config", str(dataset_dir / "fast.cfg"),
+                     "--alpha", alpha, "--out-dir", str(out)])
+        assert code == 0
+        assert read_layout_csv(out / "layout.csv", 45).shape == (45, 2)
+
 
 class TestOutDir:
     @pytest.mark.parametrize("command", ["fit", "sweep", "evaluate"])

@@ -1,5 +1,7 @@
 """Metric suite and alpha-sweep tests, checked against brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,12 +195,12 @@ class TestMetricsReport:
         rep = MetricsReport(alpha=0.4, t_feature={6: 0.9, 12: 0.85},
                             t_graph={1: 0.8, 2: 0.75}, p_graph=1.5,
                             p_feature=2.25, knn_accuracy=None, runtime_s=0.1)
-        back = MetricsReport.from_dict(rep.to_dict())
-        assert back.t_feature == rep.t_feature
-        assert back.t_graph == rep.t_graph
-        assert back.alpha == rep.alpha
-        assert back.combined == pytest.approx(rep.combined)
-        assert back.knn_accuracy is None
+        back = json.loads(json.dumps(rep.to_dict()))
+        assert {int(k): v for k, v in back["t_feature"].items()} == rep.t_feature
+        assert {int(r): v for r, v in back["t_graph"].items()} == rep.t_graph
+        assert back["alpha"] == rep.alpha
+        assert back["combined"] == pytest.approx(rep.combined)
+        assert back["knn_accuracy"] is None
 
 
 class TestEvaluateLayout:

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from graphtsne import (Graph, LabeledDataset, MalformedInputError,
 from graphtsne import trainer
 from graphtsne.gcn import init_model
 from graphtsne.graph import all_pairs_distances
-from graphtsne.trainer import apply_overrides, read_config_file
+from graphtsne.trainer import read_config_file
 from graphtsne.synthetic import random_dataset, sbm_dataset
 
 from oracles import kl_oracle
@@ -61,6 +62,17 @@ class TestCompositeLoss:
         for pg, px, y in random_cases(rng):
             assert_same_loss(composite_loss_and_grad(pg, px, y, 1.0),
                              composite_loss_and_grad(pg, pg, y, 1.0))
+
+    def test_zero_matrix_for_zero_weight_term_changes_only_its_term(self, rng):
+        # training passes an all-zero P for a term with weight 0
+        for pg, px, y in random_cases(rng):
+            zero = np.zeros_like(pg.p)
+            for alpha, built, skipped in ((0.0, (pg, px), (zero, px)),
+                                          (1.0, (pg, px), (pg, zero))):
+                a = composite_loss_and_grad(*built, y, alpha)
+                b = composite_loss_and_grad(*skipped, y, alpha)
+                assert_same_loss(a, b)
+                assert (b.graph_term if alpha == 0.0 else b.feature_term) == 0.0
 
     def test_midpoint_matches_independent_recomposition(self, rng):
         pg, px = affinity_pair(rng)
@@ -120,7 +132,7 @@ class TestTrainFullBatch:
         reference = init_model(small_sbm.features.shape[1], 8, seed=5)
         for (_, a), (_, b) in zip(model.named_state(), reference.named_state()):
             assert np.array_equal(a, b)
-        assert report.num_epochs == 0
+        assert len(report.total_losses) == 0
 
     def test_sbm_loss_halves_in_200_epochs(self):
         ds = sbm_dataset([30, 30, 30], p_intra=0.5, p_inter=0.005,
@@ -149,19 +161,19 @@ class TestTrainFullBatch:
         g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
         data = LabeledDataset(graph=g,
                               features=np.random.default_rng(0).normal(size=(n, 3)))
-        built = {}
-        build = trainer._build_affinity
+        built = []
+        calibrate = trainer.joint_p
 
-        def spy(distances, perplexity, which):
-            built[which] = build(distances, perplexity, which)
-            return built[which]
+        def spy(distances, perplexity):
+            built.append(calibrate(distances, perplexity))
+            return built[-1]
 
-        monkeypatch.setattr(trainer, "_build_affinity", spy)
+        monkeypatch.setattr(trainer, "joint_p", spy)
         cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=4, mode="full",
                           perplexity=2.0, hop_cap=cap)
         train_full_batch(data, cfg)
         hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        p = built["graph"].p
+        p = built[0].p    # the graph affinity is built first
         assert np.all(p[hops > cap] == 0.0)
         assert np.all(p[hops == 1] > 0.0)
 
@@ -181,6 +193,19 @@ class TestTrainFullBatch:
         cfg = TrainConfig(alpha=0.5, epochs=2, hidden_dim=4, mode="full")
         with pytest.raises(TrainingError, match="graph"):
             train_full_batch(data, cfg)
+
+    @pytest.mark.parametrize("alpha, skipped", [(0.0, "all_pairs_distances"),
+                                                (1.0, "pairwise_sq_euclidean")])
+    def test_zero_weight_term_is_not_built(self, small_sbm, monkeypatch, alpha,
+                                           skipped):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{skipped} called for a term with weight 0")
+
+        monkeypatch.setattr(trainer, skipped, fail)
+        cfg = TrainConfig(alpha=alpha, epochs=3, hidden_dim=8, mode="full", seed=2)
+        _, report = train_full_batch(small_sbm, cfg)
+        assert (report.graph_losses if alpha == 0.0 else report.feature_losses) == [0.0] * 3
+        assert np.isfinite(report.total_losses).all()
 
     def test_non_finite_weights_after_last_step_raise(self, small_sbm,
                                                       monkeypatch):
@@ -220,6 +245,20 @@ class TestTrainMinibatch:
         _, report = train_minibatch(ds, cfg)
         assert report.total_losses[2] < report.total_losses[0]
 
+    @pytest.mark.parametrize("alpha, skipped", [(0.0, "bfs_shortest_paths"),
+                                                (1.0, "pairwise_sq_euclidean")])
+    def test_zero_weight_term_is_not_built(self, monkeypatch, alpha, skipped):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{skipped} called for a term with weight 0")
+
+        monkeypatch.setattr(trainer, skipped, fail)
+        ds = random_dataset(60, 240, feature_dim=5, seed=18)
+        cfg = TrainConfig(alpha=alpha, epochs=2, hidden_dim=8, mode="minibatch",
+                          batch_count=3, fanouts=(3, 3), seed=19, perplexity=5.0)
+        _, report = train_minibatch(ds, cfg)
+        assert (report.graph_losses if alpha == 0.0 else report.feature_losses) == [0.0] * 2
+        assert np.isfinite(report.total_losses).all()
+
     def test_single_batch_partition_contains_all_nodes(self):
         ds = random_dataset(40, 160, feature_dim=5, seed=12)
         cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=8, mode="minibatch",
@@ -250,7 +289,7 @@ class TestTrainMinibatch:
         _, report = train_minibatch(ds, cfg,
                                     on_batch=lambda e, b, s, l: counted.append(b))
         assert len(counted) == 6
-        assert report.num_epochs == 2
+        assert len(report.total_losses) == 2
 
     def test_unconverged_batches_counted_once_per_epoch(self, caplog):
         ds = random_dataset(11, 40, feature_dim=4, seed=16)
@@ -385,7 +424,7 @@ class TestConfigFile:
         overrides = read_config_file(p)
         assert overrides == {"alpha": 0.25, "epochs": 12, "fanouts": (5, 9),
                              "mode": "minibatch", "lr": 0.001}
-        cfg = apply_overrides(default_config(100), overrides)
+        cfg = replace(default_config(100), **overrides)
         assert cfg.alpha == 0.25 and cfg.fanouts == (5, 9)
 
     def test_unknown_key_names_line(self, tmp_path):
