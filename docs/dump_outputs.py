@@ -20,11 +20,15 @@ their exact repr. Covered:
   graph with no edges;
 - joint_p on the citation stand-in's hop and feature matrices;
 - evaluate_layout, its report without the run time;
-- the files `graphtsne fit` and `graphtsne sweep` write, with the manifests'
-  timestamps and the sweep reports' run times removed.
+- the four input readers (edge list, features, labels, layout) on files
+  with '#' comments (edge list only), blank lines and padded cells, once
+  with LF and once with CRLF line endings;
+- the files `graphtsne fit`, `graphtsne fit --config` (a commented config
+  that sets every key), `graphtsne sweep` and `graphtsne evaluate` write,
+  with the manifests' timestamps and the reports' run times removed.
 
 Uses only the public API, so it runs under any tree that has it. Takes
-about 15 s on a 2-core machine.
+about 20 s on a 2-core machine.
 """
 
 import contextlib
@@ -43,7 +47,8 @@ from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
                        load_model, neighbor_subsample, pairwise_sq_euclidean,
                        random_dataset, save_model, sbm_dataset,
                        train_full_batch, train_minibatch)
-from graphtsne.cli import main as cli_main
+from graphtsne.cli import main as cli_main, read_layout_csv
+from graphtsne.graph import load_edge_list, load_features_csv, load_labels_csv
 
 ALPHAS = (0.0, 0.5, 1.0)
 
@@ -168,6 +173,57 @@ def write_inputs(root: str, data: LabeledDataset) -> None:
         fh.writelines(f"{int(v)}\n" for v in data.labels)
 
 
+def readers(scratch) -> dict:
+    data = sbm_dataset([12, 12, 12], p_intra=0.5, p_inter=0.05,
+                       feature_dim=5, seed=11)
+    n = data.graph.num_nodes
+    layout = np.random.default_rng(6).normal(size=(n, 2))
+    edges = ["# edge list", ""]
+    for k, (i, j) in enumerate(data.graph.edge_pairs):
+        edges.append([f"{i} {j}", f"{j}\t{i}  # reversed", f"  {i}  {j}  ",
+                      f"\n{i} {j}"][k % 4])
+    texts = {
+        "edges.txt": edges,
+        "features.csv": ["", *(" , ".join(repr(float(v)) for v in row)
+                               for row in data.features), ""],
+        "labels.csv": [f" {int(v)} " if k % 3 else f"{int(v)}\n"
+                       for k, v in enumerate(data.labels)],
+        "layout.csv": ["node_id,x,y", *(f"{i},{float(layout[i, 0])!r},"
+                                        f"{float(layout[i, 1])!r}\n"
+                                        for i in np.random.default_rng(7).permutation(n))],
+    }
+    out = {}
+    for newline in ("\n", "\r\n"):
+        paths = {}
+        for name, lines in texts.items():
+            paths[name] = os.path.join(scratch, f"{len(newline)}-{name}")
+            with open(paths[name], "w", encoding="utf-8", newline=newline) as fh:
+                fh.writelines(line + "\n" for line in lines)
+        graph = load_edge_list(paths["edges.txt"], n)
+        out[repr(newline)] = {
+            "edges": [digest(graph.edge_pairs), digest(graph.offsets),
+                      digest(graph.neighbors)],
+            "features": digest(load_features_csv(paths["features.csv"])),
+            "labels": digest(load_labels_csv(paths["labels.csv"])),
+            "layout": digest(read_layout_csv(paths["layout.csv"], n))}
+    return out
+
+
+CONFIG_EVERY_KEY = """# every TrainConfig field
+alpha = 0.25            # --alpha overrides it
+epochs = 4
+hidden_dim = 12
+
+mode = minibatch
+perplexity = 5.5
+batch_count = 2         # two batches of 18 nodes
+fanouts = 3, 4
+lr = 0.004
+seed = 8
+hop_cap = 4
+"""
+
+
 def cli_outputs(scratch) -> dict:
     data = sbm_dataset([12, 12, 12], p_intra=0.5, p_inter=0.05,
                        feature_dim=5, seed=11)
@@ -175,13 +231,20 @@ def cli_outputs(scratch) -> dict:
               "--labels", "in/labels.csv", "--num-nodes", "36", "--seed", "4",
               "--epochs", "15", "--perplexity", "8"]
     runs = {"fit": ["fit", "--alpha", "0.5", "--out-dir", "fit"] + inputs,
-            "sweep": ["sweep", "--grid", "0,0.5,1", "--out-dir", "sweep"] + inputs}
+            "fit-config": ["fit", "--alpha", "0.5", "--out-dir", "fit-config",
+                           "--config", "in/all.cfg"] + inputs[:8],
+            "sweep": ["sweep", "--grid", "0,0.5,1", "--out-dir", "sweep"] + inputs,
+            "evaluate": ["evaluate", "--layout", "fit/layout.csv", "--t-ks", "3,5",
+                         "--t-rs", "1,2", "--knn-k", "4", "--out-dir", "evaluate"]
+            + inputs[:6]}
     out = {}
     cwd = os.getcwd()
     os.chdir(scratch)  # relative paths keep the manifests free of the temp dir
     try:
         os.makedirs("in")
         write_inputs("in", data)
+        with open(os.path.join("in", "all.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(CONFIG_EVERY_KEY)
         for name, argv in runs.items():
             with contextlib.redirect_stdout(io.StringIO()) as printed:
                 code = cli_main(argv)
@@ -198,6 +261,10 @@ def cli_outputs(scratch) -> dict:
                     for report in reports:
                         del report["runtime_s"]
                     files[entry] = reports
+                elif entry == "metrics.json":
+                    report = json.loads(blob)
+                    del report["runtime_s"]
+                    files[entry] = report
                 else:
                     files[entry] = hashlib.sha256(blob).hexdigest()
             out[name] = {"exit": code, "stdout": printed.getvalue(), "files": files}
@@ -213,7 +280,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         record = {"full_batch": full_batch(scratch), "minibatch": minibatch(scratch),
                   "plans": plans(), "affinities": affinities(),
-                  "cli": cli_outputs(scratch)}
+                  "readers": readers(scratch), "cli": cli_outputs(scratch)}
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -49,12 +49,7 @@ class CalibrationResult:
 
 def _conditional_for_sigma(shifted: np.ndarray, sigma: float) -> np.ndarray:
     w = np.exp(-shifted / (2.0 * sigma * sigma))
-    total = w.sum()
-    if total <= 0.0:  # all mass underflowed; nearest entry dominates
-        w = np.zeros_like(shifted)
-        w[np.argmin(shifted)] = 1.0
-        return w
-    return w / total
+    return w / w.sum()
 
 
 def _perplexity(p: np.ndarray) -> float:

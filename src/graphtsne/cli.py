@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedInputError, TrainingError
-from .graph import (LabeledDataset, load_edge_list, load_features_csv,
-                    load_labels_csv)
+from .graph import (LabeledDataset, _float_row, _read_lines, load_edge_list,
+                    load_features_csv, load_labels_csv)
 from .metrics import (DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_T_KS, DEFAULT_T_RS,
                       alpha_sweep, evaluate_layout)
 from .svg import write_svg
@@ -155,36 +155,32 @@ def _write_layout(out_dir, y: np.ndarray, data: LabeledDataset) -> dict:
 def read_layout_csv(path, num_nodes: int) -> np.ndarray:
     """Parse a layout CSV (node_id,x,y; header optional) into an N x 2 matrix.
 
-    Every node id in [0, num_nodes) must appear exactly once.
+    Every node id in [0, num_nodes) must appear exactly once, with finite
+    coordinates.
     """
-    y = np.full((num_nodes, 2), np.nan)
-    seen = np.zeros(num_nodes, dtype=bool)
-    count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for rowno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or (rowno == 1 and line.lower().startswith("node_id")):
-                continue
-            cells = line.split(",")
-            if len(cells) != 3:
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: expected 3 columns, got {len(cells)}")
-            try:
-                node = int(cells[0])
-                x, ycoord = float(cells[1]), float(cells[2])
-            except ValueError:
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: non-numeric cell") from None
-            if not 0 <= node < num_nodes:
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: node id {node} out of range "
-                    f"[0, {num_nodes})")
-            if seen[node]:
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: duplicate node id {node}")
-            seen[node] = True
-            y[node] = (x, ycoord)
-            count += 1
+    y = np.full((num_nodes, 2), np.nan)  # a NaN row: that node is not read yet
+    for rowno, line in _read_lines(path):
+        if rowno == 1 and line.lower().startswith("node_id"):
+            continue
+        cells = line.split(",")
+        if len(cells) != 3:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: expected 3 columns, got {len(cells)}")
+        try:
+            node = int(cells[0])
+        except ValueError:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: non-numeric cell") from None
+        coords = _float_row(path, rowno, cells[1:])
+        if not 0 <= node < num_nodes:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: node id {node} out of range "
+                f"[0, {num_nodes})")
+        if not np.isnan(y[node, 0]):
+            raise MalformedInputError(
+                f"{path}: row {rowno}: duplicate node id {node}")
+        y[node] = coords
+    count = int(np.count_nonzero(~np.isnan(y[:, 0])))
     if count != num_nodes:
         raise MalformedInputError(
             f"{path}: {count} layout rows for {num_nodes} nodes")

@@ -112,6 +112,34 @@ class LabeledDataset:
                 raise ValueError("labels must have one entry per node")
 
 
+def _read_lines(path, comments: bool = False):
+    """Yield (1-based line number, stripped text) for each non-blank line of
+    a UTF-8 text file, read line by line; with ``comments``, text after a '#'
+    is dropped. Raises MalformedInputError naming the file if it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if comments:
+                    line = line.split("#", 1)[0]
+                text = line.strip()
+                if text:
+                    yield lineno, text
+        except UnicodeDecodeError:
+            raise MalformedInputError(f"{path}: not UTF-8 text") from None
+
+
+def _float_row(path, rowno: int, cells) -> np.ndarray:
+    """Parse one CSV row's cells as finite float64 values, or raise
+    MalformedInputError naming the row."""
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        raise MalformedInputError(f"{path}: row {rowno}: non-numeric cell") from None
+    if not np.isfinite(values).all():
+        raise MalformedInputError(f"{path}: row {rowno}: non-finite value")
+    return values
+
+
 def load_edge_list(path, num_nodes: int) -> Graph:
     """Read an undirected edge list from a text file.
 
@@ -123,24 +151,20 @@ def load_edge_list(path, num_nodes: int) -> Graph:
     endpoints outside [0, num_nodes); OSError if the file is unreadable.
     """
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise MalformedInputError(
-                    f"{path}: line {lineno}: expected two node ids, got {len(parts)} fields")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MalformedInputError(
-                    f"{path}: line {lineno}: non-integer node id") from None
-            if not (0 <= i < num_nodes and 0 <= j < num_nodes):
-                raise MalformedInputError(
-                    f"{path}: line {lineno}: node id out of range [0, {num_nodes})")
-            pairs.append((i, j))
+    for lineno, text in _read_lines(path, comments=True):
+        parts = text.split()
+        if len(parts) != 2:
+            raise MalformedInputError(
+                f"{path}: line {lineno}: expected two node ids, got {len(parts)} fields")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MalformedInputError(
+                f"{path}: line {lineno}: non-integer node id") from None
+        if not (0 <= i < num_nodes and 0 <= j < num_nodes):
+            raise MalformedInputError(
+                f"{path}: line {lineno}: node id out of range [0, {num_nodes})")
+        pairs.append((i, j))
     return Graph.from_edges(num_nodes, pairs)
 
 
@@ -151,22 +175,12 @@ def load_features_csv(path) -> np.ndarray:
     non-numeric cells, or non-finite values.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for rowno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if rows and len(cells) != rows[0].size:
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: expected {rows[0].size} columns, got {len(cells)}")
-            try:
-                values = np.array(cells, dtype=np.float64)
-            except ValueError:
-                raise MalformedInputError(f"{path}: row {rowno}: non-numeric cell") from None
-            if not np.isfinite(values).all():
-                raise MalformedInputError(f"{path}: row {rowno}: non-finite value")
-            rows.append(values)
+    for rowno, line in _read_lines(path):
+        cells = line.split(",")
+        if rows and len(cells) != rows[0].size:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: expected {rows[0].size} columns, got {len(cells)}")
+        rows.append(_float_row(path, rowno, cells))
     if not rows:
         raise MalformedInputError(f"{path}: no data rows")
     return np.vstack(rows)
@@ -175,20 +189,16 @@ def load_features_csv(path) -> np.ndarray:
 def load_labels_csv(path) -> np.ndarray:
     """Read a headerless CSV with one integer class id per row."""
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for rowno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: non-integer label") from None
-            if not value.is_integer():
-                raise MalformedInputError(
-                    f"{path}: row {rowno}: non-integer label")
-            labels.append(int(value))
+    for rowno, line in _read_lines(path):
+        try:
+            value = float(line)
+        except ValueError:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: non-integer label") from None
+        if not value.is_integer():
+            raise MalformedInputError(
+                f"{path}: row {rowno}: non-integer label")
+        labels.append(int(value))
     if not labels:
         raise MalformedInputError(f"{path}: no data rows")
     return np.asarray(labels, dtype=np.int64)

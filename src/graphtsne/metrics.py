@@ -15,8 +15,9 @@ import numpy as np
 
 from .affinity import pairwise_sq_euclidean
 from .errors import TrainingError
-from .graph import (Graph, LabeledDataset, bfs_shortest_paths,
-                    knn_graph, rank_blocks)  # noqa: F401 (knn_graph is re-exported)
+from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks
+# not called here, but perfbench/tracer.py wraps metrics.knn_graph
+from .graph import knn_graph  # noqa: F401
 from .trainer import TrainConfig, embed, train
 
 DEFAULT_KNN_K = 10
@@ -39,13 +40,10 @@ def standardize_map(y: np.ndarray) -> np.ndarray:
     return centered / np.sqrt(mean_sq)
 
 
-def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | None = None,
-           labels=None, folds: int = DEFAULT_FOLDS, seed: int = 0):
-    """The requested metrics from one pass over row blocks of the map
-    distances and one over the feature distances, each matrix sorted once.
-    Returns ({k: T_X(k)}, {r: T_G(r)}, k-NN feature pairs, 1-NN accuracy)."""
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
+def _check_metric_args(n: int, x=None, ks=(), graph: Graph | None = None, rs=(),
+                       knn_k: int | None = None, labels=None,
+                       folds: int = DEFAULT_FOLDS) -> None:
+    """Raise ValueError when a metric argument does not fit n layout points."""
     if graph is not None and graph.num_nodes != n:
         raise ValueError(f"layout has {n} rows for a graph of {graph.num_nodes} nodes")
     if x is not None and len(x) != n:
@@ -64,6 +62,17 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
             raise ValueError(f"folds must be >= 2, got {folds}")
         if n < folds:
             raise ValueError(f"need at least {folds} points for {folds} folds, got {n}")
+
+
+def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | None = None,
+           labels=None, folds: int = DEFAULT_FOLDS, seed: int = 0):
+    """The requested metrics from one pass over row blocks of the map
+    distances and one over the feature distances, each matrix sorted once.
+    Returns ({k: T_X(k)}, {r: T_G(r)}, k-NN feature pairs, 1-NN accuracy)."""
+    y = np.asarray(y, dtype=np.float64)
+    n = y.shape[0]
+    _check_metric_args(n, x, ks, graph, rs, knn_k, labels, folds)
+    if labels is not None:
         fold_members = np.array_split(np.random.default_rng(seed).permutation(n), folds)
         fold_of = np.empty(n, dtype=np.int64)
         for f, members in enumerate(fold_members):
@@ -223,6 +232,8 @@ def alpha_sweep(data: LabeledDataset, cfg: TrainConfig, grid,
         raise ValueError("alpha grid must be non-empty")
     if any(not 0.0 <= a <= 1.0 for a in grid):
         raise ValueError(f"alpha grid values must lie in [0, 1]: {grid}")
+    _check_metric_args(data.graph.num_nodes, data.features, t_ks, data.graph,
+                       t_rs, knn_k, data.labels, folds)
     reports = []
     embeddings = {}
     for i, a in enumerate(grid):

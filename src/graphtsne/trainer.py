@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .affinity import (AffinityMatrix, joint_p, pairwise_sq_euclidean,
 from .errors import EmptyAffinityError, MalformedInputError, TrainingError
 from .gcn import (GcnModel, build_batch_plan, build_full_plan, backward,
                   forward, init_adam, init_model, adam_step, maybe_decay_lr)
-from .graph import (Graph, LabeledDataset, all_pairs_distances,
+from .graph import (Graph, LabeledDataset, _read_lines, all_pairs_distances,
                     bfs_shortest_paths, neighbor_subsample)
 
 logger = logging.getLogger(__name__)
@@ -313,46 +313,30 @@ def parse_comma_ints(text: str):
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-_CONFIG_PARSERS = {
-    "alpha": float,
-    "perplexity": float,
-    "epochs": int,
-    "hidden_dim": int,
-    "batch_count": int,
-    "fanouts": parse_comma_ints,
-    "lr": float,
-    "seed": int,
-    "mode": str,
-    "hop_cap": int,
-}
-
-
 def read_config_file(path) -> dict:
     """Parse a flat key-value config file into TrainConfig field overrides.
 
     One ``key = value`` pair per line; blank lines and '#' comments ignored.
-    Unknown keys or unparseable values raise with the file and line number.
+    The keys are TrainConfig's fields. Unknown keys or unparseable values
+    raise with the file and line number.
     """
+    by_type = {"float": float, "int": int, "str": str, "tuple": parse_comma_ints}
+    parsers = {f.name: by_type[f.type] for f in fields(TrainConfig)}
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise MalformedInputError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            parser = _CONFIG_PARSERS.get(key)
-            if parser is None:
-                raise MalformedInputError(
-                    f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                overrides[key] = parser(value)
-            except ValueError as exc:
-                raise MalformedInputError(
-                    f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+    for lineno, line in _read_lines(path, comments=True):
+        if "=" not in line:
+            raise MalformedInputError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        parser = parsers.get(key)
+        if parser is None:
+            raise MalformedInputError(
+                f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            overrides[key] = parser(value)
+        except ValueError as exc:
+            raise MalformedInputError(
+                f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return overrides
-

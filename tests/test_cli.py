@@ -8,10 +8,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from graphtsne import metrics
 from graphtsne.cli import main, read_layout_csv
-from graphtsne.graph import LabeledDataset, load_edge_list, load_features_csv
+from graphtsne.graph import (LabeledDataset, load_edge_list, load_features_csv,
+                             load_labels_csv)
 from graphtsne.metrics import evaluate_layout
 from graphtsne.synthetic import sbm_dataset
+from graphtsne.trainer import read_config_file
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +31,8 @@ def dataset_dir(tmp_path_factory):
     (root / "labels.csv").write_text(
         "\n".join(str(v) for v in ds.labels) + "\n")
     (root / "fast.cfg").write_text("hidden_dim = 8\nepochs = 2\n")
+    (root / "layout.csv").write_text(
+        "node_id,x,y\n" + "".join(f"{i},{0.1 * i!r},{-0.3 * i!r}\n" for i in range(45)))
     return root
 
 
@@ -298,6 +303,23 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "s")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--knn-k", "0"), ("--t-rs", "0"),
+                                             ("--t-ks", "40")])
+    def test_bad_metric_flag_exits_2_before_training(self, dataset_dir, tmp_path,
+                                                     monkeypatch, flag, value):
+        calls = []
+        real_train = metrics.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "train", counting_train)
+        code = main(["sweep", *base_args(dataset_dir), "--grid", "0.5", flag, value,
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 2
+        assert calls == []
+
 
 class TestEvaluate:
     def eval_args(self, d, layout, out):
@@ -374,6 +396,60 @@ class TestEvaluate:
         code = main(self.eval_args(dataset_dir, layout, tmp_path / "m"))
         assert code == 1
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_exits_1_without_metrics(self, dataset_dir,
+                                                          tmp_path, capsys, value):
+        y = np.zeros((45, 2))
+        y[1, 1] = float(value)
+        layout = tmp_path / "layout.csv"
+        self.write_layout(layout, y)
+        out = tmp_path / "m"
+        assert main(self.eval_args(dataset_dir, layout, out)) == 1
+        assert "row 3: non-finite value" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+
+class TestInputText:
+    @pytest.mark.parametrize("flag", ["--edges", "--features", "--labels",
+                                      "--layout", "--config"])
+    def test_non_utf8_input_exits_1_naming_file(self, dataset_dir, tmp_path,
+                                                capsys, flag):
+        files = {"--edges": "edges.txt", "--features": "features.csv",
+                 "--labels": "labels.csv", "--layout": "layout.csv",
+                 "--config": "fast.cfg"}
+        args = {key: str(dataset_dir / name) for key, name in files.items()}
+        blob = (dataset_dir / files[flag]).read_bytes()
+        cut = blob.index(b"\n") + 1
+        bad = tmp_path / f"latin1-{files[flag]}"
+        bad.write_bytes(blob[:cut] + b"\xff" + blob[cut:])  # line 2 starts with 0xff
+        args[flag] = str(bad)
+        if flag == "--config":
+            argv = ["fit", "--num-nodes", "45", "--alpha", "0.5"]
+            del args["--layout"]
+        else:
+            argv = ["evaluate", "--t-ks", "3", "--t-rs", "1", "--knn-k", "4"]
+            del args["--config"]
+        for key, path in args.items():
+            argv += [key, path]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
+        assert err.count("\n") == 1
+        assert not (out / "metrics.json").exists()
+        assert not (out / "layout.csv").exists()
+
+    @pytest.mark.parametrize("name, load", [
+        ("edges.txt", lambda p: load_edge_list(p, 45).edge_pairs),
+        ("features.csv", load_features_csv),
+        ("labels.csv", load_labels_csv),
+        ("layout.csv", lambda p: read_layout_csv(p, 45)),
+        ("fast.cfg", read_config_file)])
+    def test_crlf_input_loads_as_lf(self, dataset_dir, tmp_path, name, load):
+        crlf = tmp_path / name
+        crlf.write_bytes((dataset_dir / name).read_bytes().replace(b"\n", b"\r\n"))
+        np.testing.assert_equal(load(crlf), load(dataset_dir / name))
 
 
 class TestSvgOutput:

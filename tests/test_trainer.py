@@ -1,5 +1,5 @@
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -426,6 +426,15 @@ class TestConfigFile:
                              "mode": "minibatch", "lr": 0.001}
         cfg = replace(default_config(100), **overrides)
         assert cfg.alpha == 0.25 and cfg.fanouts == (5, 9)
+
+    def test_every_field_is_a_key(self, tmp_path):
+        cfg = replace(default_config(20000), alpha=0.25, lr=0.002, seed=9)
+        want = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+        p = tmp_path / "run.cfg"
+        p.write_text("".join(
+            f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}"
+            f"  # {key}\n" for key, value in want.items()))
+        assert read_config_file(p) == want
 
     def test_unknown_key_names_line(self, tmp_path):
         p = tmp_path / "run.cfg"
