@@ -320,6 +320,7 @@ def read_config_file(path) -> dict:
     The keys are TrainConfig's fields. Unknown keys or unparseable values
     raise with the file and line number.
     """
+    # f.type is the annotation's text: this module postpones annotations
     by_type = {"float": float, "int": int, "str": str, "tuple": parse_comma_ints}
     parsers = {f.name: by_type[f.type] for f in fields(TrainConfig)}
     overrides = {}
