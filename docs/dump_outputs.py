@@ -8,6 +8,18 @@ the old and the new source tree and comparing the two files byte for byte:
     PYTHONPATH=<new tree>/src python3 docs/dump_outputs.py new.json
     cmp old.json new.json
 
+A change that moves summation order is checked with ``--compare`` instead:
+
+    python3 docs/dump_outputs.py --compare old.json new.json [--rtol 1e-9]
+
+It prints, per top-level section, how many entries differ and which keys
+exist on one side only, then the largest relative difference among floats
+(repr strings and JSON numbers). It exits 1 when a float differs by more
+than the rtol, when an array digest changes its dtype or shape (its hash,
+like a file's hash, may change), or when any other value differs, such as
+an exit code or a list's length. Keys on one side only are listed, not
+failed: a removed field is a schema change for the reader to judge.
+
 Arrays are recorded as dtype, shape and SHA-256 of their bytes; floats as
 their exact repr. Covered:
 
@@ -31,11 +43,15 @@ Uses only the public API, so it runs under any tree that has it. Takes
 about 20 s on a 2-core machine.
 """
 
+import argparse
+import collections
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 
@@ -273,15 +289,126 @@ def cli_outputs(scratch) -> dict:
     return out
 
 
+DIGEST = re.compile(r"([a-z0-9]+\[[0-9, ]*\]):[0-9a-f]{64}")
+FILE_HASH = re.compile(r"[0-9a-f]{64}")
+
+
+def as_float(value):
+    """The value of a JSON float or of a string that parses as one, else None."""
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    return None
+
+
+class Comparison:
+    def __init__(self, rtol: float):
+        self.rtol = rtol
+        self.entries = collections.Counter()     # section -> leaves compared
+        self.differ = collections.Counter()      # section -> leaves that differ
+        self.one_side = collections.defaultdict(list)  # section -> (side, path)
+        self.failures = []                       # (path, reason)
+        self.drift = (0.0, None)                 # (largest relative float drift, path)
+
+    def walk(self, old, new, path) -> None:
+        if isinstance(old, dict) and isinstance(new, dict):
+            for key in sorted(old.keys() | new.keys()):
+                if key in old and key in new:
+                    self.walk(old[key], new[key], path + (key,))
+                else:
+                    self.one_side[path[0] if path else key].append(
+                        ("old" if key in old else "new", path + (key,)))
+        elif (isinstance(old, list) and isinstance(new, list)
+              and len(old) == len(new)):
+            for i, (a, b) in enumerate(zip(old, new)):
+                self.walk(a, b, path + (i,))
+        else:
+            self.leaf(old, new, path)
+
+    def leaf(self, old, new, path) -> None:
+        section, where = path[0], "/".join(map(str, path))
+        self.entries[section] += 1
+        a, b = as_float(old), as_float(new)
+        floats = type(old) is type(new) and a is not None and b is not None
+        if (type(old) is type(new) and old == new) or (
+                floats and math.isnan(a) and math.isnan(b)):
+            return
+        self.differ[section] += 1
+        if isinstance(old, list) and isinstance(new, list):
+            self.failures.append((where, f"a list of {len(old)} entries "
+                                         f"became one of {len(new)}"))
+        elif isinstance(old, str) and isinstance(new, str) and (
+                DIGEST.fullmatch(old) and DIGEST.fullmatch(new)):
+            before, after = DIGEST.fullmatch(old)[1], DIGEST.fullmatch(new)[1]
+            if before != after:
+                self.failures.append((where, f"array {before} became {after}"))
+        elif isinstance(old, str) and isinstance(new, str) and (
+                FILE_HASH.fullmatch(old) and FILE_HASH.fullmatch(new)):
+            pass   # a file hash, like an array hash, may change
+        elif floats:
+            scale = max(abs(a), abs(b))
+            rel = abs(a - b) / scale if scale else 0.0   # -0.0 against 0.0
+            if not rel <= self.drift[0]:   # a nan difference counts as largest
+                self.drift = (rel, where)
+            if not rel <= self.rtol:
+                self.failures.append((where, f"{old!r} became {new!r} "
+                                             f"(relative difference {rel:.3g})"))
+        else:
+            self.failures.append((where, f"{str(old)[:60]!r} became "
+                                         f"{str(new)[:60]!r}"))
+
+    def print_report(self, out) -> None:
+        for section in sorted(self.entries.keys() | self.one_side.keys()):
+            print(f"{section}: {self.differ[section]} of {self.entries[section]} "
+                  f"entries differ", file=out)
+            by_key = collections.defaultdict(list)
+            for side, path in self.one_side[section]:
+                by_key[side, path[-1]].append("/".join(map(str, path)))
+            for (side, key), paths in sorted(by_key.items()):
+                print(f"  only in {side}: {key} ({len(paths)}x, e.g. {paths[0]})",
+                      file=out)
+        rel, where = self.drift
+        print(f"largest relative float difference: {rel:.3g}"
+              + (f" at {where}" if where else ""), file=out)
+        for where, reason in self.failures[:20]:
+            print(f"FAIL {where}: {reason}", file=out)
+        if len(self.failures) > 20:
+            print(f"FAIL ... and {len(self.failures) - 20} more", file=out)
+
+
+def compare(old_path: str, new_path: str, rtol: float) -> int:
+    with open(old_path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    with open(new_path, encoding="utf-8") as fh:
+        new = json.load(fh)
+    comparison = Comparison(rtol)
+    comparison.walk(old, new, ())
+    comparison.print_report(sys.stdout)
+    return 1 if comparison.failures else 0
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
-        print(f"usage: {sys.argv[0]} OUT.json", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(description="Dump a fingerprint of "
+                                     "graphtsne's outputs, or compare two dumps.")
+    parser.add_argument("out", nargs="?", metavar="OUT.json")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD.json", "NEW.json"))
+    parser.add_argument("--rtol", type=float, default=1e-9,
+                        help="largest relative float difference --compare "
+                             "accepts (default 1e-9)")
+    args = parser.parse_args()
+    if (args.out is None) == (args.compare is None):
+        parser.error("give either OUT.json or --compare OLD.json NEW.json")
+    if args.compare:
+        return compare(*args.compare, args.rtol)
     with tempfile.TemporaryDirectory() as scratch:
         record = {"full_batch": full_batch(scratch), "minibatch": minibatch(scratch),
                   "plans": plans(), "affinities": affinities(),
                   "readers": readers(scratch), "cli": cli_outputs(scratch)}
-    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 0

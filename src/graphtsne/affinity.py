@@ -128,7 +128,7 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     finite = np.isfinite(d)
     if not np.array_equal(finite, finite.T):
         raise ValueError("distance matrix must be symmetric")
-    if not np.allclose(d[finite & finite.T], d.T[finite & finite.T], rtol=1e-9, atol=1e-12):
+    if not np.allclose(d[finite], d.T[finite], rtol=1e-9, atol=1e-12):
         raise ValueError("distance matrix must be symmetric")
 
     conditionals = np.zeros((n, n), dtype=np.float64)

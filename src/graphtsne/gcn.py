@@ -110,20 +110,15 @@ def init_model(input_dim: int, hidden_dim: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # Propagation plans: a graph (or subsampled batch) compiled to local-index
-# edge arrays with the groupings the forward/backward passes need.
+# edge arrays; the passes sum edge terms into nodes by endpoint index.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LayerPlan:
     out_size: int            # nodes computed by this layer (prefix of the node order)
     in_size: int             # nodes available at the layer input
-    dst: np.ndarray          # (E,) local dst ids, ascending
+    dst: np.ndarray          # (E,) local dst ids
     src: np.ndarray          # (E,) local src ids
-    dst_rows: np.ndarray     # distinct dst ids with at least one edge
-    dst_starts: np.ndarray   # reduceat starts into the dst-sorted edge order
-    src_order: np.ndarray    # permutation sorting edges by src
-    src_rows: np.ndarray
-    src_starts: np.ndarray
     inv_deg: np.ndarray      # (out_size,) 1/|n(i)| over sampled neighbors, 0 if none
 
 
@@ -134,21 +129,12 @@ class PropagationPlan:
     batch_size: int          # rows of node_ids that receive output coordinates
 
 
-def _group_edges(dst: np.ndarray, src: np.ndarray, out_size: int,
-                 in_size: int) -> LayerPlan:
-    order = np.lexsort((src, dst))
-    dst = dst[order]
-    src = src[order]
-    dst_rows, dst_starts, counts = np.unique(dst, return_index=True,
-                                             return_counts=True)
-    inv_deg = np.zeros(out_size)
-    inv_deg[dst_rows] = 1.0 / counts
-    src_order = np.argsort(src, kind="stable")
-    src_rows, src_starts = np.unique(src[src_order], return_index=True)
+def _layer_plan(dst: np.ndarray, src: np.ndarray, out_size: int,
+                in_size: int) -> LayerPlan:
+    counts = np.bincount(dst, minlength=out_size)
+    inv_deg = np.divide(1.0, counts, out=np.zeros(out_size), where=counts > 0)
     return LayerPlan(out_size=out_size, in_size=in_size, dst=dst, src=src,
-                     dst_rows=dst_rows, dst_starts=dst_starts,
-                     src_order=src_order, src_rows=src_rows,
-                     src_starts=src_starts, inv_deg=inv_deg)
+                     inv_deg=inv_deg)
 
 
 def build_full_plan(graph: Graph, num_layers: int) -> PropagationPlan:
@@ -157,7 +143,7 @@ def build_full_plan(graph: Graph, num_layers: int) -> PropagationPlan:
     degrees = graph.degrees()
     dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
     src = graph.neighbors.astype(np.int64)
-    layer = _group_edges(dst, src, n, n)
+    layer = _layer_plan(dst, src, n, n)
     return PropagationPlan(node_ids=np.arange(n, dtype=np.int64),
                            layers=[layer] * num_layers, batch_size=n)
 
@@ -175,17 +161,19 @@ def build_batch_plan(batch: SubsampledBatch) -> PropagationPlan:
         in_size = batch.frontiers[num_layers - l].size
         dst = order[np.searchsorted(sorted_ids, dst_g)]
         src = order[np.searchsorted(sorted_ids, src_g)]
-        layers.append(_group_edges(dst, src, out_size, in_size))
+        layers.append(_layer_plan(dst, src, out_size, in_size))
     return PropagationPlan(node_ids=node_ids, layers=layers,
                            batch_size=batch.batch_nodes.size)
 
 
-def _segment_sum(values: np.ndarray, starts: np.ndarray, rows: np.ndarray,
-                 out_rows: int) -> np.ndarray:
-    out = np.zeros((out_rows, values.shape[1]))
-    if values.shape[0]:
-        out[rows] = np.add.reduceat(values, starts, axis=0)
-    return out
+def _segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """(size, cols) sums of the rows of ``values`` by their ``index``, each
+    row's terms added one after another in edge order; unindexed rows are 0."""
+    cols = values.shape[1]
+    cells = (index[:, None] * cols + np.arange(cols)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(), minlength=size * cols)
+    # with no input bincount returns int64 zeros, whatever the weights' dtype
+    return sums.astype(np.float64, copy=False).reshape(size, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +233,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         msg_in = h_in @ layer.msg_w.T + layer.msg_b
 
         gate = 1.0 / (1.0 + np.exp(-(gate_dst[lp.dst] + gate_src[lp.src])))
-        agg = _segment_sum(gate * msg_in[lp.src], lp.dst_starts, lp.dst_rows, out_n)
+        agg = _segment_sum(gate * msg_in[lp.src], lp.dst, out_n)
         agg *= lp.inv_deg[:, None]
 
         s = self_term + agg
@@ -321,11 +309,9 @@ def backward(model: GcnModel, trace: ForwardTrace,
         dmsg_src_edge = dmsg_edge * lt.gate
         dpre = dgate * lt.gate * (1.0 - lt.gate)
 
-        dmsg_in = _segment_sum(dmsg_src_edge[lp.src_order], lp.src_starts,
-                               lp.src_rows, lp.in_size)
-        dgate_dst = _segment_sum(dpre, lp.dst_starts, lp.dst_rows, out_n)
-        dgate_src = _segment_sum(dpre[lp.src_order], lp.src_starts,
-                                 lp.src_rows, lp.in_size)
+        dmsg_in = _segment_sum(dmsg_src_edge, lp.src, lp.in_size)
+        dgate_dst = _segment_sum(dpre, lp.dst, out_n)
+        dgate_src = _segment_sum(dpre, lp.src, lp.in_size)
 
         grads[prefix + "msg_w"] += dmsg_in.T @ lt.h_in
         grads[prefix + "msg_b"] += dmsg_in.sum(axis=0)

@@ -18,7 +18,7 @@ from .errors import TrainingError
 from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks
 # not called here, but perfbench/tracer.py wraps metrics.knn_graph
 from .graph import knn_graph  # noqa: F401
-from .trainer import TrainConfig, embed, train
+from .trainer import TrainConfig, _child_seed, embed, train
 
 DEFAULT_KNN_K = 10
 DEFAULT_T_KS = (6, 12, 18)
@@ -237,8 +237,7 @@ def alpha_sweep(data: LabeledDataset, cfg: TrainConfig, grid,
     reports = []
     embeddings = {}
     for i, a in enumerate(grid):
-        run_seed = int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
-        cfg_a = replace(cfg, alpha=a, seed=run_seed)
+        cfg_a = replace(cfg, alpha=a, seed=_child_seed(cfg.seed, i))
         try:
             model, _ = train(data, cfg_a)
             y = embed(model, data)

@@ -67,17 +67,21 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.hop_cap < 1:
             raise ValueError(f"hop_cap must be >= 1, got {self.hop_cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_config(num_nodes: int, alpha: float = 0.5, seed: int = 0) -> TrainConfig:
     """Preset by graph size: <= 10000 nodes trains full-batch with 128 hidden
-    units for 360 epochs; larger graphs train 5 epochs of 1000 mini-batches
-    with 256 hidden units and fanouts (10, 15)."""
+    units for 360 epochs; larger graphs train 5 epochs of min(1000, N // 50)
+    mini-batches (so at least 50 nodes each, room for perplexity 30) with
+    256 hidden units and fanouts (10, 15)."""
     if num_nodes <= SMALL_GRAPH_LIMIT:
         return TrainConfig(alpha=alpha, epochs=360, hidden_dim=128,
                            mode="full", seed=seed)
     return TrainConfig(alpha=alpha, epochs=5, hidden_dim=256, mode="minibatch",
-                       batch_count=1000, fanouts=(10, 15), seed=seed)
+                       batch_count=min(1000, num_nodes // 50), fanouts=(10, 15),
+                       seed=seed)
 
 
 @dataclass
@@ -221,9 +225,9 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
     return _train(data.features, cfg, epochs, on_epoch)
 
 
-def _batch_seed(seed: int, epoch: int, batch_index: int) -> int:
-    return int(np.random.SeedSequence([seed, epoch, batch_index])
-               .generate_state(1)[0])
+def _child_seed(*entropy: int) -> int:
+    """A seed drawn from a parent seed and indices, the same on every run."""
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
 def _batch_steps(data: LabeledDataset, cfg: TrainConfig, epoch: int):
@@ -240,7 +244,7 @@ def _batch_steps(data: LabeledDataset, cfg: TrainConfig, epoch: int):
             continue
         batch_nodes = np.sort(batch_nodes)
         sample = neighbor_subsample(graph, batch_nodes, cfg.fanouts,
-                                    seed=_batch_seed(cfg.seed, epoch, b))
+                                    seed=_child_seed(cfg.seed, epoch, b))
         plan = build_batch_plan(sample)
         try:
             p_graph, p_feat, unconverged_terms = _affinities(

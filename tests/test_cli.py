@@ -157,6 +157,16 @@ class TestFit:
         assert code == 2
         assert "hop_cap" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_before_reading_input(self, dataset_dir,
+                                                         tmp_path, capsys):
+        code = main(["fit", *base_args(dataset_dir)[:2],
+                     "--features", str(tmp_path / "absent.csv"),
+                     "--num-nodes", "45", "--alpha", "0.5", "--seed", "-1",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 2  # an absent features file, once read, exits 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "absent.csv" not in err
+
     def test_nan_lr_in_config_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "lr.cfg"
         cfg.write_text("hidden_dim = 8\nepochs = 2\nlr = nan\n")

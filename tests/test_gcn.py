@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtsne import Graph, init_model, load_model, save_model
-from graphtsne.gcn import (AdamState, adam_step, backward, build_batch_plan,
-                           build_full_plan, forward, init_adam,
-                           maybe_decay_lr, CHECKPOINT_MAGIC)
+from graphtsne.gcn import (AdamState, _segment_sum, adam_step, backward,
+                           build_batch_plan, build_full_plan, forward,
+                           init_adam, maybe_decay_lr, CHECKPOINT_MAGIC)
 from graphtsne.graph import neighbor_subsample
 from graphtsne.synthetic import random_dataset
 
@@ -204,6 +206,40 @@ class TestBackward:
         _, trace = forward(model, plan, ds.features, mode="train")
         with pytest.raises(ValueError):
             backward(model, trace, np.zeros((2, 2)))
+
+
+class TestSegmentSum:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_add_at_bit_for_bit(self, data):
+        size = data.draw(st.integers(1, 6))
+        cols = data.draw(st.integers(1, 4))
+        edges = data.draw(st.integers(0, 15))  # > size repeats indices
+        index = np.array(data.draw(st.lists(st.integers(0, size - 1),
+                                            min_size=edges, max_size=edges)),
+                         dtype=np.int64)
+        value = st.one_of(st.just(-0.0), st.floats(-1e6, 1e6))
+        values = np.array(data.draw(st.lists(value, min_size=edges * cols,
+                                             max_size=edges * cols)),
+                          dtype=np.float64).reshape(edges, cols)
+        expected = np.zeros((size, cols))
+        np.add.at(expected, index, values)
+        got = _segment_sum(values, index, size)
+        assert got.dtype == np.float64 and got.shape == (size, cols)
+        assert got.tobytes() == expected.tobytes()  # tells -0.0 from 0.0
+
+    def test_no_edges_give_float64_zeros(self):
+        got = _segment_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.zeros((4, 3)))
+
+    def test_edgeless_graph_forward_and_backward_finite(self, rng):
+        model = init_model(3, 8, seed=1)
+        plan = build_full_plan(Graph.from_edges(7, []), model.num_layers)
+        y, trace = forward(model, plan, rng.normal(size=(7, 3)), mode="train")
+        grads = backward(model, trace, rng.normal(size=y.shape))
+        for arr in (y, *grads.values()):
+            assert arr.dtype == np.float64 and np.isfinite(arr).all()
 
 
 class TestAdam:

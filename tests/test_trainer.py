@@ -109,7 +109,7 @@ class TestTrainConfig:
         for bad in (dict(alpha=-0.1), dict(perplexity=1.0), dict(epochs=-1),
                     dict(mode="bogus"), dict(lr=0.0), dict(lr=float("nan")),
                     dict(lr=float("inf")), dict(perplexity=float("nan")),
-                    dict(perplexity=float("inf"))):
+                    dict(perplexity=float("inf")), dict(seed=-1)):
             cfg = TrainConfig(**{**good, **bad})
             with pytest.raises(ValueError):
                 cfg.validate()
@@ -119,10 +119,18 @@ class TestTrainConfig:
         assert (small.mode, small.hidden_dim, small.epochs) == ("full", 128, 360)
         large = default_config(10001)
         assert (large.mode, large.hidden_dim, large.epochs) == ("minibatch", 256, 5)
-        assert large.batch_count == 1000
+        assert large.batch_count == 200   # min(1000, N // 50)
+        assert default_config(12000).batch_count == 240
+        assert default_config(50000).batch_count == 1000
         assert large.fanouts == (10, 15)
         assert small.lr == large.lr == 0.00075
         assert small.perplexity == 30.0
+
+    @pytest.mark.parametrize("n", [10001, 12000, 31999, 50000])
+    def test_preset_batches_hold_room_for_the_perplexity(self, n):
+        cfg = default_config(n)
+        batches = np.array_split(np.arange(n), cfg.batch_count)
+        assert min(b.size for b in batches) > cfg.perplexity + 1
 
 
 class TestTrainFullBatch:
