@@ -34,7 +34,11 @@ rest is the model's array bytes. Covered:
   the sampled nodes and edges and the gradient;
 - batch plans (every LayerPlan array), a plan and a forward pass on a
   graph with no edges;
-- joint_p on the citation stand-in's hop and feature matrices;
+- joint_p on the citation stand-in's hop and feature matrices, on
+  real-valued features whose distances are all distinct, and on one
+  50-node batch's hop and feature matrices, the shape mini-batch training
+  calibrates: P (by value where it is small enough, else hashed), sigmas
+  by value, and the converged and degenerate counts;
 - evaluate_layout, its report without the run time;
 - the four input readers (edge list, features, labels, layout) on files
   with '#' comments (edge list only), blank lines and padded cells, once
@@ -44,7 +48,7 @@ rest is the model's array bytes. Covered:
   with the manifests' timestamps and the reports' run times removed.
 
 Uses only the public API, so it runs under any tree that has it. Takes
-about 20 s on a 2-core machine.
+about 10 s on a 2-core machine.
 """
 
 import argparse
@@ -62,10 +66,10 @@ import tempfile
 import numpy as np
 
 from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
-                       build_batch_plan, build_full_plan, citation_dataset,
-                       embed, evaluate_layout, forward, init_model, joint_p,
-                       load_model, neighbor_subsample, pairwise_sq_euclidean,
-                       random_dataset, save_model, sbm_dataset,
+                       bfs_shortest_paths, build_batch_plan, build_full_plan,
+                       citation_dataset, embed, evaluate_layout, forward,
+                       init_model, joint_p, load_model, neighbor_subsample,
+                       pairwise_sq_euclidean, random_dataset, save_model, sbm_dataset,
                        train_full_batch, train_minibatch)
 from graphtsne.cli import main as cli_main, read_layout_csv
 from graphtsne.graph import load_edge_list, load_features_csv, load_labels_csv
@@ -180,16 +184,25 @@ def plans() -> dict:
     return out
 
 
+def affinity_record(distances) -> dict:
+    aff = joint_p(distances, 30.0)
+    return {"p": digest(aff.p), "sigmas": digest(aff.sigmas),
+            "n_converged": aff.n_converged, "n_degenerate": aff.n_degenerate}
+
+
 def affinities() -> dict:
     data = citation_dataset()
-    out = {}
-    for which, distances in (
-            ("graph", lambda: all_pairs_distances(data.graph, hop_cap=20)),
-            ("feature", lambda: pairwise_sq_euclidean(data.features))):
-        aff = joint_p(distances(), 30.0)
-        out[which] = {"p": digest(aff.p), "sigmas": digest(aff.sigmas),
-                      "n_converged": aff.n_converged,
-                      "n_degenerate": aff.n_degenerate}
+    out = {"graph": affinity_record(all_pairs_distances(data.graph, hop_cap=20)),
+           "feature": affinity_record(pairwise_sq_euclidean(data.features))}
+    # every value distinct: real-valued features
+    out["real_feature"] = affinity_record(pairwise_sq_euclidean(
+        random_dataset(300, 1500, feature_dim=16, seed=0).features))
+    # one mini-batch of fit-minibatch's shape: 50 of 50000 nodes
+    big = random_dataset(50000, 150000, feature_dim=16, seed=13)
+    batch = np.sort(np.random.default_rng(3).choice(50000, 50, replace=False))
+    out["batch_graph"] = affinity_record(bfs_shortest_paths(
+        big.graph, batch, batch, hop_cap=TrainConfig.hop_cap))
+    out["batch_feature"] = affinity_record(pairwise_sq_euclidean(big.features[batch]))
     layout = np.random.default_rng(2).normal(size=(data.graph.num_nodes, 2))
     report = evaluate_layout(data, layout, alpha=0.5).to_dict()
     del report["runtime_s"]

@@ -19,6 +19,7 @@ SIGMA_LO = 1e-20
 SIGMA_HI = 1e20
 PERPLEXITY_TOL = 1e-4
 MAX_SEARCH_ITERS = 60
+_CALIBRATION_BLOCK = 64  # rows per block of joint_p; its temporaries are O(block * N)
 
 
 def pairwise_sq_euclidean(x: np.ndarray) -> np.ndarray:
@@ -57,6 +58,54 @@ def _perplexity(p: np.ndarray) -> float:
     return float(np.exp(-np.sum(nz * np.log(nz))))
 
 
+def _calibrate(rows: np.ndarray, target_perplexity: float):
+    """``calibrate_row`` for every row of a block at once: one bisection, each
+    row searched on its distinct finite distances and their counts. Returns
+    per-row sigma (nan for a row with no finite entry), converged, bound_hit
+    and the conditionals."""
+    ordered = np.sort(np.where(np.isfinite(rows), rows, np.inf), axis=1)
+    if np.any(ordered[:, :1] < 0.0):
+        raise ValueError("distances must be nonnegative")
+    # each run of equal finite values has one start and one end, in flat order
+    change = ordered[:, 1:] != ordered[:, :-1]
+    start, end = np.isfinite(ordered), np.isfinite(ordered)
+    start[:, 1:] &= change
+    end[:, :-1] &= change
+    width = start.sum(axis=1)
+    first = np.flatnonzero(start)
+    filled = np.arange(width.max()) < width[:, None]  # padding holds count 0
+    values, counts = np.zeros(filled.shape), np.zeros(filled.shape)
+    values[filled] = ordered.ravel()[first] - np.repeat(ordered[:, 0], width)
+    counts[filled] = np.flatnonzero(end) - first + 1
+
+    lo, hi, sigma = (np.full(len(rows), v) for v in (SIGMA_LO, SIGMA_HI, 1.0))
+    converged = np.zeros(len(rows), dtype=bool)
+    active = np.flatnonzero(width)
+    values, counts = values[active], counts[active]
+    for step in range(MAX_SEARCH_ITERS + 1):
+        s = sigma[active]
+        scale = 2.0 * s * s
+        w = np.exp(values / -scale[:, None]) * counts
+        total = w.sum(axis=1)
+        # the entropy of p = w / total, with no log of an entry
+        perp = np.exp(np.log(total) + np.einsum("ij,ij->i", w, values) / (scale * total))
+        done = np.abs(perp - target_perplexity) <= PERPLEXITY_TOL
+        converged[active] = done
+        active, s, above = active[~done], s[~done], perp[~done] > target_perplexity
+        if step == MAX_SEARCH_ITERS or not active.size:
+            break
+        values, counts = values[~done], counts[~done]
+        hi[active[above]] = s[above]
+        lo[active[~above]] = s[~above]
+        sigma[active] = np.sqrt(lo[active] * hi[active])  # bisection in log space
+    sigma[width == 0] = np.nan
+    bound_hit = (width > 0) & ~converged & ((lo == SIGMA_LO) | (hi == SIGMA_HI))
+    conditionals = np.zeros_like(rows)
+    for b, keep in zip(np.flatnonzero(width), np.isfinite(rows[width > 0])):
+        conditionals[b, keep] = _conditional_for_sigma(rows[b, keep] - ordered[b, 0], sigma[b])
+    return sigma, converged, bound_hit, conditionals
+
+
 def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> CalibrationResult:
     """Find the Gaussian bandwidth whose conditional distribution hits a target perplexity.
 
@@ -70,33 +119,12 @@ def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> Calibration
     all-zero conditional.
     """
     row = np.asarray(dist_row, dtype=np.float64)
-    finite = np.isfinite(row)
-    if np.any(row[finite] < 0.0):
-        raise ValueError("distances must be nonnegative")
-    conditional = np.zeros_like(row)
-    if not finite.any():
-        return CalibrationResult(sigma=float("nan"), conditional=conditional,
-                                 perplexity=0.0, converged=False,
-                                 bound_hit=False, degenerate=True)
-
-    d = row[finite]
-    shifted = d - d.min()
-    lo, hi, sigma = SIGMA_LO, SIGMA_HI, 1.0
-    for step in range(MAX_SEARCH_ITERS + 1):
-        p = _conditional_for_sigma(shifted, sigma)
-        perp = _perplexity(p)
-        converged = abs(perp - target_perplexity) <= PERPLEXITY_TOL
-        if converged or step == MAX_SEARCH_ITERS:
-            break
-        if perp > target_perplexity:
-            hi = sigma
-        else:
-            lo = sigma
-        sigma = float(np.sqrt(lo * hi))  # geometric midpoint: bisection in log space
-    bound_hit = (not converged) and (lo == SIGMA_LO or hi == SIGMA_HI)
-    conditional[finite] = p
-    return CalibrationResult(sigma=sigma, conditional=conditional, perplexity=perp,
-                             converged=converged, bound_hit=bound_hit, degenerate=False)
+    [sigma], [converged], [bound_hit], [conditional] = _calibrate(row[None], target_perplexity)
+    degenerate = bool(np.isnan(sigma))
+    return CalibrationResult(sigma=float(sigma), conditional=conditional,
+                             perplexity=0.0 if degenerate else _perplexity(conditional),
+                             converged=bool(converged), bound_hit=bool(bound_hit),
+                             degenerate=degenerate)
 
 
 @dataclass
@@ -125,27 +153,20 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
     n = d.shape[0]
-    finite = np.isfinite(d)
-    if not np.array_equal(finite, finite.T):
-        raise ValueError("distance matrix must be symmetric")
-    if not np.allclose(d[finite], d.T[finite], rtol=1e-9, atol=1e-12):
-        raise ValueError("distance matrix must be symmetric")
-
     conditionals = np.zeros((n, n), dtype=np.float64)
     sigmas = np.full(n, np.nan)
-    n_degenerate = 0
     n_converged = 0
-    for i in range(n):
-        row = d[i].copy()
-        row[i] = np.inf  # the self entry gets probability exactly zero
-        res = calibrate_row(row, target_perplexity)
-        if res.degenerate:
-            n_degenerate += 1
-            continue
-        if res.converged:
-            n_converged += 1
-        sigmas[i] = res.sigma
-        conditionals[i] = res.conditional
+    for first in range(0, n, _CALIBRATION_BLOCK):
+        rows = np.arange(first, min(first + _CALIBRATION_BLOCK, n))
+        block, mirror = d[rows], d[:, rows].T
+        finite = np.isfinite(block)
+        if not (np.array_equal(finite, np.isfinite(mirror)) and np.allclose(
+                block[finite], mirror[finite], rtol=1e-9, atol=1e-12)):
+            raise ValueError("distance matrix must be symmetric")
+        block[np.arange(rows.size), rows] = np.inf  # the self entry gets probability 0
+        sigmas[rows], converged, _, conditionals[rows] = _calibrate(block, target_perplexity)
+        n_converged += int(converged.sum())
+    n_degenerate = int(np.isnan(sigmas).sum())
     if n_degenerate == n:
         raise EmptyAffinityError("every row of the distance matrix is unreachable")
 

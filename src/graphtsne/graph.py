@@ -20,7 +20,7 @@ logger = logging.getLogger(__name__)
 
 #: Distance sentinel for node pairs with no connecting path (or beyond a hop cap).
 UNREACHABLE = np.inf
-_RANK_BLOCK = 256  # rows per block of rank_blocks; its temporaries are O(block * N)
+_RANK_BLOCK = 64  # rows per block of rank_blocks; its temporaries are O(block * N)
 
 
 @dataclass
@@ -266,11 +266,15 @@ def all_pairs_distances(graph: Graph, hop_cap: int | None = None) -> np.ndarray:
     return bfs_shortest_paths(graph, ids, ids, hop_cap=hop_cap)
 
 
+def row_blocks(n: int):
+    """The row indices 0..n-1 in consecutive blocks of ``_RANK_BLOCK``."""
+    return (np.arange(i, min(i + _RANK_BLOCK, n)) for i in range(0, n, _RANK_BLOCK))
+
+
 def rank_blocks(d: np.ndarray):
     """Yield ``(rows, order)`` per row block of a square distance matrix: ``order[b]``
     lists every column but ``rows[b]``, nearest first, ties to the smaller index."""
-    for first in range(0, len(d), _RANK_BLOCK):
-        rows = np.arange(first, min(first + _RANK_BLOCK, len(d)))
+    for rows in row_blocks(len(d)):
         block = d[rows]
         block[np.arange(rows.size), rows] = -np.inf  # self sorts first, then is cut
         yield rows, np.argsort(block, axis=1, kind="stable")[:, 1:]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .affinity import pairwise_sq_euclidean
 from .errors import TrainingError
-from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks
+from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks, row_blocks
 # not called here, but perfbench/tracer.py wraps metrics.knn_graph
 from .graph import knn_graph  # noqa: F401
 from .trainer import TrainConfig, _child_seed, embed, train
@@ -82,8 +82,11 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
     map_top = np.empty((n, max(ks, default=0)), dtype=np.int64)
     jaccard = np.empty((len(rs), n))
     d = pairwise_sq_euclidean(y)
-    for rows, order in rank_blocks(d):
-        map_top[rows] = order[:, :map_top.shape[1]]
+    # 1-NN accuracy alone takes an argmin per row and needs no rank order
+    blocks = rank_blocks(d) if ks or rs else ((rows, None) for rows in row_blocks(n))
+    for rows, order in blocks:
+        if ks:
+            map_top[rows] = order[:, :map_top.shape[1]]
         if rs:  # one BFS for every radius; hops in map order, self cut
             hops = bfs_shortest_paths(graph, rows, np.arange(n), hop_cap=max(rs))
             hops = np.take_along_axis(hops, order, axis=1)

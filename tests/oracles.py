@@ -161,6 +161,74 @@ def joint_p_reference(distances, target_perplexity):
     return joint / joint.sum()
 
 
+def calibrate_row_loop(dist_row, target_perplexity):
+    """One row's bandwidth search, one bisection step at a time over the
+    row's finite entries. Returns (sigma, conditional, perplexity, converged,
+    bound_hit, degenerate), the fields of ``CalibrationResult``."""
+    row = np.asarray(dist_row, dtype=np.float64)
+    finite = np.isfinite(row)
+    if np.any(row[finite] < 0.0):
+        raise ValueError("distances must be nonnegative")
+    conditional = np.zeros_like(row)
+    if not finite.any():
+        return float("nan"), conditional, 0.0, False, False, True
+
+    def conditional_for_sigma(shifted, sigma):
+        w = np.exp(-shifted / (2.0 * sigma * sigma))
+        return w / w.sum()
+
+    def perplexity(p):
+        nz = p[p > 0.0]
+        return float(np.exp(-np.sum(nz * np.log(nz))))
+
+    d = row[finite]
+    shifted = d - d.min()
+    lo, hi, sigma = 1e-20, 1e20, 1.0
+    for step in range(60 + 1):
+        p = conditional_for_sigma(shifted, sigma)
+        perp = perplexity(p)
+        converged = abs(perp - target_perplexity) <= 1e-4
+        if converged or step == 60:
+            break
+        if perp > target_perplexity:
+            hi = sigma
+        else:
+            lo = sigma
+        sigma = float(np.sqrt(lo * hi))  # geometric midpoint: bisection in log space
+    bound_hit = (not converged) and (lo == 1e-20 or hi == 1e20)
+    conditional[finite] = p
+    return sigma, conditional, perp, converged, bound_hit, False
+
+
+def joint_p_loop(distances, target_perplexity):
+    """Symmetrized joint affinities from one ``calibrate_row_loop`` per row.
+    Returns (p, sigmas, n_degenerate, n_converged), or None when every row
+    is degenerate."""
+    d = np.asarray(distances, dtype=np.float64)
+    n = d.shape[0]
+    conditionals = np.zeros((n, n), dtype=np.float64)
+    sigmas = np.full(n, np.nan)
+    n_degenerate = 0
+    n_converged = 0
+    for i in range(n):
+        row = d[i].copy()
+        row[i] = np.inf  # the self entry gets probability exactly zero
+        sigma, conditional, _, converged, _, degenerate = calibrate_row_loop(
+            row, target_perplexity)
+        if degenerate:
+            n_degenerate += 1
+            continue
+        if converged:
+            n_converged += 1
+        sigmas[i] = sigma
+        conditionals[i] = conditional
+    if n_degenerate == n:
+        return None
+    p = (conditionals + conditionals.T) / (2.0 * n)
+    p /= p.sum()
+    return p, sigmas, n_degenerate, n_converged
+
+
 def kl_oracle(p, y):
     """KL(P || Q) between input affinities p and the Student-t map
     affinities Q(y), and its gradient with respect to y, as literal sums

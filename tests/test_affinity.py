@@ -1,14 +1,33 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtsne import (EmptyAffinityError, UNREACHABLE, calibrate_row,
+from graphtsne import (EmptyAffinityError, UNREACHABLE, affinity, calibrate_row,
                        composite_loss_and_grad, joint_p, pairwise_sq_euclidean,
                        studentt_q)
 
 from conftest import finite_difference_grads, max_relative_error
-from oracles import joint_p_reference, naive_sq_euclidean
+from oracles import (calibrate_row_loop, joint_p_loop, joint_p_reference,
+                     naive_sq_euclidean)
+
+
+def draw_distances(data, n):
+    """A symmetric n x n matrix of tied integer, real and unreachable
+    entries, with fully unreachable rows and an arbitrary diagonal."""
+    entry = (st.integers(0, 6).map(float) | st.floats(0.0, 1e3)
+             | st.just(UNREACHABLE))
+    iu = np.triu_indices(n, k=1)
+    d = np.zeros((n, n))
+    d[iu] = data.draw(st.lists(entry, min_size=iu[0].size, max_size=iu[0].size))
+    d += d.T
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        d[i, :] = d[:, i] = UNREACHABLE  # a fully unreachable row
+    d[np.diag_indices(n)] = data.draw(st.lists(st.floats(), min_size=n,
+                                               max_size=n))
+    return d
 
 
 class TestPairwiseSqEuclidean:
@@ -125,16 +144,7 @@ class TestJointP:
     @given(st.data())
     def test_matches_reference_property(self, data):
         n = data.draw(st.integers(2, 12))
-        entry = (st.integers(0, 6).map(float) | st.floats(0.0, 1e3)
-                 | st.just(UNREACHABLE))
-        iu = np.triu_indices(n, k=1)
-        d = np.zeros((n, n))
-        d[iu] = data.draw(st.lists(entry, min_size=iu[0].size, max_size=iu[0].size))
-        d += d.T
-        for i in data.draw(st.sets(st.integers(0, n - 1), max_size=n)):
-            d[i, :] = d[:, i] = UNREACHABLE  # a fully unreachable row
-        d[np.diag_indices(n)] = data.draw(st.lists(st.floats(), min_size=n,
-                                                   max_size=n))
+        d = draw_distances(data, n)
         perplexity = data.draw(st.floats(2.0, 8.0))
         off = np.where(np.eye(n, dtype=bool), UNREACHABLE, d)
         degenerate = int((~np.isfinite(off)).all(axis=1).sum())
@@ -148,6 +158,38 @@ class TestJointP:
         assert abs(aff.p.sum() - 1.0) <= 1e-12
         assert np.all(np.diag(aff.p) == 0.0) and np.all(aff.p >= 0.0)
         assert aff.n_degenerate == degenerate
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lockstep_search_matches_row_loop(self, data):
+        """Rows calibrated in blocks of any height find the sigmas, counts and
+        P that one bisection per row finds."""
+        n = data.draw(st.integers(1, 12))
+        d = draw_distances(data, n)
+        perplexity = data.draw(st.floats(2.0, 8.0))
+        block = data.draw(st.sampled_from([1, 3, n + 1]))
+        expected = joint_p_loop(d, perplexity)
+        with mock.patch.object(affinity, "_CALIBRATION_BLOCK", block):
+            if expected is None:
+                with pytest.raises(EmptyAffinityError):
+                    joint_p(d, perplexity)
+            else:
+                aff = joint_p(d, perplexity)
+                p, sigmas, n_degenerate, n_converged = expected
+                assert (aff.n_converged, aff.n_degenerate) == (n_converged, n_degenerate)
+                np.testing.assert_allclose(aff.sigmas, sigmas, rtol=1e-12, atol=0.0)
+                assert np.array_equal(aff.p, p)
+        for i in range(n):
+            row = d[i].copy()
+            row[i] = UNREACHABLE
+            res = calibrate_row(row, perplexity)
+            sigma, conditional, perp, converged, bound_hit, degenerate = \
+                calibrate_row_loop(row, perplexity)
+            assert (res.converged, res.bound_hit, res.degenerate) == (
+                converged, bound_hit, degenerate)
+            np.testing.assert_allclose(res.sigma, sigma, rtol=1e-12, atol=0.0)
+            assert np.array_equal(res.conditional, conditional)
+            assert res.perplexity == perp
 
     def test_asymmetric_input_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])

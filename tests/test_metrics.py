@@ -269,12 +269,14 @@ class TestEvaluateLayout:
             mp.setattr("graphtsne.graph._RANK_BLOCK", block)
             rep = evaluate_layout(dataset, y, knn_k=knn_k, t_ks=t_ks,
                                   t_rs=t_rs, folds=folds, seed=seed)
+            mp.setattr("graphtsne.metrics.rank_blocks", None)  # 1-NN alone sorts nothing
+            alone = knn_1_accuracy(y, labels, folds=folds, seed=seed)
         assert rep.t_feature == {k: trust_feature_oracle(x, y, k) for k in t_ks}
         assert rep.t_graph == {r: trust_graph_oracle(n, g.edge_pairs, y, r)
                                for r in t_rs}
         assert rep.p_feature == distance_metrics(
             g, brute_knn_pairs(x, knn_k), y)[1]
-        assert rep.knn_accuracy == knn_1_oracle(y, labels, folds, seed)
+        assert rep.knn_accuracy == knn_1_oracle(y, labels, folds, seed) == alone
 
 
 @pytest.fixture(scope="module")
