@@ -19,13 +19,15 @@ compared as one array: its largest difference relative to its largest
 magnitude. It exits 1 when that exceeds RTOL, and when any other value
 differs: an exit code, a list's length, text around the numbers, an array's
 dtype, shape or hash, a checkpoint's header, or a key present on one side
-only. The exceptions are named in REORDERED, REMOVED and RESIDUE below.
+only. The exceptions are named in ONLY_IN_OLD and CHANGED below.
 
 Floats are recorded as their exact repr; float arrays of at most FULL_FLOATS
 entries as dtype, shape and every value, other arrays as dtype, shape and
-SHA-256 of their bytes; text files as their text with the numbers cut out,
-and the numbers; checkpoints as the SHA-256 of their header and whether the
-rest is the model's array bytes. Covered:
+SHA-256 of their bytes, larger float arrays also as a strided sample of
+FULL_FLOATS values, so that --compare measures their drift; text files as
+their text with the numbers cut out, and the numbers; checkpoints as the
+SHA-256 of their header and whether the rest is the model's array bytes.
+Covered:
 
 - full-batch training at alpha 0, 0.5 and 1: epoch losses, the gradient
   each step's callback sees, the trained weights, the embedding, and the
@@ -37,8 +39,8 @@ rest is the model's array bytes. Covered:
 - joint_p on the citation stand-in's hop and feature matrices, on
   real-valued features whose distances are all distinct, and on one
   50-node batch's hop and feature matrices, the shape mini-batch training
-  calibrates: P (by value where it is small enough, else hashed), sigmas
-  by value, and the converged and degenerate counts;
+  calibrates: P (by value where it is small enough, else hashed and
+  sampled), sigmas by value, and the converged and degenerate counts;
 - evaluate_layout, its report without the run time;
 - the four input readers (edge list, features, labels, layout) on files
   with '#' comments (edge list only), blank lines and padded cells, once
@@ -62,6 +64,7 @@ import os
 import re
 import sys
 import tempfile
+from fnmatch import fnmatchcase
 
 import numpy as np
 
@@ -75,7 +78,7 @@ from graphtsne.cli import main as cli_main, read_layout_csv
 from graphtsne.graph import load_edge_list, load_features_csv, load_labels_csv
 
 ALPHAS = (0.0, 0.5, 1.0)
-FULL_FLOATS = 10_000   # larger float arrays (the N x N affinities) are hashed
+FULL_FLOATS = 10_000   # larger float arrays (the N x N affinities) are hashed and sampled
 NUMBER = re.compile(r"-?(?:\d+\.\d*(?:e[+-]\d+)?|\d+e[+-]\d+)")
 
 
@@ -88,7 +91,11 @@ def digest(arr):
     shape = f"{arr.dtype}{list(arr.shape)}"
     if arr.dtype.kind == "f" and arr.size <= FULL_FLOATS:
         return {"shape": shape, "values": floats(arr.ravel())}
-    return f"{shape}:{hashlib.sha256(arr.tobytes()).hexdigest()}"
+    hashed = f"{shape}:{hashlib.sha256(arr.tobytes()).hexdigest()}"
+    if arr.dtype.kind != "f":
+        return hashed
+    sample = arr.ravel()[np.arange(FULL_FLOATS) * arr.size // FULL_FLOATS]
+    return {"hash": hashed, "sample": floats(sample)}
 
 
 def text_record(text: str) -> dict:
@@ -322,20 +329,19 @@ def cli_outputs(scratch) -> dict:
 
 DIGEST = re.compile(r"([a-z0-9]+\[[0-9, ]*\]):[0-9a-f]{64}")
 RTOL = 1e-9   # largest relative float difference --compare accepts
-# What the change that introduced --compare moves beyond float drift: batch
-# plans keep their edges in sampling order, not sorted by dst, so the hashes
-# of LayerPlan's dst and src arrays change, and LayerPlan drops its sorted
-# groupings. A change that moves neither can empty both sets.
-REORDERED = {"dst", "src"}
-REMOVED = {"dst_rows", "dst_starts", "src_order", "src_rows", "src_starts"}
-# Parameters whose gradient is zero in exact arithmetic: a bias ahead of batch
-# norm, and the output bias of a translation-invariant loss. Their values are
-# rounding residue, so only their dtype and shape are compared.
-RESIDUE = ("self_b", "out_b")
+# What the change that dropped the GCN's zero-gradient biases and built each
+# calibration block's conditionals at once moves beyond float drift, as globs
+# over "/"-joined paths. The biases are keys of the old dump only, and the
+# checkpoint header lists them. Each row sum of P now adds its zero entries,
+# so the bytes of the sampled P change; their samples are still held to RTOL.
+# A change that moves none of these can empty both.
+ONLY_IN_OLD = ("*/state/layer*.self_b", "*/state/out_b")
+CHANGED = ("*/checkpoint/header", "affinities/graph/p/hash",
+           "affinities/feature/p/hash", "affinities/real_feature/p/hash")
 
 
-def in_layer_plan(path) -> bool:
-    return len(path) >= 3 and path[0] == "plans" and path[-3] == "layers"
+def named(where: str, globs) -> bool:
+    return any(fnmatchcase(where, glob) for glob in globs)
 
 
 def as_float(value):
@@ -367,9 +373,9 @@ class Comparison:
                     continue
                 side, where = "old" if key in old else "new", path + (key,)
                 self.one_side[path[0] if path else key].append((side, where))
-                if not (side == "old" and key in REMOVED and in_layer_plan(where)):
-                    self.failures.append(("/".join(map(str, where)),
-                                          f"only in the {side} dump"))
+                joined = "/".join(map(str, where))
+                if not (side == "old" and named(joined, ONLY_IN_OLD)):
+                    self.failures.append((joined, f"only in the {side} dump"))
         elif (isinstance(old, list) and isinstance(new, list)
               and len(old) == len(new)):
             if old and all(type(a) is type(b) and as_float(a) is not None
@@ -394,8 +400,7 @@ class Comparison:
                    & ~(np.isnan(a) & np.isnan(b)))
         self.entries[section] += len(old)
         self.differ[section] += int(changed.sum())
-        if not changed.any() or (len(path) >= 3 and path[-3] == "state"
-                                 and str(path[-2]).endswith(RESIDUE)):
+        if not changed.any():
             return
         magnitudes = np.abs(np.concatenate([a, b]))
         scale = float(magnitudes[np.isfinite(magnitudes)].max(initial=0.0))
@@ -424,9 +429,9 @@ class Comparison:
             before, after = DIGEST.fullmatch(old)[1], DIGEST.fullmatch(new)[1]
             if before != after:
                 self.failures.append((where, f"array {before} became {after}"))
-            elif not (path[-1] in REORDERED and in_layer_plan(path)):
+            elif not named(where, CHANGED):
                 self.failures.append((where, f"array {before} changed its bytes"))
-        else:
+        elif not named(where, CHANGED):
             self.failures.append((where, f"{str(old)[:60]!r} became "
                                          f"{str(new)[:60]!r}"))
 

@@ -48,22 +48,14 @@ class CalibrationResult:
     degenerate: bool
 
 
-def _conditional_for_sigma(shifted: np.ndarray, sigma: float) -> np.ndarray:
-    w = np.exp(-shifted / (2.0 * sigma * sigma))
-    return w / w.sum()
-
-
-def _perplexity(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(np.exp(-np.sum(nz * np.log(nz))))
-
-
 def _calibrate(rows: np.ndarray, target_perplexity: float):
     """``calibrate_row`` for every row of a block at once: one bisection, each
     row searched on its distinct finite distances and their counts. Returns
-    per-row sigma (nan for a row with no finite entry), converged, bound_hit
-    and the conditionals."""
-    ordered = np.sort(np.where(np.isfinite(rows), rows, np.inf), axis=1)
+    per-row sigma (nan for a row with no finite entry), the perplexity the
+    search measured at it (0 for such a row), converged, bound_hit and the
+    conditionals."""
+    rows = np.where(np.isfinite(rows), rows, np.inf)
+    ordered = np.sort(rows, axis=1)
     if np.any(ordered[:, :1] < 0.0):
         raise ValueError("distances must be nonnegative")
     # each run of equal finite values has one start and one end, in flat order
@@ -79,7 +71,7 @@ def _calibrate(rows: np.ndarray, target_perplexity: float):
     counts[filled] = np.flatnonzero(end) - first + 1
 
     lo, hi, sigma = (np.full(len(rows), v) for v in (SIGMA_LO, SIGMA_HI, 1.0))
-    converged = np.zeros(len(rows), dtype=bool)
+    perplexity, converged = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
     active = np.flatnonzero(width)
     values, counts = values[active], counts[active]
     for step in range(MAX_SEARCH_ITERS + 1):
@@ -90,7 +82,7 @@ def _calibrate(rows: np.ndarray, target_perplexity: float):
         # the entropy of p = w / total, with no log of an entry
         perp = np.exp(np.log(total) + np.einsum("ij,ij->i", w, values) / (scale * total))
         done = np.abs(perp - target_perplexity) <= PERPLEXITY_TOL
-        converged[active] = done
+        perplexity[active], converged[active] = perp, done
         active, s, above = active[~done], s[~done], perp[~done] > target_perplexity
         if step == MAX_SEARCH_ITERS or not active.size:
             break
@@ -98,12 +90,14 @@ def _calibrate(rows: np.ndarray, target_perplexity: float):
         hi[active[above]] = s[above]
         lo[active[~above]] = s[~above]
         sigma[active] = np.sqrt(lo[active] * hi[active])  # bisection in log space
-    sigma[width == 0] = np.nan
-    bound_hit = (width > 0) & ~converged & ((lo == SIGMA_LO) | (hi == SIGMA_HI))
+    live = width > 0
+    bound_hit = live & ~converged & ((lo == SIGMA_LO) | (hi == SIGMA_HI))
+    sigma[~live] = np.nan
+    # exp(-inf) = 0 gives unreachable entries exactly 0; a row with no finite entry stays 0
+    w = np.exp((rows[live] - ordered[live, :1]) / (-2.0 * sigma[live, None] ** 2))
     conditionals = np.zeros_like(rows)
-    for b, keep in zip(np.flatnonzero(width), np.isfinite(rows[width > 0])):
-        conditionals[b, keep] = _conditional_for_sigma(rows[b, keep] - ordered[b, 0], sigma[b])
-    return sigma, converged, bound_hit, conditionals
+    conditionals[live] = w / w.sum(axis=1, keepdims=True)
+    return sigma, perplexity, converged, bound_hit, conditionals
 
 
 def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> CalibrationResult:
@@ -119,12 +113,11 @@ def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> Calibration
     all-zero conditional.
     """
     row = np.asarray(dist_row, dtype=np.float64)
-    [sigma], [converged], [bound_hit], [conditional] = _calibrate(row[None], target_perplexity)
-    degenerate = bool(np.isnan(sigma))
+    [sigma], [perplexity], [converged], [bound_hit], [conditional] = _calibrate(
+        row[None], target_perplexity)
     return CalibrationResult(sigma=float(sigma), conditional=conditional,
-                             perplexity=0.0 if degenerate else _perplexity(conditional),
-                             converged=bool(converged), bound_hit=bool(bound_hit),
-                             degenerate=degenerate)
+                             perplexity=float(perplexity), converged=bool(converged),
+                             bound_hit=bool(bound_hit), degenerate=bool(np.isnan(sigma)))
 
 
 @dataclass
@@ -164,7 +157,7 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
                 block[finite], mirror[finite], rtol=1e-9, atol=1e-12)):
             raise ValueError("distance matrix must be symmetric")
         block[np.arange(rows.size), rows] = np.inf  # the self entry gets probability 0
-        sigmas[rows], converged, _, conditionals[rows] = _calibrate(block, target_perplexity)
+        sigmas[rows], _, converged, _, conditionals[rows] = _calibrate(block, target_perplexity)
         n_converged += int(converged.sum())
     n_degenerate = int(np.isnan(sigmas).sum())
     if n_degenerate == n:

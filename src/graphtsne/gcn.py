@@ -34,10 +34,10 @@ def _xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 
 @dataclass
 class ConvLayer:
-    """Parameters of one gated conv layer. Weights are (out, in); apply as h @ w.T + b."""
+    """Parameters of one gated conv layer. Weights are (out, in); apply as h @ w.T + b
+    (``self_w`` has no b: batch norm would subtract it again)."""
 
     self_w: np.ndarray
-    self_b: np.ndarray
     msg_w: np.ndarray
     msg_b: np.ndarray
     gate_dst_w: np.ndarray
@@ -58,8 +58,7 @@ class GcnModel:
     in_w: np.ndarray
     in_b: np.ndarray
     layers: list
-    out_w: np.ndarray
-    out_b: np.ndarray
+    out_w: np.ndarray        # no bias: the loss sees only differences between points
 
     @property
     def num_layers(self) -> int:
@@ -70,12 +69,10 @@ class GcnModel:
         yield "in_w", self.in_w
         yield "in_b", self.in_b
         for l, layer in enumerate(self.layers, start=1):
-            for attr in ("self_w", "self_b", "msg_w", "msg_b", "gate_dst_w",
-                         "gate_dst_b", "gate_src_w", "gate_src_b",
-                         "bn_scale", "bn_shift"):
+            for attr in ("self_w", "msg_w", "msg_b", "gate_dst_w", "gate_dst_b",
+                         "gate_src_w", "gate_src_b", "bn_scale", "bn_shift"):
                 yield f"layer{l}.{attr}", getattr(layer, attr)
         yield "out_w", self.out_w
-        yield "out_b", self.out_b
 
     def named_state(self):
         """All tensors including batch-norm running statistics."""
@@ -95,7 +92,7 @@ def init_model(input_dim: int, hidden_dim: int, seed: int,
     layers = []
     for _ in range(num_layers):
         layers.append(ConvLayer(
-            self_w=_xavier(rng, h, h), self_b=np.zeros(h),
+            self_w=_xavier(rng, h, h),
             msg_w=_xavier(rng, h, h), msg_b=np.zeros(h),
             gate_dst_w=_xavier(rng, h, h), gate_dst_b=np.zeros(h),
             gate_src_w=_xavier(rng, h, h), gate_src_b=np.zeros(h),
@@ -105,7 +102,7 @@ def init_model(input_dim: int, hidden_dim: int, seed: int,
         input_dim=input_dim, hidden_dim=hidden_dim, out_dim=out_dim,
         in_w=_xavier(rng, h, input_dim), in_b=np.zeros(h),
         layers=layers,
-        out_w=_xavier(rng, out_dim, h), out_b=np.zeros(out_dim))
+        out_w=_xavier(rng, out_dim, h))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +224,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
     for layer, lp in zip(model.layers, plan.layers):
         h_in = h
         out_n = lp.out_size
-        self_term = h_in[:out_n] @ layer.self_w.T + layer.self_b
+        self_term = h_in[:out_n] @ layer.self_w.T
         gate_dst = h_in[:out_n] @ layer.gate_dst_w.T + layer.gate_dst_b
         gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
         msg_in = h_in @ layer.msg_w.T + layer.msg_b
@@ -253,7 +250,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
                                         agg=agg, x_hat=x_hat, inv_std=inv_std,
                                         relu_mask=relu_mask))
     trace.h_final = h
-    y = h[:plan.batch_size] @ model.out_w.T + model.out_b
+    y = h[:plan.batch_size] @ model.out_w.T
     return y, trace
 
 
@@ -274,7 +271,6 @@ def backward(model: GcnModel, trace: ForwardTrace,
     grads = {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
 
     grads["out_w"] += grad_y.T @ trace.h_final[:plan.batch_size]
-    grads["out_b"] += grad_y.sum(axis=0)
     dh = np.zeros_like(trace.h_final)
     dh[:plan.batch_size] = grad_y @ model.out_w
 
@@ -297,7 +293,6 @@ def backward(model: GcnModel, trace: ForwardTrace,
 
         # self transform path
         grads[prefix + "self_w"] += ds.T @ lt.h_in[:out_n]
-        grads[prefix + "self_b"] += ds.sum(axis=0)
         dh_in = np.zeros_like(lt.h_in)
         dh_in[:out_n] += ds @ layer.self_w
         dh_in[:out_n] += dh  # residual connection
@@ -431,7 +426,8 @@ def save_model(model: GcnModel, path) -> None:
 
 
 def load_model(path) -> GcnModel:
-    """Read a checkpoint written by save_model; validates the magic string."""
+    """Read a checkpoint written by save_model; validates the magic string.
+    Arrays the model does not have are ignored, so older checkpoints load."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -445,6 +441,8 @@ def load_model(path) -> GcnModel:
     model = init_model(header["input_dim"], header["hidden_dim"], seed=0,
                        num_layers=header["num_layers"], out_dim=header["out_dim"])
     for name, arr in model.named_state():
+        if name not in entries:
+            raise ValueError(f"{path}: no array {name}")
         entry = entries[name]
         shape = tuple(entry["shape"])
         arr[:] = np.frombuffer(blob, dtype=entry["dtype"], count=int(np.prod(shape)),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtsne import Graph, init_model, load_model, save_model
-from graphtsne.gcn import (AdamState, _segment_sum, adam_step, backward,
+from graphtsne.gcn import (AdamState, GcnModel, _segment_sum, adam_step, backward,
                            build_batch_plan, build_full_plan, forward,
                            init_adam, maybe_decay_lr, CHECKPOINT_MAGIC)
 from graphtsne.graph import neighbor_subsample
@@ -61,15 +61,13 @@ class TestForward:
     def test_zero_conv_weights_residual_passthrough(self, rng):
         ds, model, plan = tiny_instance()
         for layer in model.layers:
-            for attr in ("self_w", "self_b", "msg_w", "msg_b", "gate_dst_w",
-                         "gate_dst_b", "gate_src_w", "gate_src_b", "bn_scale",
-                         "bn_shift"):
+            for attr in ("self_w", "msg_w", "msg_b", "gate_dst_w", "gate_dst_b",
+                         "gate_src_w", "gate_src_b", "bn_scale", "bn_shift"):
                 getattr(layer, attr)[:] = 0.0
         y, trace = forward(model, plan, ds.features, mode="train")
         expected_h = ds.features @ model.in_w.T + model.in_b
         assert np.allclose(trace.h_final, expected_h, atol=1e-12)
-        assert np.allclose(y, expected_h @ model.out_w.T + model.out_b,
-                           atol=1e-12)
+        assert np.allclose(y, expected_h @ model.out_w.T, atol=1e-12)
 
     def test_isolated_node_zero_aggregation(self):
         g = Graph.from_edges(3, [(0, 1)])   # node 2 isolated
@@ -103,12 +101,12 @@ class TestForward:
                 gate = sigmoid(layer.gate_dst_w @ h[i] + layer.gate_dst_b
                                + layer.gate_src_w @ h[j] + layer.gate_src_b)
                 agg = gate * (layer.msg_w @ h[j] + layer.msg_b)
-                s = layer.self_w @ h[i] + layer.self_b + agg
+                s = layer.self_w @ h[i] + agg
                 xhat = (s - layer.bn_mean) / np.sqrt(layer.bn_var + 1e-5)
                 z = layer.bn_scale * xhat + layer.bn_shift
                 nxt[i] = np.maximum(z, 0.0) + h[i]
             h = nxt
-        expected = h @ model.out_w.T + model.out_b
+        expected = h @ model.out_w.T
         assert np.abs(y - expected).max() <= 1e-6
 
     def test_eval_mode_deterministic_and_pure(self):
@@ -343,6 +341,33 @@ class TestCheckpoint:
         path.write_bytes(b"NOTGTSNE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="GTSNE1"):
             load_model(path)
+
+    def test_missing_array_named(self, tmp_path, monkeypatch):
+        model = init_model(3, 4, seed=30)
+        state = [item for item in model.named_state() if item[0] != "layer2.msg_b"]
+        monkeypatch.setattr(GcnModel, "named_state", lambda self: iter(state))
+        save_model(model, tmp_path / "model.gtsne")
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="model.gtsne: no array layer2.msg_b"):
+            load_model(tmp_path / "model.gtsne")
+
+    def test_removed_bias_arrays_ignored(self, tmp_path, monkeypatch):
+        """A checkpoint that still holds the biases self_b and out_b loads."""
+        model = init_model(3, 4, seed=30)
+        state = []
+        for name, arr in model.named_state():
+            state.append((name, arr))
+            if name.endswith("self_w"):
+                state.append((name.replace("self_w", "self_b"), np.ones(4)))
+            elif name == "out_w":
+                state.append(("out_b", np.ones(2)))
+        monkeypatch.setattr(GcnModel, "named_state", lambda self: iter(state))
+        save_model(model, tmp_path / "model.gtsne")
+        monkeypatch.undo()
+        loaded = load_model(tmp_path / "model.gtsne")
+        for (na, a), (nb, b) in zip(model.named_state(), loaded.named_state()):
+            assert na == nb
+            assert np.array_equal(a, b), na
 
     def test_loaded_model_embeds_identically(self, tmp_path):
         ds, model, plan = tiny_instance()

@@ -221,7 +221,7 @@ class TestTrainFullBatch:
 
         def poisoned(state, model, grads):
             step(state, model, grads)
-            model.out_b[0] = np.inf  # after the loss of the only step
+            model.out_w[0, 0] = np.inf  # after the loss of the only step
 
         monkeypatch.setattr(trainer, "adam_step", poisoned)
         cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=8, mode="full", seed=1)
