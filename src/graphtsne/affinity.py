@@ -27,10 +27,11 @@ def pairwise_sq_euclidean(x: np.ndarray) -> np.ndarray:
 
     The result is exactly symmetric with a zero diagonal.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # on one C-ordered buffer x @ x.T is BLAS syrk, which computes one
+    # triangle and copies it to the other, so d is exactly symmetric as built
+    x = np.ascontiguousarray(x, dtype=np.float64)
     sq = np.einsum("ij,ij->i", x, x)
     d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    d = 0.5 * (d + d.T)
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d

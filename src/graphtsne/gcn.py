@@ -21,8 +21,14 @@ import numpy as np
 
 from .graph import Graph, SubsampledBatch
 
+NUM_LAYERS = 2
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_PATIENCE = 5
+LR_DECAY_FACTOR = 1.25
 
 CHECKPOINT_MAGIC = b"GTSNE1\n"
 
@@ -83,7 +89,7 @@ class GcnModel:
 
 
 def init_model(input_dim: int, hidden_dim: int, seed: int,
-               num_layers: int = 2, out_dim: int = 2) -> GcnModel:
+               num_layers: int = NUM_LAYERS, out_dim: int = 2) -> GcnModel:
     """Xavier-uniform weights, zero biases, identity batch-norm state."""
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError("input_dim and hidden_dim must be >= 1")
@@ -268,9 +274,7 @@ def backward(model: GcnModel, trace: ForwardTrace,
     if grad_y.shape != (plan.batch_size, model.out_dim):
         raise ValueError("grad_y shape does not match the plan batch")
 
-    grads = {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
-
-    grads["out_w"] += grad_y.T @ trace.h_final[:plan.batch_size]
+    grads = {"out_w": grad_y.T @ trace.h_final[:plan.batch_size]}
     dh = np.zeros_like(trace.h_final)
     dh[:plan.batch_size] = grad_y @ model.out_w
 
@@ -284,15 +288,15 @@ def backward(model: GcnModel, trace: ForwardTrace,
         dz = np.where(lt.relu_mask, dh, 0.0)
 
         # batch norm backward (batch statistics, biased variance)
-        grads[prefix + "bn_scale"] += (dz * lt.x_hat).sum(axis=0)
-        grads[prefix + "bn_shift"] += dz.sum(axis=0)
+        grads[prefix + "bn_scale"] = (dz * lt.x_hat).sum(axis=0)
+        grads[prefix + "bn_shift"] = dz.sum(axis=0)
         dxhat = dz * layer.bn_scale
         b = float(out_n)
         ds = (lt.inv_std / b) * (b * dxhat - dxhat.sum(axis=0)
                                  - lt.x_hat * (dxhat * lt.x_hat).sum(axis=0))
 
         # self transform path
-        grads[prefix + "self_w"] += ds.T @ lt.h_in[:out_n]
+        grads[prefix + "self_w"] = ds.T @ lt.h_in[:out_n]
         dh_in = np.zeros_like(lt.h_in)
         dh_in[:out_n] += ds @ layer.self_w
         dh_in[:out_n] += dh  # residual connection
@@ -308,20 +312,20 @@ def backward(model: GcnModel, trace: ForwardTrace,
         dgate_dst = _segment_sum(dpre, lp.dst, out_n)
         dgate_src = _segment_sum(dpre, lp.src, lp.in_size)
 
-        grads[prefix + "msg_w"] += dmsg_in.T @ lt.h_in
-        grads[prefix + "msg_b"] += dmsg_in.sum(axis=0)
-        grads[prefix + "gate_dst_w"] += dgate_dst.T @ lt.h_in[:out_n]
-        grads[prefix + "gate_dst_b"] += dgate_dst.sum(axis=0)
-        grads[prefix + "gate_src_w"] += dgate_src.T @ lt.h_in
-        grads[prefix + "gate_src_b"] += dgate_src.sum(axis=0)
+        grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
+        grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
+        grads[prefix + "gate_dst_w"] = dgate_dst.T @ lt.h_in[:out_n]
+        grads[prefix + "gate_dst_b"] = dgate_dst.sum(axis=0)
+        grads[prefix + "gate_src_w"] = dgate_src.T @ lt.h_in
+        grads[prefix + "gate_src_b"] = dgate_src.sum(axis=0)
 
         dh_in += dmsg_in @ layer.msg_w
         dh_in[:out_n] += dgate_dst @ layer.gate_dst_w
         dh_in += dgate_src @ layer.gate_src_w
         dh = dh_in
 
-    grads["in_w"] += dh.T @ trace.x_sub
-    grads["in_b"] += dh.sum(axis=0)
+    grads["in_w"] = dh.T @ trace.x_sub
+    grads["in_b"] = dh.sum(axis=0)
     return grads
 
 
@@ -332,14 +336,9 @@ def backward(model: GcnModel, trace: ForwardTrace,
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    patience: int = 5
-    decay_factor: float = 1.25
     best_loss: float | None = None
     stale_epochs: int = 0
 
@@ -355,18 +354,17 @@ def init_adam(model: GcnModel, lr: float) -> AdamState:
 def adam_step(state: AdamState, model: GcnModel, grads: dict) -> None:
     """One Adam update with bias correction; parameters updated in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, param in model.named_parameters():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def maybe_decay_lr(state: AdamState, epoch_loss: float) -> bool:
@@ -374,8 +372,8 @@ def maybe_decay_lr(state: AdamState, epoch_loss: float) -> bool:
 
     An epoch counts as stale unless its loss strictly improves on the best
     seen so far (the first epoch, having nothing to improve on, is stale).
-    After ``patience`` consecutive stale epochs the learning rate is divided
-    by ``decay_factor`` and the counter resets.
+    After ``LR_PATIENCE`` consecutive stale epochs the learning rate is
+    divided by ``LR_DECAY_FACTOR`` and the counter resets.
     """
     improved = state.best_loss is not None and epoch_loss < state.best_loss
     if state.best_loss is None or epoch_loss < state.best_loss:
@@ -384,8 +382,8 @@ def maybe_decay_lr(state: AdamState, epoch_loss: float) -> bool:
         state.stale_epochs = 0
         return False
     state.stale_epochs += 1
-    if state.stale_epochs >= state.patience:
-        state.lr /= state.decay_factor
+    if state.stale_epochs >= LR_PATIENCE:
+        state.lr /= LR_DECAY_FACTOR
         state.stale_epochs = 0
         return True
     return False

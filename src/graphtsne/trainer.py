@@ -21,8 +21,8 @@ import numpy as np
 from .affinity import (AffinityMatrix, joint_p, pairwise_sq_euclidean,
                        studentt_q)
 from .errors import EmptyAffinityError, MalformedInputError, TrainingError
-from .gcn import (GcnModel, build_batch_plan, build_full_plan, backward,
-                  forward, init_adam, init_model, adam_step, maybe_decay_lr)
+from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
+                  backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
 from .graph import (Graph, LabeledDataset, _read_lines, all_pairs_distances,
                     bfs_shortest_paths, neighbor_subsample)
 
@@ -61,8 +61,9 @@ class TrainConfig:
         if self.mode == "minibatch":
             if self.batch_count < 1:
                 raise ValueError("batch_count must be >= 1")
-            if len(self.fanouts) == 0 or any(f < 1 for f in self.fanouts):
-                raise ValueError("fanouts must be positive counts, one per layer")
+            if len(self.fanouts) != NUM_LAYERS or any(f < 1 for f in self.fanouts):
+                raise ValueError(f"fanouts must be {NUM_LAYERS} positive counts, "
+                                 f"one per layer, got {self.fanouts}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.hop_cap < 1:
@@ -104,7 +105,8 @@ class CompositeLoss:
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     # convention: terms with p_ij = 0 contribute nothing
     mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    pm = p[mask]
+    return float(np.sum(pm * np.log(pm / q[mask])))
 
 
 def composite_loss_and_grad(p_graph, p_feat, y: np.ndarray,
@@ -282,9 +284,6 @@ def train_minibatch(data: LabeledDataset, cfg: TrainConfig,
         raise ValueError("train_minibatch requires cfg.mode == 'minibatch'")
 
     def epochs(model):
-        if len(cfg.fanouts) != model.num_layers:
-            raise ValueError(f"need one fanout per layer "
-                             f"({model.num_layers}), got {cfg.fanouts}")
         return (_batch_steps(data, cfg, epoch) for epoch in range(cfg.epochs))
 
     return _train(data.features, cfg, epochs, on_batch)

@@ -46,10 +46,14 @@ class TestPairwiseSqEuclidean:
         assert np.abs(d - naive_sq_euclidean(x)).max() <= 1e-10
 
     def test_exactly_symmetric_zero_diagonal(self, rng):
-        x = rng.normal(size=(30, 5))
-        d = pairwise_sq_euclidean(x)
-        assert np.array_equal(d, d.T)
-        assert np.array_equal(np.diag(d), np.zeros(30))
+        # at this size a general (not syrk) product of a strided or reversed
+        # x can round d[i, j] and d[j, i] differently
+        x = rng.normal(size=(70, 240))
+        for layout in (x, np.asfortranarray(x), x[:, ::2], x[::-1],
+                       rng.integers(-50, 50, size=(70, 240)), x > 0.0):
+            d = pairwise_sq_euclidean(layout)
+            assert np.array_equal(d, d.T)
+            assert np.array_equal(np.diag(d), np.zeros(70))
 
 
 class TestCalibrateRow:

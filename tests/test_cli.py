@@ -167,6 +167,17 @@ class TestFit:
         err = capsys.readouterr().err
         assert "seed" in err and "absent.csv" not in err
 
+    def test_wrong_fanout_count_exits_2_before_reading_input(self, dataset_dir,
+                                                            tmp_path, capsys):
+        cfg = tmp_path / "fanouts.cfg"
+        cfg.write_text("mode = minibatch\nfanouts = 10,15,20\n")
+        code = main(["fit", "--edges", str(tmp_path / "absent.txt"),
+                     *base_args(dataset_dir)[2:8], "--config", str(cfg),
+                     "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 2  # an absent edges file, once read, exits 1
+        err = capsys.readouterr().err
+        assert "fanouts" in err and "absent.txt" not in err
+
     def test_nan_lr_in_config_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "lr.cfg"
         cfg.write_text("hidden_dim = 8\nepochs = 2\nlr = nan\n")

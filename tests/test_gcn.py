@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtsne import Graph, init_model, load_model, save_model
-from graphtsne.gcn import (AdamState, GcnModel, _segment_sum, adam_step, backward,
-                           build_batch_plan, build_full_plan, forward,
-                           init_adam, maybe_decay_lr, CHECKPOINT_MAGIC)
+from graphtsne.gcn import (LR_DECAY_FACTOR, LR_PATIENCE, AdamState, GcnModel,
+                           _segment_sum, adam_step, backward, build_batch_plan,
+                           build_full_plan, forward, init_adam, maybe_decay_lr,
+                           CHECKPOINT_MAGIC)
 from graphtsne.graph import neighbor_subsample
 from graphtsne.synthetic import random_dataset
 
@@ -189,6 +190,8 @@ class TestBackward:
         _, trace = forward(model, plan, ds.features, mode="train")
         grads = backward(model, trace, gy)
         params = dict(model.named_parameters())
+        assert ({name: g.shape for name, g in grads.items()}
+                == {name: p.shape for name, p in params.items()})
         fds = finite_difference_grads(loss, list(params.values()))
         for name, fd in zip(params, fds):
             assert max_relative_error(grads[name], fd) <= 1e-5, name
@@ -302,21 +305,21 @@ class TestLrDecay:
         assert state.lr == 0.1
 
     def test_constant_loss_two_patience_windows_two_decays(self):
-        state = AdamState(lr=0.1, patience=5, decay_factor=1.25)
-        decays = sum(maybe_decay_lr(state, 2.5) for _ in range(10))
+        state = AdamState(lr=0.1)
+        decays = sum(maybe_decay_lr(state, 2.5) for _ in range(2 * LR_PATIENCE))
         assert decays == 2
-        assert state.lr == pytest.approx(0.1 / 1.25 ** 2, rel=1e-12)
+        assert state.lr == pytest.approx(0.1 / LR_DECAY_FACTOR ** 2, rel=1e-12)
 
     def test_improvement_resets_counter(self):
-        state = AdamState(lr=0.1, patience=3)
-        maybe_decay_lr(state, 5.0)
-        maybe_decay_lr(state, 5.0)
-        maybe_decay_lr(state, 4.0)   # improvement: counter resets
+        state = AdamState(lr=0.1)
+        for _ in range(LR_PATIENCE - 1):
+            assert not maybe_decay_lr(state, 5.0)
+        assert not maybe_decay_lr(state, 4.0)   # improvement: counter resets
         assert state.stale_epochs == 0
-        maybe_decay_lr(state, 4.0)
-        maybe_decay_lr(state, 4.0)
+        for _ in range(LR_PATIENCE - 1):
+            assert not maybe_decay_lr(state, 4.0)
         decayed = maybe_decay_lr(state, 4.0)
-        assert decayed and state.lr == pytest.approx(0.1 / 1.25)
+        assert decayed and state.lr == pytest.approx(0.1 / LR_DECAY_FACTOR)
 
 
 class TestCheckpoint:

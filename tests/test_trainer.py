@@ -332,6 +332,8 @@ class TestTrainMinibatch:
                           batch_count=2, fanouts=(3,), seed=21)
         with pytest.raises(ValueError, match="fanout"):
             train_minibatch(ds, cfg)
+        with pytest.raises(ValueError, match="fanouts"):
+            replace(cfg, fanouts=(3, 3, 3)).validate()
 
 
 class Stop(Exception):
