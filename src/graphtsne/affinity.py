@@ -1,6 +1,7 @@
 """Perplexity-calibrated input affinities and Student-t map affinities.
 
-The KL loss between them is ``trainer.composite_loss_and_grad``.
+The KL loss between them is ``trainer.composite_loss_and_grad``; it makes
+its Student-t weights a block of rows at a time, not with ``studentt_q``.
 
 All computations here run in float64. Input distances may contain the
 unreachable sentinel (inf); such entries always receive exactly zero
@@ -10,6 +11,7 @@ conditional probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +21,7 @@ SIGMA_LO = 1e-20
 SIGMA_HI = 1e20
 PERPLEXITY_TOL = 1e-4
 MAX_SEARCH_ITERS = 60
-_CALIBRATION_BLOCK = 64  # rows per block of joint_p; its temporaries are O(block * N)
+_CALIBRATION_BLOCK = 64  # rows per block of joint_p, p_log_p_and_sum: O(block * N) memory
 
 
 def pairwise_sq_euclidean(x: np.ndarray) -> np.ndarray:
@@ -134,6 +136,16 @@ class AffinityMatrix:
     def size(self) -> int:
         return self.p.shape[0]
 
+    @cached_property
+    def p_log_p_and_sum(self) -> tuple[float, float]:
+        """(sum of p log p over p > 0, sum of p): the KL's map-free part, made once."""
+        h = 0.0
+        for first in range(0, self.size, _CALIBRATION_BLOCK):
+            block = self.p[first:first + _CALIBRATION_BLOCK]
+            pm = block[block > 0.0]
+            h += float(np.dot(pm, np.log(pm)))
+        return h, float(self.p.sum())
+
 
 def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     """Perplexity-calibrated joint probability matrix from pairwise distances.
@@ -173,7 +185,7 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
 @dataclass
 class MapAffinity:
     """Normalized Student-t (1 dof) joint probabilities q over map point
-    pairs, and the unnormalized weights w = Z q that the loss gradient reads."""
+    pairs, and their unnormalized weights w = Z q."""
 
     q: np.ndarray
     w: np.ndarray

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affinity import (AffinityMatrix, joint_p, pairwise_sq_euclidean,
-                       studentt_q)
+from .affinity import AffinityMatrix, joint_p, pairwise_sq_euclidean
 from .errors import EmptyAffinityError, MalformedInputError, TrainingError
 from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
                   backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
 from .graph import (Graph, LabeledDataset, _read_lines, all_pairs_distances,
-                    bfs_shortest_paths, neighbor_subsample)
+                    bfs_shortest_paths, neighbor_subsample, row_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -102,38 +101,51 @@ class CompositeLoss:
     grad: np.ndarray
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    # convention: terms with p_ij = 0 contribute nothing
-    mask = p > 0.0
-    pm = p[mask]
-    return float(np.sum(pm * np.log(pm / q[mask])))
-
-
 def composite_loss_and_grad(p_graph, p_feat, y: np.ndarray,
                             alpha: float) -> CompositeLoss:
     """Blended KL loss over a shared map distribution and its exact gradient.
 
     total = alpha * KL(p_graph || q) + (1 - alpha) * KL(p_feat || q); the
-    gradient is the same convex combination, computed in one pass from the
-    blended affinities. Accepts AffinityMatrix objects or raw matrices.
+    gradient is the same convex combination. Accepts AffinityMatrix objects
+    or raw matrices. Row blocks of the map make no N x N temporary: each KL is
+    sum p log p + <P, log1p(d)> + log(sum w) * sum P (van der Maaten, JMLR 2014).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    pg = p_graph.p if isinstance(p_graph, AffinityMatrix) else np.asarray(p_graph)
-    px = p_feat.p if isinstance(p_feat, AffinityMatrix) else np.asarray(p_feat)
+    pg, px = (p if isinstance(p, AffinityMatrix) else
+              AffinityMatrix(p=np.asarray(p), sigmas=np.full(len(p), np.nan))
+              for p in (p_graph, p_feat))
     y = np.asarray(y, dtype=np.float64)
-    if pg.shape != (y.shape[0], y.shape[0]) or px.shape != pg.shape:
+    if pg.p.shape != (y.shape[0], y.shape[0]) or px.p.shape != pg.p.shape:
         raise ValueError("affinity matrices must be BxB matching y rows")
-    q_map = studentt_q(y)
-    q, w = q_map.q, q_map.w
-    graph_term = _kl(pg, q)
-    feature_term = _kl(px, q)
-    p_bar = alpha * pg + (1.0 - alpha) * px
-    m = (p_bar - q) * w
-    grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+    if y.shape[0] < 2:
+        raise ValueError("need at least 2 map points")
+    sq = np.einsum("ij,ij->i", y, y)
+    z, inner_g, inner_x = 0.0, 0.0, 0.0
+    attr, rep = np.empty_like(y), np.empty_like(y)
+    for rows in row_blocks(y.shape[0]):
+        block, self_entry = slice(rows[0], rows[-1] + 1), (np.arange(rows.size), rows)
+        d = sq[block, None] + sq[None, :] - 2.0 * (y[block] @ y.T)
+        np.maximum(d, 0.0, out=d)
+        d[self_entry] = 0.0
+        log1p_d = np.log1p(d)  # -log w
+        inner_g += float(np.vdot(pg.p[block], log1p_d))
+        inner_x += float(np.vdot(px.p[block], log1p_d))
+        d += 1.0
+        w = np.reciprocal(d, out=d)
+        w[self_entry] = 0.0
+        z += float(w.sum())
+        a = (alpha * pg.p[block] + (1.0 - alpha) * px.p[block]) * w
+        attr[block] = a.sum(axis=1)[:, None] * y[block] - a @ y
+        w *= w
+        rep[block] = w.sum(axis=1)[:, None] * y[block] - w @ y
+    log_z = float(np.log(z))
+    (h_g, sum_g), (h_x, sum_x) = pg.p_log_p_and_sum, px.p_log_p_and_sum
+    graph_term = h_g + inner_g + log_z * sum_g
+    feature_term = h_x + inner_x + log_z * sum_x
     total = alpha * graph_term + (1.0 - alpha) * feature_term
     return CompositeLoss(total=total, graph_term=graph_term,
-                         feature_term=feature_term, grad=grad)
+                         feature_term=feature_term, grad=4.0 * (attr - rep / z))
 
 
 def _affinities(cfg: TrainConfig, size: int, graph_distances, feature_distances):
@@ -146,7 +158,8 @@ def _affinities(cfg: TrainConfig, size: int, graph_distances, feature_distances)
     for which, weight, distances in (("graph", cfg.alpha, graph_distances),
                                      ("feature", 1.0 - cfg.alpha, feature_distances)):
         if weight == 0.0:
-            terms.append(np.zeros((size, size)))
+            terms.append(AffinityMatrix(p=np.zeros((size, size)),
+                                        sigmas=np.full(size, np.nan)))
             continue
         try:
             terms.append(joint_p(distances(), cfg.perplexity))

@@ -2,10 +2,15 @@
 
 Everything here is written as literal, loop-based formula transcriptions
 with no code shared with the package, deliberately favoring obviousness
-over speed.
+over speed. The one exception is ``dense_composite_loss``: the library's
+former whole-matrix loss, kept as it was (Q from ``studentt_q``) to check
+the row-blocked loss that replaced it at sizes the loops cannot reach.
 """
 
 import numpy as np
+
+from graphtsne.affinity import AffinityMatrix, studentt_q
+from graphtsne.trainer import CompositeLoss
 
 
 def floyd_warshall(num_nodes, edge_pairs):
@@ -252,6 +257,40 @@ def kl_oracle(p, y):
                 loss += p[i, j] * np.log(p[i, j] / q)
             grad[i] += 4.0 * (p[i, j] - q) * w[i, j] * (y[i] - y[j])
     return loss, grad
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    # convention: terms with p_ij = 0 contribute nothing
+    mask = p > 0.0
+    pm = p[mask]
+    return float(np.sum(pm * np.log(pm / q[mask])))
+
+
+def dense_composite_loss(p_graph, p_feat, y: np.ndarray,
+                         alpha: float) -> CompositeLoss:
+    """Blended KL loss over a shared map distribution and its exact gradient.
+
+    total = alpha * KL(p_graph || q) + (1 - alpha) * KL(p_feat || q); the
+    gradient is the same convex combination, computed in one pass from the
+    blended affinities. Accepts AffinityMatrix objects or raw matrices.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    pg = p_graph.p if isinstance(p_graph, AffinityMatrix) else np.asarray(p_graph)
+    px = p_feat.p if isinstance(p_feat, AffinityMatrix) else np.asarray(p_feat)
+    y = np.asarray(y, dtype=np.float64)
+    if pg.shape != (y.shape[0], y.shape[0]) or px.shape != pg.shape:
+        raise ValueError("affinity matrices must be BxB matching y rows")
+    q_map = studentt_q(y)
+    q, w = q_map.q, q_map.w
+    graph_term = _kl(pg, q)
+    feature_term = _kl(px, q)
+    p_bar = alpha * pg + (1.0 - alpha) * px
+    m = (p_bar - q) * w
+    grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+    total = alpha * graph_term + (1.0 - alpha) * feature_term
+    return CompositeLoss(total=total, graph_term=graph_term,
+                         feature_term=feature_term, grad=grad)
 
 
 def receptive_field_sizes(sample):

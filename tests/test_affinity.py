@@ -204,6 +204,16 @@ class TestJointP:
         with pytest.raises(ValueError):
             joint_p(d, 5.0)
 
+    def test_p_log_p_and_sum_made_once_over_row_blocks(self, rng):
+        aff = joint_p(pairwise_sq_euclidean(rng.normal(size=(150, 3))), 10.0)
+        h, total = aff.p_log_p_and_sum
+        pm = aff.p[aff.p > 0.0]
+        assert h == pytest.approx(float(np.sum(pm * np.log(pm))), rel=1e-12)
+        assert total == pytest.approx(1.0, rel=1e-12)
+        assert aff.p_log_p_and_sum is aff.p_log_p_and_sum
+        zero = affinity.AffinityMatrix(p=np.zeros((3, 3)), sigmas=np.full(3, np.nan))
+        assert zero.p_log_p_and_sum == (0.0, 0.0)
+
 
 class TestStudenttQ:
     def test_two_points_half(self):

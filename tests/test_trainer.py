@@ -1,20 +1,24 @@
 import logging
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtsne import (Graph, LabeledDataset, MalformedInputError,
                        TrainingError, TrainConfig, composite_loss_and_grad,
                        default_config, embed, joint_p, pairwise_sq_euclidean,
                        train_full_batch, train_minibatch)
 from graphtsne import trainer
+from graphtsne.affinity import AffinityMatrix
 from graphtsne.gcn import init_model
 from graphtsne.graph import all_pairs_distances
 from graphtsne.trainer import read_config_file
 from graphtsne.synthetic import random_dataset, sbm_dataset
 
-from oracles import kl_oracle
+from oracles import dense_composite_loss, kl_oracle
 
 
 def affinity_pair(rng, n=12):
@@ -100,6 +104,70 @@ class TestCompositeLoss:
         pg, px = affinity_pair(rng)
         with pytest.raises(ValueError):
             composite_loss_and_grad(pg, px, rng.normal(size=(5, 2)), alpha=0.5)
+
+    def test_fewer_than_two_points_rejected(self):
+        with pytest.raises(ValueError):
+            composite_loss_and_grad(np.zeros((1, 1)), np.zeros((1, 1)),
+                                    np.zeros((1, 2)), alpha=0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_row_blocks_match_dense_oracle(self, data):
+        n = data.draw(st.integers(2, 200), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def affinity():
+            kind = data.draw(st.sampled_from(["dense", "zero rows", "all zero"]))
+            p = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+            if kind == "zero rows":  # e.g. nodes no other node reaches
+                dead = rng.random(n) < 0.3
+                p[dead] = 0.0
+                p[:, dead] = 0.0
+            if kind == "all zero":  # a term with weight 0
+                p[:] = 0.0
+            # a symmetric P on 2 points equals Q: its KL is a rounding of 0
+            if n > 2 and data.draw(st.booleans()):
+                p = p + p.T
+            np.fill_diagonal(p, 0.0)
+            if p.any():
+                p /= p.sum()
+            if data.draw(st.booleans()):
+                return AffinityMatrix(p=p, sigmas=np.full(n, np.nan))
+            return p
+
+        pg, px = affinity(), affinity()
+        alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                          label="alpha")
+        y = rng.normal(size=(n, 2)) * 10.0 ** data.draw(st.floats(-3.0, 1.0))
+        block = data.draw(st.sampled_from([1, 3, n + 1]), label="block")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("graphtsne.graph._RANK_BLOCK", block)
+            fused = composite_loss_and_grad(pg, px, y, alpha)
+        dense = dense_composite_loss(pg, px, y, alpha)
+        for name in ("total", "graph_term", "feature_term"):
+            assert type(getattr(fused, name)) is float
+            # a KL near 0 is a difference of terms of order log N^2
+            assert getattr(fused, name) == pytest.approx(getattr(dense, name),
+                                                         rel=1e-12, abs=1e-13)
+        assert (np.abs(fused.grad - dense.grad).max()
+                <= 1e-12 * np.abs(dense.grad).max())
+
+    def test_one_call_holds_no_n_by_n_temporary(self):
+        n = 1500
+        rng = np.random.default_rng(0)
+        pg, px = rng.random((n, n)), rng.random((n, n))
+        for p in (pg, px):
+            np.fill_diagonal(p, 0.0)
+            p /= p.sum()
+        pg, px = (AffinityMatrix(p=p, sigmas=np.ones(n)) for p in (pg, px))
+        y = rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            composite_loss_and_grad(pg, px, y, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestTrainConfig:
@@ -214,6 +282,20 @@ class TestTrainFullBatch:
         _, report = train_full_batch(small_sbm, cfg)
         assert (report.graph_losses if alpha == 0.0 else report.feature_losses) == [0.0] * 3
         assert np.isfinite(report.total_losses).all()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_zero_weight_term_is_an_all_zero_affinity(self, alpha):
+        cfg = TrainConfig(alpha=alpha, epochs=1, hidden_dim=4, mode="full",
+                          perplexity=2.0)
+        x = np.random.default_rng(3).normal(size=(6, 3))
+        terms = trainer._affinities(cfg, 6, lambda: pairwise_sq_euclidean(x),
+                                    lambda: pairwise_sq_euclidean(x))[:2]
+        zero = terms[0] if alpha == 0.0 else terms[1]
+        assert isinstance(zero, AffinityMatrix)
+        assert not zero.p.any() and zero.p.shape == (6, 6)
+        assert np.isnan(zero.sigmas).all()
+        assert zero.n_converged == zero.n_degenerate == 0
+        assert zero.p_log_p_and_sum == (0.0, 0.0)
 
     def test_non_finite_weights_after_last_step_raise(self, small_sbm,
                                                       monkeypatch):
