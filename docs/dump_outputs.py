@@ -41,6 +41,8 @@ Covered:
   50-node batch's hop and feature matrices, the shape mini-batch training
   calibrates: P (by value where it is small enough, else hashed and
   sampled), sigmas by value, and the converged and degenerate counts;
+- knn_graph pairs for k = 1, 10 and 50 on the citation stand-in's features,
+  whose many ties test the tie order, and on the real-valued features;
 - evaluate_layout, its report without the run time;
 - the four input readers (edge list, features, labels, layout) on files
   with '#' comments (edge list only), blank lines and padded cells, once
@@ -71,7 +73,7 @@ import numpy as np
 from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
                        bfs_shortest_paths, build_batch_plan, build_full_plan,
                        citation_dataset, embed, evaluate_layout, forward,
-                       init_model, joint_p, load_model, neighbor_subsample,
+                       init_model, joint_p, knn_graph, load_model, neighbor_subsample,
                        pairwise_sq_euclidean, random_dataset, save_model, sbm_dataset,
                        train_full_batch, train_minibatch)
 from graphtsne.cli import main as cli_main, read_layout_csv
@@ -202,8 +204,10 @@ def affinities() -> dict:
     out = {"graph": affinity_record(all_pairs_distances(data.graph, hop_cap=20)),
            "feature": affinity_record(pairwise_sq_euclidean(data.features))}
     # every value distinct: real-valued features
-    out["real_feature"] = affinity_record(pairwise_sq_euclidean(
-        random_dataset(300, 1500, feature_dim=16, seed=0).features))
+    real = random_dataset(300, 1500, feature_dim=16, seed=0).features
+    out["real_feature"] = affinity_record(pairwise_sq_euclidean(real))
+    for name, x in (("citation", data.features), ("real", real)):
+        out[f"knn_graph_{name}"] = {str(k): digest(knn_graph(x, k)) for k in (1, 10, 50)}
     # one mini-batch of fit-minibatch's shape: 50 of 50000 nodes
     big = random_dataset(50000, 150000, feature_dim=16, seed=13)
     batch = np.sort(np.random.default_rng(3).choice(50000, 50, replace=False))

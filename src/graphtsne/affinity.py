@@ -21,7 +21,12 @@ SIGMA_LO = 1e-20
 SIGMA_HI = 1e20
 PERPLEXITY_TOL = 1e-4
 MAX_SEARCH_ITERS = 60
-_CALIBRATION_BLOCK = 64  # rows per block of joint_p, p_log_p_and_sum: O(block * N) memory
+_ROW_BLOCK = 64  # rows per block of every N x N pass: O(block * N) temporaries
+
+
+def row_blocks(n: int):
+    """The rows 0..n-1 as consecutive slices of at most ``_ROW_BLOCK`` rows."""
+    return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
 
 
 def pairwise_sq_euclidean(x: np.ndarray) -> np.ndarray:
@@ -140,8 +145,8 @@ class AffinityMatrix:
     def p_log_p_and_sum(self) -> tuple[float, float]:
         """(sum of p log p over p > 0, sum of p): the KL's map-free part, made once."""
         h = 0.0
-        for first in range(0, self.size, _CALIBRATION_BLOCK):
-            block = self.p[first:first + _CALIBRATION_BLOCK]
+        for rows in row_blocks(self.size):
+            block = self.p[rows]
             pm = block[block > 0.0]
             h += float(np.dot(pm, np.log(pm)))
         return h, float(self.p.sum())
@@ -162,20 +167,19 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     conditionals = np.zeros((n, n), dtype=np.float64)
     sigmas = np.full(n, np.nan)
     n_converged = 0
-    for first in range(0, n, _CALIBRATION_BLOCK):
-        rows = np.arange(first, min(first + _CALIBRATION_BLOCK, n))
-        block, mirror = d[rows], d[:, rows].T
+    for rows in row_blocks(n):
+        block, mirror = d[rows].copy(), d[:, rows].T
         finite = np.isfinite(block)
         if not (np.array_equal(finite, np.isfinite(mirror)) and np.allclose(
                 block[finite], mirror[finite], rtol=1e-9, atol=1e-12)):
             raise ValueError("distance matrix must be symmetric")
-        block[np.arange(rows.size), rows] = np.inf  # the self entry gets probability 0
+        np.fill_diagonal(block[:, rows], np.inf)  # the self entry gets probability 0
         sigmas[rows], _, converged, _, conditionals[rows] = _calibrate(block, target_perplexity)
         n_converged += int(converged.sum())
     n_degenerate = int(np.isnan(sigmas).sum())
     if n_degenerate == n:
         raise EmptyAffinityError("every row of the distance matrix is unreachable")
-
+    del d, distances, mirror  # all hold the input: a caller's temporary is freed before P
     p = (conditionals + conditionals.T) / (2.0 * n)
     p /= p.sum()
     return AffinityMatrix(p=p, sigmas=sigmas, n_degenerate=n_degenerate,

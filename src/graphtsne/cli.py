@@ -102,10 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _load_dataset(edges_path, features_path, labels_path, num_nodes=None):
+def _load_dataset(edges_path, features_path, labels_path, num_nodes=None, scored=True):
+    """The inputs as a dataset; one to be scored needs an edge (P_G is a mean over them)."""
     features = load_features_csv(features_path)
     n = features.shape[0] if num_nodes is None else num_nodes
     graph = load_edge_list(edges_path, n)
+    if scored and graph.num_edges == 0:
+        raise MalformedInputError(f"{edges_path}: no edges")
     labels = load_labels_csv(labels_path) if labels_path else None
     try:
         return LabeledDataset(graph=graph, features=features, labels=labels)
@@ -213,7 +216,8 @@ def _input_paths(args, with_layout: bool = False) -> dict:
 
 def cmd_fit(args) -> int:
     cfg = _resolve_config(args, args.num_nodes, args.alpha)
-    data = _load_dataset(args.edges, args.features, args.labels, args.num_nodes)
+    data = _load_dataset(args.edges, args.features, args.labels, args.num_nodes,
+                         scored=False)
     model, report = train(data, cfg)
     y = embed(model, data)
 
@@ -275,8 +279,6 @@ def _write_summary(path, result, t_ks, t_rs) -> None:
 
 def cmd_evaluate(args) -> int:
     data = _load_dataset(args.edges, args.features, args.labels)
-    if data.graph.num_edges == 0:  # P_G is a mean over the edges
-        raise MalformedInputError(f"{args.edges}: no edges")
     y = read_layout_csv(args.layout, data.graph.num_nodes)
     report = evaluate_layout(data, y, knn_k=args.knn_k, t_ks=args.t_ks,
                              t_rs=args.t_rs, folds=DEFAULT_FOLDS)

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import pairwise_sq_euclidean
+from .affinity import pairwise_sq_euclidean, row_blocks
 from .errors import MalformedInputError
 
 logger = logging.getLogger(__name__)
 
 #: Distance sentinel for node pairs with no connecting path (or beyond a hop cap).
 UNREACHABLE = np.inf
-_RANK_BLOCK = 64  # rows per block of rank_blocks; its temporaries are O(block * N)
 
 
 @dataclass
@@ -228,7 +227,7 @@ def bfs_shortest_paths(graph: Graph, sources, targets,
     # start equal to len(neighbors), so only nodes with neighbors are reduced
     linked = np.flatnonzero(np.diff(graph.offsets))
     starts = graph.offsets[linked]
-    for first in range(0, sources.size, 64):
+    for first in range(0, sources.size, 64):  # one bit per source in a uint64 word
         block = sources[first:first + 64]
         rows = out[first:first + 64]
         # bit b of a node's word is set once block[b] reaches it; the words
@@ -266,17 +265,12 @@ def all_pairs_distances(graph: Graph, hop_cap: int | None = None) -> np.ndarray:
     return bfs_shortest_paths(graph, ids, ids, hop_cap=hop_cap)
 
 
-def row_blocks(n: int):
-    """The row indices 0..n-1 in consecutive blocks of ``_RANK_BLOCK``."""
-    return (np.arange(i, min(i + _RANK_BLOCK, n)) for i in range(0, n, _RANK_BLOCK))
-
-
 def rank_blocks(d: np.ndarray):
-    """Yield ``(rows, order)`` per row block of a square distance matrix: ``order[b]``
-    lists every column but ``rows[b]``, nearest first, ties to the smaller index."""
+    """Yield ``(rows, order)`` per row slice of a square distance matrix: ``order[b]``
+    lists every column but ``rows.start + b``, nearest first, ties to the smaller index."""
     for rows in row_blocks(len(d)):
-        block = d[rows]
-        block[np.arange(rows.size), rows] = -np.inf  # self sorts first, then is cut
+        block = d[rows].copy()
+        np.fill_diagonal(block[:, rows], -np.inf)  # self sorts first, then is cut
         yield rows, np.argsort(block, axis=1, kind="stable")[:, 1:]
 
 

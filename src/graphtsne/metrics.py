@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .affinity import pairwise_sq_euclidean
+from .affinity import pairwise_sq_euclidean, row_blocks
 from .errors import TrainingError
-from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks, row_blocks
+from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks
 # not called here, but perfbench/tracer.py wraps metrics.knn_graph
 from .graph import knn_graph  # noqa: F401
 from .trainer import TrainConfig, _child_seed, embed, train
@@ -88,13 +88,14 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
         if ks:
             map_top[rows] = order[:, :map_top.shape[1]]
         if rs:  # one BFS for every radius; hops in map order, self cut
-            hops = bfs_shortest_paths(graph, rows, np.arange(n), hop_cap=max(rs))
+            hops = bfs_shortest_paths(graph, np.arange(rows.start, rows.stop),
+                                      np.arange(n), hop_cap=max(rs))
             hops = np.take_along_axis(hops, order, axis=1)
             for slot, r in enumerate(rs):
                 # within[b, m - 1]: r-hop neighbors among the m map-nearest
                 within = np.cumsum(hops <= r, axis=1)
                 size = within[:, -1]
-                inter = within[np.arange(rows.size), size - 1]
+                inter = within[np.arange(len(size)), size - 1]
                 jaccard[slot, rows] = np.where(
                     size > 0, inter / np.maximum(2 * size - inter, 1), 1.0)
         if labels is not None:
@@ -109,7 +110,7 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
         for rows, order in rank_blocks(pairwise_sq_euclidean(x)):
             knn[rows] = order[:, :knn.shape[1]]
             # feature rank (1 = nearest) of each kept map neighbor
-            rank = np.empty((rows.size, n), dtype=np.int64)
+            rank = np.empty((len(order), n), dtype=np.int64)
             np.put_along_axis(rank, order, np.arange(1, n), axis=1)
             near = np.take_along_axis(rank, map_top[rows], axis=1)
             for slot, k in enumerate(ks):

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affinity import AffinityMatrix, joint_p, pairwise_sq_euclidean
+from .affinity import AffinityMatrix, joint_p, pairwise_sq_euclidean, row_blocks
 from .errors import EmptyAffinityError, MalformedInputError, TrainingError
 from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
                   backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
 from .graph import (Graph, LabeledDataset, _read_lines, all_pairs_distances,
-                    bfs_shortest_paths, neighbor_subsample, row_blocks)
+                    bfs_shortest_paths, neighbor_subsample)
 
 logger = logging.getLogger(__name__)
 
@@ -124,21 +124,20 @@ def composite_loss_and_grad(p_graph, p_feat, y: np.ndarray,
     z, inner_g, inner_x = 0.0, 0.0, 0.0
     attr, rep = np.empty_like(y), np.empty_like(y)
     for rows in row_blocks(y.shape[0]):
-        block, self_entry = slice(rows[0], rows[-1] + 1), (np.arange(rows.size), rows)
-        d = sq[block, None] + sq[None, :] - 2.0 * (y[block] @ y.T)
+        d = sq[rows, None] + sq[None, :] - 2.0 * (y[rows] @ y.T)
         np.maximum(d, 0.0, out=d)
-        d[self_entry] = 0.0
+        np.fill_diagonal(d[:, rows], 0.0)
         log1p_d = np.log1p(d)  # -log w
-        inner_g += float(np.vdot(pg.p[block], log1p_d))
-        inner_x += float(np.vdot(px.p[block], log1p_d))
+        inner_g += float(np.vdot(pg.p[rows], log1p_d))
+        inner_x += float(np.vdot(px.p[rows], log1p_d))
         d += 1.0
         w = np.reciprocal(d, out=d)
-        w[self_entry] = 0.0
+        np.fill_diagonal(w[:, rows], 0.0)
         z += float(w.sum())
-        a = (alpha * pg.p[block] + (1.0 - alpha) * px.p[block]) * w
-        attr[block] = a.sum(axis=1)[:, None] * y[block] - a @ y
+        a = (alpha * pg.p[rows] + (1.0 - alpha) * px.p[rows]) * w
+        attr[rows] = a.sum(axis=1)[:, None] * y[rows] - a @ y
         w *= w
-        rep[block] = w.sum(axis=1)[:, None] * y[block] - w @ y
+        rep[rows] = w.sum(axis=1)[:, None] * y[rows] - w @ y
     log_z = float(np.log(z))
     (h_g, sum_g), (h_x, sum_x) = pg.p_log_p_and_sum, px.p_log_p_and_sum
     graph_term = h_g + inner_g + log_z * sum_g

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,20 @@ def draw_distances(data, n):
     d[np.diag_indices(n)] = data.draw(st.lists(st.floats(), min_size=n,
                                                max_size=n))
     return d
+
+
+class TestRowBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 200), st.data())
+    def test_slices_cover_each_row_once_in_order(self, n, data):
+        block = data.draw(st.sampled_from([1, 3, n + 1]))
+        with mock.patch.object(affinity, "_ROW_BLOCK", block):
+            slices = list(affinity.row_blocks(n))
+        assert all(type(rows) is slice and rows.step is None for rows in slices)
+        assert all(0 < rows.stop - rows.start <= block for rows in slices)
+        # each slice starts where the last stopped, the first at 0, the last stops at n
+        bounds = [0] + [rows.stop for rows in slices]
+        assert [rows.start for rows in slices] == bounds[:-1] and bounds[-1] == n
 
 
 class TestPairwiseSqEuclidean:
@@ -173,7 +188,7 @@ class TestJointP:
         perplexity = data.draw(st.floats(2.0, 8.0))
         block = data.draw(st.sampled_from([1, 3, n + 1]))
         expected = joint_p_loop(d, perplexity)
-        with mock.patch.object(affinity, "_CALIBRATION_BLOCK", block):
+        with mock.patch.object(affinity, "_ROW_BLOCK", block):
             if expected is None:
                 with pytest.raises(EmptyAffinityError):
                     joint_p(d, perplexity)
@@ -199,18 +214,34 @@ class TestJointP:
                                      <= affinity.PERPLEXITY_TOL)
             assert not res.degenerate or res.perplexity == 0.0
 
+    def test_input_matrix_freed_before_p_is_made(self):
+        """A caller's temporary distance matrix is not alive next to the
+        conditionals and P: the peak stays well under d + conditionals + P."""
+        n = 1500
+        x = np.random.default_rng(0).normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            joint_p(pairwise_sq_euclidean(x), 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * n * n * 8
+
     def test_asymmetric_input_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             joint_p(d, 5.0)
 
     def test_p_log_p_and_sum_made_once_over_row_blocks(self, rng):
-        aff = joint_p(pairwise_sq_euclidean(rng.normal(size=(150, 3))), 10.0)
-        h, total = aff.p_log_p_and_sum
-        pm = aff.p[aff.p > 0.0]
-        assert h == pytest.approx(float(np.sum(pm * np.log(pm))), rel=1e-12)
-        assert total == pytest.approx(1.0, rel=1e-12)
-        assert aff.p_log_p_and_sum is aff.p_log_p_and_sum
+        p = joint_p(pairwise_sq_euclidean(rng.normal(size=(150, 3))), 10.0).p
+        pm = p[p > 0.0]
+        for block in (affinity._ROW_BLOCK, 1, 3, 151):
+            aff = affinity.AffinityMatrix(p=p, sigmas=np.full(150, np.nan))
+            with mock.patch.object(affinity, "_ROW_BLOCK", block):
+                h, total = aff.p_log_p_and_sum
+            assert h == pytest.approx(float(np.sum(pm * np.log(pm))), rel=1e-12)
+            assert total == pytest.approx(1.0, rel=1e-12)
+            assert aff.p_log_p_and_sum is aff.p_log_p_and_sum
         zero = affinity.AffinityMatrix(p=np.zeros((3, 3)), sigmas=np.full(3, np.nan))
         assert zero.p_log_p_and_sum == (0.0, 0.0)
 

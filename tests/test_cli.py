@@ -341,6 +341,22 @@ class TestSweep:
         assert code == 2
         assert calls == []
 
+    def test_edgeless_graph_exits_1_naming_edges_file_before_training(
+            self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("sweep trained on a graph it cannot score")
+        monkeypatch.setattr(metrics, "train", no_train)
+        edges = tmp_path / "none.txt"
+        edges.write_text("# no edges\n")
+        args = ["sweep", *base_args(dataset_dir), "--grid", "0",
+                "--out-dir", str(tmp_path / "s")]
+        args[args.index("--edges") + 1] = str(edges)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "none.txt" in err and "no edges" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s" / "sweep.json").exists()
+
 
 class TestEvaluate:
     def eval_args(self, d, layout, out):

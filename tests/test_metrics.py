@@ -266,7 +266,7 @@ class TestEvaluateLayout:
         block = data.draw(st.integers(1, n + 1))  # often several row blocks
         dataset = LabeledDataset(graph=g, features=x, labels=labels)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("graphtsne.graph._RANK_BLOCK", block)
+            mp.setattr("graphtsne.affinity._ROW_BLOCK", block)
             rep = evaluate_layout(dataset, y, knn_k=knn_k, t_ks=t_ks,
                                   t_rs=t_rs, folds=folds, seed=seed)
             mp.setattr("graphtsne.metrics.rank_blocks", None)  # 1-NN alone sorts nothing

@@ -141,7 +141,7 @@ class TestCompositeLoss:
         y = rng.normal(size=(n, 2)) * 10.0 ** data.draw(st.floats(-3.0, 1.0))
         block = data.draw(st.sampled_from([1, 3, n + 1]), label="block")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("graphtsne.graph._RANK_BLOCK", block)
+            mp.setattr("graphtsne.affinity._ROW_BLOCK", block)
             fused = composite_loss_and_grad(pg, px, y, alpha)
         dense = dense_composite_loss(pg, px, y, alpha)
         for name in ("total", "graph_term", "feature_term"):
