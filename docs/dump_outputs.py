@@ -43,7 +43,10 @@ Covered:
   sampled), sigmas by value, and the converged and degenerate counts;
 - knn_graph pairs for k = 1, 10 and 50 on the citation stand-in's features,
   whose many ties test the tie order, and on the real-valued features;
-- evaluate_layout, its report without the run time;
+- every rank_blocks order (hashed) on the citation stand-in's features and on
+  a seeded 2-D layout rounded to 0.1, so that its distances tie;
+- evaluate_layout on that layout and on it rounded, its report without the
+  run time;
 - the four input readers (edge list, features, labels, layout) on files
   with '#' comments (edge list only), blank lines and padded cells, once
   with LF and once with CRLF line endings;
@@ -77,7 +80,8 @@ from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
                        pairwise_sq_euclidean, random_dataset, save_model, sbm_dataset,
                        train_full_batch, train_minibatch)
 from graphtsne.cli import main as cli_main, read_layout_csv
-from graphtsne.graph import load_edge_list, load_features_csv, load_labels_csv
+from graphtsne.graph import (load_edge_list, load_features_csv, load_labels_csv,
+                            rank_blocks)
 
 ALPHAS = (0.0, 0.5, 1.0)
 FULL_FLOATS = 10_000   # larger float arrays (the N x N affinities) are hashed and sampled
@@ -193,6 +197,14 @@ def plans() -> dict:
     return out
 
 
+def rank_orders(distances) -> str:
+    """SHA-256 of every rank_blocks order of a distance matrix, block by block."""
+    sha = hashlib.sha256()
+    for _, order in rank_blocks(distances):
+        sha.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
+    return f"int64{[len(distances), len(distances) - 1]}:{sha.hexdigest()}"
+
+
 def affinity_record(distances) -> dict:
     aff = joint_p(distances, 30.0)
     return {"p": digest(aff.p), "sigmas": digest(aff.sigmas),
@@ -201,8 +213,11 @@ def affinity_record(distances) -> dict:
 
 def affinities() -> dict:
     data = citation_dataset()
+    feature_d = pairwise_sq_euclidean(data.features)
     out = {"graph": affinity_record(all_pairs_distances(data.graph, hop_cap=20)),
-           "feature": affinity_record(pairwise_sq_euclidean(data.features))}
+           "feature": affinity_record(feature_d),
+           "rank_blocks_citation": rank_orders(feature_d)}
+    del feature_d
     # every value distinct: real-valued features
     real = random_dataset(300, 1500, feature_dim=16, seed=0).features
     out["real_feature"] = affinity_record(pairwise_sq_euclidean(real))
@@ -215,9 +230,12 @@ def affinities() -> dict:
         big.graph, batch, batch, hop_cap=TrainConfig.hop_cap))
     out["batch_feature"] = affinity_record(pairwise_sq_euclidean(big.features[batch]))
     layout = np.random.default_rng(2).normal(size=(data.graph.num_nodes, 2))
-    report = evaluate_layout(data, layout, alpha=0.5).to_dict()
-    del report["runtime_s"]
-    out["evaluate_layout"] = report
+    rounded = np.round(layout, 1)  # many equal distances: the tie order shows
+    out["rank_blocks_rounded_layout"] = rank_orders(pairwise_sq_euclidean(rounded))
+    for name, y in (("evaluate_layout", layout), ("evaluate_rounded_layout", rounded)):
+        report = evaluate_layout(data, y, alpha=0.5).to_dict()
+        del report["runtime_s"]
+        out[name] = report
     return out
 
 

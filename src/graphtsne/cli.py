@@ -103,13 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _load_dataset(edges_path, features_path, labels_path, num_nodes=None, scored=True):
-    """The inputs as a dataset; one to be scored needs an edge (P_G is a mean over them)."""
+    """The inputs as a dataset; one to be scored needs an edge (P_G is a mean over
+    them) and, when labelled, a node for each fold of the 1-NN accuracy."""
     features = load_features_csv(features_path)
     n = features.shape[0] if num_nodes is None else num_nodes
     graph = load_edge_list(edges_path, n)
     if scored and graph.num_edges == 0:
         raise MalformedInputError(f"{edges_path}: no edges")
     labels = load_labels_csv(labels_path) if labels_path else None
+    if scored and labels is not None and n < DEFAULT_FOLDS:
+        raise MalformedInputError(
+            f"{labels_path}: {n} labelled nodes, but {DEFAULT_FOLDS}-fold 1-NN "
+            f"accuracy needs at least {DEFAULT_FOLDS}")
     try:
         return LabeledDataset(graph=graph, features=features, labels=labels)
     except ValueError as exc:

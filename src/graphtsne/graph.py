@@ -267,11 +267,31 @@ def all_pairs_distances(graph: Graph, hop_cap: int | None = None) -> np.ndarray:
 
 def rank_blocks(d: np.ndarray):
     """Yield ``(rows, order)`` per row slice of a square distance matrix: ``order[b]``
-    lists every column but ``rows.start + b``, nearest first, ties to the smaller index."""
-    for rows in row_blocks(len(d)):
+    lists every column but ``rows.start + b``, nearest first, ties to the smaller index
+    and NaN last, the order of a stable argsort.
+
+    Each block is sorted by NumPy's default, unstable argsort. A row with no two equal
+    values has only one order. In a row with ties, each distinct value gets a dense
+    code, and a stable argsort of the codes as small unsigned integers (NumPy's radix
+    sort below 65536 columns) orders every tie by index.
+    """
+    n = len(d)
+    for rows in row_blocks(n):
         block = d[rows].copy()
         np.fill_diagonal(block[:, rows], -np.inf)  # self sorts first, then is cut
-        yield rows, np.argsort(block, axis=1, kind="stable")[:, 1:]
+        order = np.argsort(block, axis=1)
+        ranked = np.take_along_axis(block, order, axis=1)
+        # NaNs sort last, and a stable sort keeps them in index order like equal values
+        tied = ranked[:, 1:] == ranked[:, :-1]
+        tied |= np.isnan(ranked[:, :-1])
+        ties = np.flatnonzero(tied.any(axis=1))
+        # code[t, j]: the number of distinct values sorted before position j
+        code = np.zeros((ties.size, n), dtype=np.min_scalar_type(n))
+        np.cumsum(~tied[ties], axis=1, dtype=code.dtype, out=code[:, 1:])
+        by_column = np.empty_like(code)
+        np.put_along_axis(by_column, order[ties], code, axis=1)
+        order[ties] = np.argsort(by_column, axis=1, kind="stable")
+        yield rows, order[:, 1:]
 
 
 def knn_graph(x: np.ndarray, k: int) -> np.ndarray:

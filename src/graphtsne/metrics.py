@@ -42,8 +42,11 @@ def standardize_map(y: np.ndarray) -> np.ndarray:
 
 def _check_metric_args(n: int, x=None, ks=(), graph: Graph | None = None, rs=(),
                        knn_k: int | None = None, labels=None,
-                       folds: int = DEFAULT_FOLDS) -> None:
-    """Raise ValueError when a metric argument does not fit n layout points."""
+                       folds: int = DEFAULT_FOLDS, y=None) -> None:
+    """Raise ValueError when a metric argument does not fit n layout points, or
+    the layout ``y``, when given, holds a coordinate that is not finite."""
+    if y is not None and not np.isfinite(y).all():
+        raise ValueError("layout holds a non-finite coordinate")
     if graph is not None and graph.num_nodes != n:
         raise ValueError(f"layout has {n} rows for a graph of {graph.num_nodes} nodes")
     if x is not None and len(x) != n:
@@ -71,7 +74,7 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
     Returns ({k: T_X(k)}, {r: T_G(r)}, k-NN feature pairs, 1-NN accuracy)."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
-    _check_metric_args(n, x, ks, graph, rs, knn_k, labels, folds)
+    _check_metric_args(n, x, ks, graph, rs, knn_k, labels, folds, y)
     if labels is not None:
         fold_members = np.array_split(np.random.default_rng(seed).permutation(n), folds)
         fold_of = np.empty(n, dtype=np.int64)

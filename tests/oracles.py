@@ -50,6 +50,18 @@ def brute_knn_pairs(x, k):
     return np.asarray(pairs, dtype=np.int64)
 
 
+def stable_rank_orders(d):
+    """Per row i, every column but i, by a stable argsort of row i with d[i, i]
+    set to -inf, so that it sorts first and is cut: ties by index, NaN last."""
+    n = len(d)
+    orders = np.empty((n, max(n - 1, 0)), dtype=np.int64)
+    for i in range(n):
+        row = np.array(d[i], dtype=np.float64)
+        row[i] = -np.inf
+        orders[i] = np.argsort(row, kind="stable")[1:]
+    return orders
+
+
 def _neighbor_sets(distances, k):
     """Per-row k nearest indices excluding self, ties by smaller index."""
     n = distances.shape[0]

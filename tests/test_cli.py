@@ -447,6 +447,60 @@ class TestEvaluate:
         assert not (out / "metrics.json").exists()
 
 
+@pytest.fixture(scope="module")
+def nine_node_dir(tmp_path_factory):
+    """A labelled 9-node ring, one node fewer than the 10 folds of 1-NN accuracy."""
+    root = tmp_path_factory.mktemp("nine")
+    (root / "edges.txt").write_text("".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
+    x = np.random.default_rng(0).normal(size=(9, 3))
+    (root / "features.csv").write_text(
+        "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+    (root / "labels.csv").write_text("".join(f"{i % 3}\n" for i in range(9)))
+    (root / "layout.csv").write_text(
+        "node_id,x,y\n" + "".join(f"{i},{float(i)!r},{float(i % 2)!r}\n" for i in range(9)))
+    (root / "fast.cfg").write_text("hidden_dim = 8\nepochs = 2\nperplexity = 3\n")
+    return root
+
+
+class TestTooFewLabelledNodes:
+    def inputs(self, d):
+        return ["--edges", str(d / "edges.txt"), "--features", str(d / "features.csv"),
+                "--labels", str(d / "labels.csv")]
+
+    def assert_names_labels(self, err):
+        assert err.startswith("error: ") and "labels.csv" in err
+        assert "9 labelled nodes" in err and "at least 10" in err
+        assert err.count("\n") == 1
+
+    def test_evaluate_exits_1_naming_labels_file(self, nine_node_dir, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = main(["evaluate", *self.inputs(nine_node_dir),
+                     "--layout", str(nine_node_dir / "layout.csv"),
+                     "--knn-k", "3", "--t-ks", "2", "--out-dir", str(out)])
+        assert code == 1
+        self.assert_names_labels(capsys.readouterr().err)
+        assert not (out / "metrics.json").exists()
+
+    def test_sweep_exits_1_before_training(self, nine_node_dir, tmp_path, capsys,
+                                           monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("sweep trained on labels it cannot score")
+        monkeypatch.setattr(metrics, "train", no_train)
+        code = main(["sweep", *self.inputs(nine_node_dir), "--num-nodes", "9",
+                     "--config", str(nine_node_dir / "fast.cfg"), "--grid", "0.5",
+                     "--knn-k", "3", "--t-ks", "2", "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        self.assert_names_labels(capsys.readouterr().err)
+
+    def test_fit_still_trains(self, nine_node_dir, tmp_path):
+        out = tmp_path / "f"
+        code = main(["fit", *self.inputs(nine_node_dir), "--num-nodes", "9",
+                     "--config", str(nine_node_dir / "fast.cfg"), "--alpha", "0.5",
+                     "--out-dir", str(out)])
+        assert code == 0
+        assert read_layout_csv(out / "layout.csv", 9).shape == (9, 2)
+
+
 class TestInputText:
     @pytest.mark.parametrize("flag", ["--edges", "--features", "--labels",
                                       "--layout", "--config"])

@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from graphtsne import (Graph, MalformedInputError, UNREACHABLE,
                        all_pairs_distances, bfs_shortest_paths, knn_graph,
                        load_edge_list, load_features_csv, load_labels_csv,
                        neighbor_subsample)
+from graphtsne import affinity
+from graphtsne.graph import rank_blocks
 from graphtsne.synthetic import random_dataset
 
-from oracles import brute_knn_pairs, floyd_warshall, receptive_field_sizes
+from oracles import (brute_knn_pairs, floyd_warshall, receptive_field_sizes,
+                     stable_rank_orders)
 
 
 class TestGraphConstruction:
@@ -235,6 +239,32 @@ class TestKnnGraph:
         x = rng.normal(size=(5, 2))
         with pytest.raises(ValueError):
             knn_graph(x, 5)
+
+
+class TestRankBlocks:
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 200),
+           palette=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf,
+                                             -np.inf, np.nan]), min_size=1, max_size=4),
+           share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orders_match_stable_argsort(self, n, palette, share, seed):
+        rng = np.random.default_rng(seed)
+        # all values distinct, then a share of them replaced from a small palette:
+        # share 1 gives small-integer rows, all-equal rows (one value), -0.0 beside
+        # +0.0, inf and NaN; share 0.01 leaves some rows of a block without a tie
+        d = rng.permutation(n * n).reshape(n, n) + 0.5
+        cut = rng.random((n, n)) < share
+        d[cut] = np.array(palette)[rng.integers(0, len(palette), size=int(cut.sum()))]
+        want = stable_rank_orders(d)
+        for block in (affinity._ROW_BLOCK, 1, 3, n + 1):
+            with mock.patch.object(affinity, "_ROW_BLOCK", block):
+                covered = 0
+                for rows, order in rank_blocks(d):
+                    assert rows.start == covered
+                    assert np.array_equal(order, want[rows])
+                    covered = rows.stop
+            assert covered == n
 
 
 class TestNeighborSubsample:

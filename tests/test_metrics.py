@@ -13,7 +13,7 @@ from graphtsne.metrics import (MetricsReport, alpha_sweep, distance_metrics,
                                evaluate_layout, feature_trustworthiness,
                                graph_trustworthiness, knn_1_accuracy,
                                standardize_map)
-from graphtsne.synthetic import sbm_dataset
+from graphtsne.synthetic import random_dataset, sbm_dataset
 from graphtsne.trainer import TrainConfig
 
 from oracles import (brute_knn_pairs, distance_metrics_oracle, knn_1_oracle,
@@ -221,6 +221,16 @@ class TestEvaluateLayout:
     def test_row_mismatch_rejected(self, small_sbm, rng):
         with pytest.raises(ValueError, match="44"):
             evaluate_layout(small_sbm, rng.normal(size=(44, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_layout_rejected(self, value):
+        data = random_dataset(60, 200, seed=0)
+        y = np.random.default_rng(1).normal(size=(60, 2))
+        y[3, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_layout(data, y)
+        with pytest.raises(ValueError, match="non-finite"):
+            knn_1_accuracy(y, data.labels)
 
     def test_equals_single_metric_functions(self, small_sbm, rng):
         y = rng.normal(size=(45, 2))
