@@ -32,10 +32,15 @@ Covered:
 - full-batch training at alpha 0, 0.5 and 1: epoch losses, the gradient
   each step's callback sees, the trained weights, the embedding, and the
   checkpoint after a save/load round trip;
-- mini-batch training at alpha 0, 0.5 and 1: epoch losses, and per batch
-  the sampled nodes and edges and the gradient;
+- mini-batch training at alpha 0, 0.5 and 1: epoch losses, per batch the
+  sampled nodes and edges and the gradient, and the trained model's
+  eval-mode embedding of the hub graph below;
 - batch plans (every LayerPlan array), a plan and a forward pass on a
   graph with no edges;
+- one train-mode forward and backward pass, over the full plan and over a
+  batch plan, on a graph with isolated nodes and a hub of degree over
+  120 (more than the 64 nodes the edge passes take at a time): the output,
+  every gradient and the batch-norm running statistics;
 - joint_p on the citation stand-in's hop and feature matrices, on
   real-valued features whose distances are all distinct, and on one
   50-node batch's hop and feature matrices, the shape mini-batch training
@@ -74,7 +79,7 @@ from fnmatch import fnmatchcase
 import numpy as np
 
 from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
-                       bfs_shortest_paths, build_batch_plan, build_full_plan,
+                       backward, bfs_shortest_paths, build_batch_plan, build_full_plan,
                        citation_dataset, embed, evaluate_layout, forward,
                        init_model, joint_p, knn_graph, load_model, neighbor_subsample,
                        pairwise_sq_euclidean, random_dataset, save_model, sbm_dataset,
@@ -152,8 +157,20 @@ def full_batch(scratch) -> dict:
     return out
 
 
+def hub_dataset() -> LabeledDataset:
+    """300 nodes, feature dim 8: random edges among nodes 0-259, node 0 also
+    joined to nodes 1-120 (degree at least 120), nodes 260-299 isolated."""
+    rng = np.random.default_rng(17)
+    pairs = np.concatenate([rng.integers(0, 260, size=(600, 2)),
+                            [(0, j) for j in range(1, 121)]])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    graph = Graph.from_edges(300, np.unique(np.sort(pairs, axis=1), axis=0))
+    return LabeledDataset(graph=graph, features=rng.normal(size=(300, 8)))
+
+
 def minibatch(scratch) -> dict:
     data = random_dataset(800, 3200, feature_dim=8, seed=21)
+    hub = hub_dataset()
     out = {}
     for alpha in ALPHAS:
         cfg = TrainConfig(alpha=alpha, epochs=2, hidden_dim=16, mode="minibatch",
@@ -168,7 +185,8 @@ def minibatch(scratch) -> dict:
 
         model, report = train_minibatch(data, cfg, on_batch=on_batch)
         out[repr(alpha)] = {"report": report_record(report), "steps": steps,
-                            "model": model_record(model, data, scratch)}
+                            "model": model_record(model, data, scratch),
+                            "hub_embed": digest(embed(model, hub))}
     return out
 
 
@@ -194,6 +212,18 @@ def plans() -> dict:
     model = init_model(3, 8, seed=1)
     y, _ = forward(model, build_full_plan(edgeless, model.num_layers), x, mode="train")
     out["edgeless_forward"] = digest(y)
+    hub = hub_dataset()
+    batch = np.array([0, 5, 130, 259, 260, 299])  # the hub, isolated nodes
+    sample = neighbor_subsample(hub.graph, batch, (70, 100), seed=2)
+    for name, plan in (("hub_full", build_full_plan(hub.graph, 2)),
+                       ("hub_batch", build_batch_plan(sample))):
+        model = init_model(8, 16, seed=6)
+        y, trace = forward(model, plan, hub.features, mode="train")
+        grad_y = np.random.default_rng(8).normal(size=y.shape)
+        grads = backward(model, trace, grad_y)
+        out[name] = {"y": digest(y),
+                     "grads": {key: digest(g) for key, g in sorted(grads.items())},
+                     "state": {key: digest(arr) for key, arr in model.named_state()}}
     return out
 
 

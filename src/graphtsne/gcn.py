@@ -10,6 +10,13 @@ where the per-edge gate is sigmoid(gate_dst_w h_i + gate_src_w h_j) and
 n(i) are the (possibly subsampled) neighbors of i. Nodes with no neighbors
 use a zero aggregation term. All math is float64; gradients are exact
 (validated against central finite differences in the test suite).
+
+Every per-edge term is made for the edges of one 64-node slice of
+``affinity.row_blocks`` at a time, so no pass holds an array of all edges
+by hidden units: the forward pass walks the edges by destination block,
+the backward pass once by destination and once by source block, and each
+recomputes the gates from the per-node gate terms kept in the trace. Each
+node's edge terms are added one after another in edge order, from 0.0.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affinity import row_blocks
 from .graph import Graph, SubsampledBatch
 
 NUM_LAYERS = 2
@@ -169,14 +177,37 @@ def build_batch_plan(batch: SubsampledBatch) -> PropagationPlan:
                            batch_size=batch.batch_nodes.size)
 
 
-def _segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    """(size, cols) sums of the rows of ``values`` by their ``index``, each
-    row's terms added one after another in edge order; unindexed rows are 0."""
+def _edge_blocks(ends: np.ndarray, size: int) -> list:
+    """(rows, edge ids) for each slice of ``row_blocks(size)``: the edges whose
+    ``ends`` lie in rows, ordered by end node and within one node by edge."""
+    order = np.argsort(ends, kind="stable")
+    blocks = list(row_blocks(size))
+    cuts = np.searchsorted(ends[order], [rows.stop for rows in blocks])
+    return [(rows, order[lo:hi])
+            for rows, lo, hi in zip(blocks, [0, *cuts[:-1]], cuts)]
+
+
+def _block_sum(values: np.ndarray, ends: np.ndarray, rows: slice) -> np.ndarray:
+    """(len(rows), cols) sums of the rows of ``values`` into the nodes ``rows``
+    by their ``ends``, each node's terms added one after another from 0.0;
+    a node no value ends at gets 0.0."""
     cols = values.shape[1]
-    cells = (index[:, None] * cols + np.arange(cols)).ravel()
-    sums = np.bincount(cells, weights=values.ravel(), minlength=size * cols)
+    cells = ((ends - rows.start)[:, None] * cols + np.arange(cols)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(),
+                       minlength=(rows.stop - rows.start) * cols)
     # with no input bincount returns int64 zeros, whatever the weights' dtype
-    return sums.astype(np.float64, copy=False).reshape(size, cols)
+    return sums.astype(np.float64, copy=False).reshape(-1, cols)
+
+
+def _gate(gate_dst: np.ndarray, gate_src: np.ndarray, dst: np.ndarray,
+          src: np.ndarray) -> np.ndarray:
+    """sigmoid(gate_dst[dst] + gate_src[src]) for the given edges."""
+    gate = gate_dst[dst]
+    gate += gate_src[src]
+    np.negative(gate, out=gate)
+    np.exp(gate, out=gate)
+    gate += 1.0
+    return np.divide(1.0, gate, out=gate)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +217,11 @@ def _segment_sum(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray
 @dataclass
 class _LayerTrace:
     h_in: np.ndarray
-    gate: np.ndarray        # sigmoid output per edge
+    gate_dst: np.ndarray    # gate_dst_w h + gate_dst_b for the output nodes
+    gate_src: np.ndarray    # gate_src_w h + gate_src_b for all input nodes
     msg_in: np.ndarray      # msg_w h + msg_b for all input nodes
-    agg: np.ndarray         # mean-aggregated gated messages
+    by_dst: list            # _edge_blocks of the edges by destination
+    by_src: list            # _edge_blocks of the edges by source
     x_hat: np.ndarray       # batch-norm normalized pre-activation
     inv_std: np.ndarray
     relu_mask: np.ndarray
@@ -196,6 +229,9 @@ class _LayerTrace:
 
 @dataclass
 class ForwardTrace:
+    """What ``backward`` reads of a forward pass: per layer the N x H node
+    terms and the two edge orders, no array with a row per edge."""
+
     plan: PropagationPlan
     x_sub: np.ndarray
     layers: list = field(default_factory=list)
@@ -230,16 +266,20 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
     for layer, lp in zip(model.layers, plan.layers):
         h_in = h
         out_n = lp.out_size
-        self_term = h_in[:out_n] @ layer.self_w.T
         gate_dst = h_in[:out_n] @ layer.gate_dst_w.T + layer.gate_dst_b
         gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
         msg_in = h_in @ layer.msg_w.T + layer.msg_b
+        by_dst = _edge_blocks(lp.dst, out_n)
 
-        gate = 1.0 / (1.0 + np.exp(-(gate_dst[lp.dst] + gate_src[lp.src])))
-        agg = _segment_sum(gate * msg_in[lp.src], lp.dst, out_n)
-        agg *= lp.inv_deg[:, None]
+        s = h_in[:out_n] @ layer.self_w.T   # plus the mean gated message
+        for rows, edges in by_dst:
+            dst, src = lp.dst[edges], lp.src[edges]
+            msg = msg_in[src]
+            msg *= _gate(gate_dst, gate_src, dst, src)
+            agg = _block_sum(msg, dst, rows)
+            agg *= lp.inv_deg[rows, None]
+            s[rows] += agg
 
-        s = self_term + agg
         if train:
             mu = s.mean(axis=0)
             var = s.var(axis=0)
@@ -252,9 +292,10 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         z = layer.bn_scale * x_hat + layer.bn_shift
         relu_mask = z > 0.0
         h = np.where(relu_mask, z, 0.0) + h_in[:out_n]
-        trace.layers.append(_LayerTrace(h_in=h_in, gate=gate, msg_in=msg_in,
-                                        agg=agg, x_hat=x_hat, inv_std=inv_std,
-                                        relu_mask=relu_mask))
+        trace.layers.append(_LayerTrace(
+            h_in=h_in, gate_dst=gate_dst, gate_src=gate_src, msg_in=msg_in,
+            by_dst=by_dst, by_src=_edge_blocks(lp.src, lp.in_size),
+            x_hat=x_hat, inv_std=inv_std, relu_mask=relu_mask))
     trace.h_final = h
     y = h[:plan.batch_size] @ model.out_w.T
     return y, trace
@@ -301,16 +342,32 @@ def backward(model: GcnModel, trace: ForwardTrace,
         dh_in[:out_n] += ds @ layer.self_w
         dh_in[:out_n] += dh  # residual connection
 
-        # aggregation path
+        # aggregation path: per edge, the message's gradient is dagg[dst] *
+        # gate and the gate pre-activation's is dagg[dst] * msg_in[src] *
+        # gate * (1 - gate); each sum runs over one block of end nodes
         dagg = ds * lp.inv_deg[:, None]
-        dmsg_edge = dagg[lp.dst]
-        dgate = dmsg_edge * lt.msg_in[lp.src]
-        dmsg_src_edge = dmsg_edge * lt.gate
-        dpre = dgate * lt.gate * (1.0 - lt.gate)
+        dgate_dst = np.empty_like(lt.gate_dst)
+        for rows, edges in lt.by_dst:
+            dst, src = lp.dst[edges], lp.src[edges]
+            gate = _gate(lt.gate_dst, lt.gate_src, dst, src)
+            dpre = dagg[dst]
+            dpre *= lt.msg_in[src]
+            dpre *= gate
+            dpre *= np.subtract(1.0, gate, out=gate)
+            dgate_dst[rows] = _block_sum(dpre, dst, rows)
 
-        dmsg_in = _segment_sum(dmsg_src_edge, lp.src, lp.in_size)
-        dgate_dst = _segment_sum(dpre, lp.dst, out_n)
-        dgate_src = _segment_sum(dpre, lp.src, lp.in_size)
+        dmsg_in = np.empty_like(lt.msg_in)
+        dgate_src = np.empty_like(lt.gate_src)
+        for rows, edges in lt.by_src:
+            dst, src = lp.dst[edges], lp.src[edges]
+            gate = _gate(lt.gate_dst, lt.gate_src, dst, src)
+            dmsg = dagg[dst]
+            dpre = dmsg * lt.msg_in[src]
+            dmsg *= gate
+            dmsg_in[rows] = _block_sum(dmsg, src, rows)
+            dpre *= gate
+            dpre *= np.subtract(1.0, gate, out=gate)
+            dgate_src[rows] = _block_sum(dpre, src, rows)
 
         grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
         grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)

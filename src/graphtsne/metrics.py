@@ -153,6 +153,8 @@ def distance_metrics(graph: Graph, knn_pairs: np.ndarray,
                      y: np.ndarray) -> tuple[float, float]:
     """Mean squared map distance over graph edges (P_G) and over feature-space
     k-NN pairs (P_X), both computed on the standardized map."""
+    y = np.asarray(y, dtype=np.float64)
+    _check_metric_args(y.shape[0], graph=graph, y=y)
     edges = graph.edge_pairs
     knn_pairs = np.asarray(knn_pairs, dtype=np.int64)
     if edges.shape[0] == 0:

@@ -2,14 +2,21 @@
 
 Everything here is written as literal, loop-based formula transcriptions
 with no code shared with the package, deliberately favoring obviousness
-over speed. The one exception is ``dense_composite_loss``: the library's
-former whole-matrix loss, kept as it was (Q from ``studentt_q``) to check
-the row-blocked loss that replaced it at sizes the loops cannot reach.
+over speed. There are two exceptions. ``dense_composite_loss`` is the
+library's former whole-matrix loss, kept as it was (Q from ``studentt_q``)
+to check the row-blocked loss that replaced it at sizes the loops cannot
+reach. ``whole_array_forward`` and ``whole_array_backward`` are the former
+GCN passes, which built every per-edge array for all edges at once, with
+their sums made by ``np.add.at``; they check the edge passes that walk 64
+nodes at a time.
 """
 
 import numpy as np
 
+from types import SimpleNamespace
+
 from graphtsne.affinity import AffinityMatrix, studentt_q
+from graphtsne.gcn import BN_EPS, BN_MOMENTUM
 from graphtsne.trainer import CompositeLoss
 
 
@@ -303,6 +310,111 @@ def dense_composite_loss(p_graph, p_feat, y: np.ndarray,
     total = alpha * graph_term + (1.0 - alpha) * feature_term
     return CompositeLoss(total=total, graph_term=graph_term,
                          feature_term=feature_term, grad=grad)
+
+
+def _add_at_sum(values, index, size):
+    """(size, cols) sums of the rows of ``values`` by ``index``: np.add.at adds
+    each row's terms one after another in edge order onto 0.0."""
+    sums = np.zeros((size, values.shape[1]))
+    np.add.at(sums, index, values)
+    return sums
+
+
+def whole_array_forward(model, plan, features, mode="train"):
+    """``gcn.forward`` as it was before its edge passes were blocked: the
+    gate and the messages of all edges at once. Returns (y, trace), where
+    the trace is what ``whole_array_backward`` reads; train mode updates
+    the model's batch-norm running statistics."""
+    train = mode == "train"
+    x_sub = np.asarray(features, dtype=np.float64)[plan.node_ids]
+    h = x_sub @ model.in_w.T + model.in_b
+    layers = []
+    for layer, lp in zip(model.layers, plan.layers):
+        h_in = h
+        out_n = lp.out_size
+        self_term = h_in[:out_n] @ layer.self_w.T
+        gate_dst = h_in[:out_n] @ layer.gate_dst_w.T + layer.gate_dst_b
+        gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
+        msg_in = h_in @ layer.msg_w.T + layer.msg_b
+
+        gate = 1.0 / (1.0 + np.exp(-(gate_dst[lp.dst] + gate_src[lp.src])))
+        agg = _add_at_sum(gate * msg_in[lp.src], lp.dst, out_n)
+        agg *= lp.inv_deg[:, None]
+
+        s = self_term + agg
+        if train:
+            mu = s.mean(axis=0)
+            var = s.var(axis=0)
+            layer.bn_mean[:] = (1.0 - BN_MOMENTUM) * layer.bn_mean + BN_MOMENTUM * mu
+            layer.bn_var[:] = (1.0 - BN_MOMENTUM) * layer.bn_var + BN_MOMENTUM * var
+        else:
+            mu, var = layer.bn_mean, layer.bn_var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        x_hat = (s - mu) * inv_std
+        z = layer.bn_scale * x_hat + layer.bn_shift
+        relu_mask = z > 0.0
+        h = np.where(relu_mask, z, 0.0) + h_in[:out_n]
+        layers.append(SimpleNamespace(h_in=h_in, gate=gate, msg_in=msg_in,
+                                      agg=agg, x_hat=x_hat, inv_std=inv_std,
+                                      relu_mask=relu_mask))
+    y = h[:plan.batch_size] @ model.out_w.T
+    return y, SimpleNamespace(plan=plan, x_sub=x_sub, layers=layers, h_final=h)
+
+
+def whole_array_backward(model, trace, grad_y):
+    """``gcn.backward`` as it was before its edge passes were blocked, on a
+    ``whole_array_forward`` trace of a train-mode pass."""
+    grad_y = np.asarray(grad_y, dtype=np.float64)
+    plan = trace.plan
+    grads = {"out_w": grad_y.T @ trace.h_final[:plan.batch_size]}
+    dh = np.zeros_like(trace.h_final)
+    dh[:plan.batch_size] = grad_y @ model.out_w
+
+    for l in range(model.num_layers - 1, -1, -1):
+        layer = model.layers[l]
+        lp = plan.layers[l]
+        lt = trace.layers[l]
+        out_n = lp.out_size
+        prefix = f"layer{l + 1}."
+
+        dz = np.where(lt.relu_mask, dh, 0.0)
+        grads[prefix + "bn_scale"] = (dz * lt.x_hat).sum(axis=0)
+        grads[prefix + "bn_shift"] = dz.sum(axis=0)
+        dxhat = dz * layer.bn_scale
+        b = float(out_n)
+        ds = (lt.inv_std / b) * (b * dxhat - dxhat.sum(axis=0)
+                                 - lt.x_hat * (dxhat * lt.x_hat).sum(axis=0))
+
+        grads[prefix + "self_w"] = ds.T @ lt.h_in[:out_n]
+        dh_in = np.zeros_like(lt.h_in)
+        dh_in[:out_n] += ds @ layer.self_w
+        dh_in[:out_n] += dh
+
+        dagg = ds * lp.inv_deg[:, None]
+        dmsg_edge = dagg[lp.dst]
+        dgate = dmsg_edge * lt.msg_in[lp.src]
+        dmsg_src_edge = dmsg_edge * lt.gate
+        dpre = dgate * lt.gate * (1.0 - lt.gate)
+
+        dmsg_in = _add_at_sum(dmsg_src_edge, lp.src, lp.in_size)
+        dgate_dst = _add_at_sum(dpre, lp.dst, out_n)
+        dgate_src = _add_at_sum(dpre, lp.src, lp.in_size)
+
+        grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
+        grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
+        grads[prefix + "gate_dst_w"] = dgate_dst.T @ lt.h_in[:out_n]
+        grads[prefix + "gate_dst_b"] = dgate_dst.sum(axis=0)
+        grads[prefix + "gate_src_w"] = dgate_src.T @ lt.h_in
+        grads[prefix + "gate_src_b"] = dgate_src.sum(axis=0)
+
+        dh_in += dmsg_in @ layer.msg_w
+        dh_in[:out_n] += dgate_dst @ layer.gate_dst_w
+        dh_in += dgate_src @ layer.gate_src_w
+        dh = dh_in
+
+    grads["in_w"] = dh.T @ trace.x_sub
+    grads["in_b"] = dh.sum(axis=0)
+    return grads
 
 
 def receptive_field_sizes(sample):

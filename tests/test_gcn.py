@@ -1,18 +1,21 @@
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtsne import Graph, init_model, load_model, save_model
+from graphtsne import Graph, affinity, init_model, load_model, save_model
 from graphtsne.gcn import (LR_DECAY_FACTOR, LR_PATIENCE, AdamState, GcnModel,
-                           _segment_sum, adam_step, backward, build_batch_plan,
+                           _block_sum, _gate, adam_step, backward, build_batch_plan,
                            build_full_plan, forward, init_adam, maybe_decay_lr,
                            CHECKPOINT_MAGIC)
 from graphtsne.graph import neighbor_subsample
 from graphtsne.synthetic import random_dataset
 
 from conftest import finite_difference_grads, max_relative_error
-from oracles import adam_scalar_reference
+from oracles import adam_scalar_reference, whole_array_backward, whole_array_forward
 
 
 def tiny_instance(seed=3, n_nodes=6, in_dim=4, hidden=8):
@@ -73,12 +76,22 @@ class TestForward:
     def test_isolated_node_zero_aggregation(self):
         g = Graph.from_edges(3, [(0, 1)])   # node 2 isolated
         model = init_model(4, 8, seed=5)
+        for layer in model.layers:
+            layer.msg_b[:] = 1.0            # every edge carries a message
         plan = build_full_plan(g, model.num_layers)
         x = np.random.default_rng(0).normal(size=(3, 4))
-        y, trace = forward(model, plan, x, mode="train")
+        y, _ = forward(model, plan, x, mode="train")
         assert np.isfinite(y).all()
-        for lt in trace.layers:
-            assert np.array_equal(lt.agg[2], np.zeros(8))
+        # eval mode normalizes each row on its own, so a row's output moves
+        # with the messages only through its own aggregation term
+        y, _ = forward(model, plan, x, mode="eval")
+        silent = copy.deepcopy(model)
+        for layer in silent.layers:
+            layer.msg_w[:] = 0.0
+            layer.msg_b[:] = 0.0            # every aggregation term is 0.0
+        y_silent, _ = forward(silent, plan, x, mode="eval")
+        assert y[2].tobytes() == y_silent[2].tobytes()
+        assert not np.array_equal(y[:2], y_silent[:2])
 
     def test_two_node_instance_matches_direct_formula(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -128,8 +141,10 @@ class TestForward:
     def test_gates_strictly_inside_unit_interval(self):
         ds, model, plan = tiny_instance()
         _, trace = forward(model, plan, ds.features, mode="train")
-        for lt in trace.layers:
-            assert np.all(lt.gate > 0.0) and np.all(lt.gate < 1.0)
+        for lp, lt in zip(plan.layers, trace.layers):
+            gate = _gate(lt.gate_dst, lt.gate_src, lp.dst, lp.src)
+            assert gate.shape == (lp.dst.size, 8)
+            assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
     def test_feature_dim_mismatch_rejected(self):
         ds, model, plan = tiny_instance()
@@ -209,10 +224,11 @@ class TestBackward:
             backward(model, trace, np.zeros((2, 2)))
 
 
-class TestSegmentSum:
+class TestBlockSum:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_add_at_bit_for_bit(self, data):
+        start = data.draw(st.integers(0, 100))  # first node of the block
         size = data.draw(st.integers(1, 6))
         cols = data.draw(st.integers(1, 4))
         edges = data.draw(st.integers(0, 15))  # > size repeats indices
@@ -225,12 +241,12 @@ class TestSegmentSum:
                           dtype=np.float64).reshape(edges, cols)
         expected = np.zeros((size, cols))
         np.add.at(expected, index, values)
-        got = _segment_sum(values, index, size)
+        got = _block_sum(values, index + start, slice(start, start + size))
         assert got.dtype == np.float64 and got.shape == (size, cols)
         assert got.tobytes() == expected.tobytes()  # tells -0.0 from 0.0
 
     def test_no_edges_give_float64_zeros(self):
-        got = _segment_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
+        got = _block_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), slice(64, 68))
         assert got.dtype == np.float64
         assert np.array_equal(got, np.zeros((4, 3)))
 
@@ -241,6 +257,52 @@ class TestSegmentSum:
         grads = backward(model, trace, rng.normal(size=y.shape))
         for arr in (y, *grads.values()):
             assert arr.dtype == np.float64 and np.isfinite(arr).all()
+
+
+class TestBlockedPasses:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_match_whole_array_oracle_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 90), label="n")
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   max_size=3 * n), label="pairs")
+        pairs = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+        if data.draw(st.booleans(), label="hub"):   # degree n - 1, > 64 from n = 66
+            pairs |= {(0, j) for j in range(1, n)}
+        graph = Graph.from_edges(n, sorted(pairs))  # nodes on no pair are isolated
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        model = init_model(3, 4, seed=seed % 1000)
+        for _, param in model.named_parameters():
+            param[:] = rng.normal(size=param.shape)
+        features = rng.normal(size=(n, 3))
+        plans = [build_full_plan(graph, model.num_layers)]
+        batch = rng.choice(n, size=data.draw(st.integers(1, n)), replace=False)
+        fanouts = data.draw(st.tuples(st.integers(1, 80), st.integers(1, 80)))
+        sample = neighbor_subsample(graph, batch, fanouts, seed=seed)
+        plans.append(build_batch_plan(sample))      # src in sampled order
+
+        for plan in plans:
+            want_model = copy.deepcopy(model)
+            want_y, want_trace = whole_array_forward(want_model, plan, features)
+            grad_y = rng.normal(size=want_y.shape)
+            want = whole_array_backward(want_model, want_trace, grad_y)
+            want_eval, _ = whole_array_forward(want_model, plan, features, mode="eval")
+            for block in (affinity._ROW_BLOCK, 1, 3, n + 1):
+                got_model = copy.deepcopy(model)
+                with mock.patch.object(affinity, "_ROW_BLOCK", block):
+                    y, trace = forward(got_model, plan, features)
+                    grads = backward(got_model, trace, grad_y)
+                    y_eval, _ = forward(got_model, plan, features, mode="eval")
+                assert y.tobytes() == want_y.tobytes()
+                assert grads.keys() == want.keys()
+                for name in want:
+                    assert grads[name].tobytes() == want[name].tobytes(), name
+                for (name, got), (_, ref) in zip(got_model.named_state(),
+                                                 want_model.named_state()):
+                    assert got.tobytes() == ref.tobytes(), name
+                assert y_eval.tobytes() == want_eval.tobytes()
 
 
 class TestAdam:

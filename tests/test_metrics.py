@@ -153,6 +153,21 @@ class TestDistanceMetrics:
             distance_metrics(path_graph, np.empty((0, 2), dtype=np.int64),
                              rng.normal(size=(5, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_layout_rejected(self, value):
+        data = random_dataset(60, 200, seed=0)
+        y = np.random.default_rng(1).normal(size=(60, 2))
+        y[3, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            distance_metrics(data.graph, knn_graph(data.features, 5), y)
+
+    @pytest.mark.parametrize("rows", [59, 61])
+    def test_row_mismatch_rejected(self, rows):
+        data = random_dataset(60, 200, seed=0)
+        y = np.random.default_rng(1).normal(size=(rows, 2))
+        with pytest.raises(ValueError, match=f"layout has {rows} rows for a graph of 60"):
+            distance_metrics(data.graph, knn_graph(data.features, 5), y)
+
 
 class TestKnn1Accuracy:
     def test_separated_clusters_are_perfect(self):
