@@ -38,7 +38,10 @@ def pairwise_sq_euclidean(x: np.ndarray) -> np.ndarray:
     # triangle and copies it to the other, so d is exactly symmetric as built
     x = np.ascontiguousarray(x, dtype=np.float64)
     sq = np.einsum("ij,ij->i", x, x)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d = x @ x.T
+    d *= 2.0
+    for rows in row_blocks(len(d)):  # (sq_i + sq_j) - 2 x_i.x_j, over d itself
+        np.subtract(sq[rows, None] + sq[None, :], d[rows], out=d[rows])
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
@@ -158,31 +161,48 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     Each row's conditional is calibrated independently, then symmetrized as
     p_ij = (p_{j|i} + p_{i|j}) / (2B) and renormalized so the matrix sums to
     exactly 1. Rows with no finite off-diagonal entry contribute zero.
-    Raises EmptyAffinityError when every row is degenerate.
+    Raises EmptyAffinityError when every row is degenerate. Never modifies
+    ``distances``: P is built in a copy of it.
     """
-    d = np.asarray(distances, dtype=np.float64)
+    return _joint_p_owned(np.array(distances, dtype=np.float64, order="C", copy=True),
+                          target_perplexity)
+
+
+def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
+    """``joint_p`` built over ``d`` itself, which the caller hands over: on
+    return d holds P (on an error, part of it), and no other N x N array is
+    made. Each block of rows is checked for symmetry against the columns
+    from its first row on, which no earlier block has overwritten, and then
+    replaced by its conditionals; a second walk symmetrizes d block by block."""
+    d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
     n = d.shape[0]
-    conditionals = np.zeros((n, n), dtype=np.float64)
     sigmas = np.full(n, np.nan)
     n_converged = 0
     for rows in row_blocks(n):
-        block, mirror = d[rows].copy(), d[:, rows].T
+        s = rows.start
+        block, mirror = d[rows, s:], d[s:, rows].T
         finite = np.isfinite(block)
-        if not (np.array_equal(finite, np.isfinite(mirror)) and np.allclose(
-                block[finite], mirror[finite], rtol=1e-9, atol=1e-12)):
+        # both directions: allclose measures the difference against its second argument
+        if not (np.array_equal(finite, np.isfinite(mirror))
+                and np.allclose(block[finite], mirror[finite], rtol=1e-9, atol=1e-12)
+                and np.allclose(mirror[finite], block[finite], rtol=1e-9, atol=1e-12)):
             raise ValueError("distance matrix must be symmetric")
+        block = d[rows].copy()
         np.fill_diagonal(block[:, rows], np.inf)  # the self entry gets probability 0
-        sigmas[rows], _, converged, _, conditionals[rows] = _calibrate(block, target_perplexity)
+        sigmas[rows], _, converged, _, d[rows] = _calibrate(block, target_perplexity)
         n_converged += int(converged.sum())
     n_degenerate = int(np.isnan(sigmas).sum())
     if n_degenerate == n:
         raise EmptyAffinityError("every row of the distance matrix is unreachable")
-    del d, distances, mirror  # all hold the input: a caller's temporary is freed before P
-    p = (conditionals + conditionals.T) / (2.0 * n)
-    p /= p.sum()
-    return AffinityMatrix(p=p, sigmas=sigmas, n_degenerate=n_degenerate,
+    for rows in row_blocks(n):  # p_ij = (p_{j|i} + p_{i|j}) / 2n from the diagonal on
+        s = rows.start
+        t = (d[rows, s:] + d[s:, rows].T) / (2.0 * n)
+        d[rows, s:] = t
+        d[s:, rows] = t.T
+    d /= d.sum()
+    return AffinityMatrix(p=d, sigmas=sigmas, n_degenerate=n_degenerate,
                           n_converged=n_converged)
 
 

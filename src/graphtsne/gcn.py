@@ -187,16 +187,19 @@ def _edge_blocks(ends: np.ndarray, size: int) -> list:
             for rows, lo, hi in zip(blocks, [0, *cuts[:-1]], cuts)]
 
 
-def _block_sum(values: np.ndarray, ends: np.ndarray, rows: slice) -> np.ndarray:
-    """(len(rows), cols) sums of the rows of ``values`` into the nodes ``rows``
-    by their ``ends``, each node's terms added one after another from 0.0;
-    a node no value ends at gets 0.0."""
-    cols = values.shape[1]
+def _block_sum(ends: np.ndarray, rows: slice, *values: np.ndarray):
+    """Yield, per array of ``values``, all (E, cols), the (len(rows), cols) sums
+    of its rows into the nodes ``rows`` by their ``ends``, each node's terms
+    added one after another from 0.0; a node no value ends at gets 0.0. The
+    arrays share one table of bincount cells, and each sum is made only when
+    the one before it has been taken."""
+    cols = values[0].shape[1]
     cells = ((ends - rows.start)[:, None] * cols + np.arange(cols)).ravel()
-    sums = np.bincount(cells, weights=values.ravel(),
-                       minlength=(rows.stop - rows.start) * cols)
-    # with no input bincount returns int64 zeros, whatever the weights' dtype
-    return sums.astype(np.float64, copy=False).reshape(-1, cols)
+    size = (rows.stop - rows.start) * cols
+    for v in values:
+        # with no input bincount returns int64 zeros, whatever the weights' dtype
+        yield np.bincount(cells, weights=v.ravel(), minlength=size).astype(
+            np.float64, copy=False).reshape(-1, cols)
 
 
 def _gate(gate_dst: np.ndarray, gate_src: np.ndarray, dst: np.ndarray,
@@ -259,7 +262,12 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         raise ValueError("plan layer count does not match the model")
     train = mode == "train"
 
-    x_sub = features[plan.node_ids]
+    ids = plan.node_ids
+    # the full plan reads every row in order: a C-ordered matrix is used as it
+    # is, any other is gathered into the C order the products below are made in
+    full = (ids.size == len(features) and features.flags.c_contiguous
+            and np.array_equal(ids, np.arange(ids.size)))
+    x_sub = features if full else features[ids]
     h = x_sub @ model.in_w.T + model.in_b
     trace = ForwardTrace(plan=plan, x_sub=x_sub, train_mode=train)
 
@@ -276,7 +284,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
             dst, src = lp.dst[edges], lp.src[edges]
             msg = msg_in[src]
             msg *= _gate(gate_dst, gate_src, dst, src)
-            agg = _block_sum(msg, dst, rows)
+            [agg] = _block_sum(dst, rows, msg)
             agg *= lp.inv_deg[rows, None]
             s[rows] += agg
 
@@ -354,7 +362,7 @@ def backward(model: GcnModel, trace: ForwardTrace,
             dpre *= lt.msg_in[src]
             dpre *= gate
             dpre *= np.subtract(1.0, gate, out=gate)
-            dgate_dst[rows] = _block_sum(dpre, dst, rows)
+            [dgate_dst[rows]] = _block_sum(dst, rows, dpre)
 
         dmsg_in = np.empty_like(lt.msg_in)
         dgate_src = np.empty_like(lt.gate_src)
@@ -364,10 +372,11 @@ def backward(model: GcnModel, trace: ForwardTrace,
             dmsg = dagg[dst]
             dpre = dmsg * lt.msg_in[src]
             dmsg *= gate
-            dmsg_in[rows] = _block_sum(dmsg, src, rows)
             dpre *= gate
             dpre *= np.subtract(1.0, gate, out=gate)
-            dgate_src[rows] = _block_sum(dpre, src, rows)
+            for grad, sums in zip((dmsg_in, dgate_src),
+                                  _block_sum(src, rows, dmsg, dpre)):
+                grad[rows] = sums
 
         grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
         grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)

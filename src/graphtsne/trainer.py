@@ -18,7 +18,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affinity import AffinityMatrix, joint_p, pairwise_sq_euclidean, row_blocks
+from .affinity import AffinityMatrix, pairwise_sq_euclidean, row_blocks
+# each distance matrix is a temporary that becomes its P; _affinities calls
+# this module's joint_p by name, so wrapping trainer.joint_p sees every call
+from .affinity import _joint_p_owned as joint_p
 from .errors import EmptyAffinityError, MalformedInputError, TrainingError
 from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
                   backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
@@ -218,8 +221,8 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
 
     Both affinity matrices are built once up front, from all-pairs BFS hops
     cut off at cfg.hop_cap and from squared Euclidean feature distances;
-    each distance matrix is dropped once calibrated. A term with weight 0 is
-    not built and reports 0. Fully deterministic for a fixed seed.
+    each distance matrix is calibrated into its P in place. A term with
+    weight 0 is not built and reports 0. Fully deterministic for a fixed seed.
     """
     cfg.validate()
     if cfg.mode != "full":

@@ -2,11 +2,13 @@
 
 Everything here is written as literal, loop-based formula transcriptions
 with no code shared with the package, deliberately favoring obviousness
-over speed. There are two exceptions. ``dense_composite_loss`` is the
+over speed. There are three exceptions. ``dense_composite_loss`` is the
 library's former whole-matrix loss, kept as it was (Q from ``studentt_q``)
 to check the row-blocked loss that replaced it at sizes the loops cannot
-reach. ``whole_array_forward`` and ``whole_array_backward`` are the former
-GCN passes, which built every per-edge array for all edges at once, with
+reach. ``whole_array_sq_euclidean`` is the former distance matrix, made
+over whole arrays, to check the one made in row blocks bit for bit.
+``whole_array_forward`` and ``whole_array_backward`` are the former GCN
+passes, which built every per-edge array for all edges at once, with
 their sums made by ``np.add.at``; they check the edge passes that walk 64
 nodes at a time.
 """
@@ -42,6 +44,17 @@ def naive_sq_euclidean(x):
         for j in range(n):
             diff = x[i] - x[j]
             d[i, j] = float(np.dot(diff, diff))
+    return d
+
+
+def whole_array_sq_euclidean(x):
+    """``affinity.pairwise_sq_euclidean`` as it was before it was made in
+    row blocks over one buffer: the same operations on whole arrays."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)
     return d
 
 

@@ -12,7 +12,7 @@ from graphtsne import (EmptyAffinityError, UNREACHABLE, affinity, calibrate_row,
 
 from conftest import finite_difference_grads, max_relative_error
 from oracles import (calibrate_row_loop, joint_p_loop, joint_p_reference,
-                     naive_sq_euclidean)
+                     naive_sq_euclidean, whole_array_sq_euclidean)
 
 
 def draw_distances(data, n):
@@ -59,6 +59,22 @@ class TestPairwiseSqEuclidean:
         x = rng.normal(size=(40, 7))
         d = pairwise_sq_euclidean(x)
         assert np.abs(d - naive_sq_euclidean(x)).max() <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.sampled_from(["normal", "integer", "repeated", "scaled"]))
+    def test_row_blocks_match_whole_array_bit_for_bit(self, n, dim, seed, kind):
+        """n crosses the 64-row block boundaries; repeated rows and integer
+        coordinates give exact zeros and ties."""
+        rng = np.random.default_rng(seed)
+        x = {"normal": lambda: rng.normal(size=(n, dim)),
+             "integer": lambda: rng.integers(-3, 4, size=(n, dim)),
+             "repeated": lambda: rng.normal(size=(3, dim))[rng.integers(0, 3, size=n)],
+             "scaled": lambda: rng.normal(size=(n, dim)) * 10.0 ** rng.integers(
+                 -150, 150, size=(n, 1))}[kind]()
+        d = pairwise_sq_euclidean(x)
+        assert d.tobytes() == whole_array_sq_euclidean(x).tobytes()
+        assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
 
     def test_exactly_symmetric_zero_diagonal(self, rng):
         # at this size a general (not syrk) product of a strided or reversed
@@ -188,16 +204,28 @@ class TestJointP:
         perplexity = data.draw(st.floats(2.0, 8.0))
         block = data.draw(st.sampled_from([1, 3, n + 1]))
         expected = joint_p_loop(d, perplexity)
+        given_bytes = d.tobytes()
         with mock.patch.object(affinity, "_ROW_BLOCK", block):
             if expected is None:
                 with pytest.raises(EmptyAffinityError):
                     joint_p(d, perplexity)
+                with pytest.raises(EmptyAffinityError):
+                    affinity._joint_p_owned(d.copy(), perplexity)
             else:
                 aff = joint_p(d, perplexity)
+                owned = d.copy()
+                in_place = affinity._joint_p_owned(owned, perplexity)
                 p, sigmas, n_degenerate, n_converged = expected
                 assert (aff.n_converged, aff.n_degenerate) == (n_converged, n_degenerate)
                 np.testing.assert_allclose(aff.sigmas, sigmas, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(aff.p, p, rtol=1e-12, atol=0.0)
+                # one kernel: the copy the public call makes changes no bit
+                assert in_place.p is owned
+                assert in_place.p.tobytes() == aff.p.tobytes()
+                assert in_place.sigmas.tobytes() == aff.sigmas.tobytes()
+                assert (in_place.n_converged, in_place.n_degenerate) == (
+                    n_converged, n_degenerate)
+        assert d.tobytes() == given_bytes  # the public joint_p never writes its input
         for i in range(n):
             row = d[i].copy()
             row[i] = UNREACHABLE
@@ -215,22 +243,55 @@ class TestJointP:
             assert not res.degenerate or res.perplexity == 0.0
 
     def test_input_matrix_freed_before_p_is_made(self):
-        """A caller's temporary distance matrix is not alive next to the
-        conditionals and P: the peak stays well under d + conditionals + P."""
+        """The kernel the trainer calls makes P in the distance matrix it is
+        handed, so no other N x N array is alive at once; the public joint_p
+        adds only its copy of the input, which becomes P."""
         n = 1500
         x = np.random.default_rng(0).normal(size=(n, 16))
-        tracemalloc.start()
-        try:
-            joint_p(pairwise_sq_euclidean(x), 30.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.75 * n * n * 8
+        for calibrate, arrays in ((affinity._joint_p_owned, 1), (joint_p, 2)):
+            tracemalloc.start()
+            try:
+                calibrate(pairwise_sq_euclidean(x), 30.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # here the 64-row blocks of the calibration hold about 0.4 N^2
+            assert peak < (arrays + 0.75) * n * n * 8, calibrate.__name__
 
     def test_asymmetric_input_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             joint_p(d, 5.0)
+
+    @pytest.mark.parametrize("entry, value", [((100, 3), 1.0), ((3, 100), 1.0),
+                                              ((100, 3), UNREACHABLE),
+                                              ((3, 100), UNREACHABLE)])
+    def test_asymmetry_across_row_blocks_rejected(self, rng, entry, value):
+        """One entry of one triangle changed, its row and column in different
+        64-row blocks: the check of either block finds it."""
+        d = pairwise_sq_euclidean(rng.normal(size=(130, 3)))
+        d[entry] += value
+        for block in (affinity._ROW_BLOCK, 1, 3, 131):
+            with mock.patch.object(affinity, "_ROW_BLOCK", block):
+                with pytest.raises(ValueError, match="symmetric"):
+                    joint_p(d, 10.0)
+                with pytest.raises(ValueError, match="symmetric"):
+                    affinity._joint_p_owned(d.copy(), 10.0)
+
+    def test_symmetry_tolerance_is_measured_from_both_entries(self, rng):
+        """allclose measures |a - b| against |b|: a pair within tolerance of
+        one entry but not of the other is rejected in either triangle."""
+        b = 1e-7
+        a = b + (1e-12 + 1e-9 * b)  # about where b's tolerance ends
+        while np.allclose(a, b, rtol=1e-9, atol=1e-12):
+            a = np.nextafter(a, np.inf)
+        assert np.allclose(b, a, rtol=1e-9, atol=1e-12)
+        d = pairwise_sq_euclidean(rng.normal(size=(130, 3)))
+        for i, j in ((100, 3), (3, 100)):
+            asymmetric = d.copy()
+            asymmetric[i, j], asymmetric[j, i] = a, b
+            with pytest.raises(ValueError, match="symmetric"):
+                joint_p(asymmetric, 10.0)
 
     def test_p_log_p_and_sum_made_once_over_row_blocks(self, rng):
         p = joint_p(pairwise_sq_euclidean(rng.normal(size=(150, 3))), 10.0).p

@@ -3,14 +3,17 @@
 import json
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtsne import metrics
-from graphtsne.cli import main, read_layout_csv
-from graphtsne.graph import (LabeledDataset, load_edge_list, load_features_csv,
+from graphtsne.cli import _write_layout, main, read_layout_csv
+from graphtsne.graph import (Graph, LabeledDataset, load_edge_list, load_features_csv,
                              load_labels_csv)
 from graphtsne.metrics import evaluate_layout
 from graphtsne.synthetic import sbm_dataset
@@ -541,6 +544,23 @@ class TestInputText:
         crlf = tmp_path / name
         crlf.write_bytes((dataset_dir / name).read_bytes().replace(b"\n", b"\r\n"))
         np.testing.assert_equal(load(crlf), load(dataset_dir / name))
+
+
+class TestLayoutRoundTrip:
+    # up to 1e150, so that the SVG's standardized map does not overflow
+    coordinate = (st.floats(-1e150, 1e150)
+                  | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
+    def test_written_layout_reads_back_bit_identical(self, points):
+        y = np.array(points, dtype=np.float64)
+        data = LabeledDataset(graph=Graph.from_edges(len(y), []),
+                              features=np.zeros((len(y), 1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _write_layout(tmp, y, data)
+            back = read_layout_csv(paths["layout"], len(y))
+        assert back.tobytes() == y.tobytes()  # tells -0.0 from 0.0
 
 
 class TestSvgOutput:

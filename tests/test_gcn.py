@@ -1,4 +1,6 @@
 import copy
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -62,6 +64,18 @@ class TestInitModel:
 
 
 class TestForward:
+    def test_full_plan_reads_c_ordered_features_in_place(self):
+        ds, model, plan = tiny_instance()
+        _, trace = forward(model, plan, ds.features)
+        assert trace.x_sub is ds.features
+        for other in (np.asfortranarray(ds.features), ds.features[::-1]):
+            _, trace = forward(model, plan, other)
+            assert trace.x_sub.flags.c_contiguous and np.array_equal(trace.x_sub, other)
+        batch = build_batch_plan(neighbor_subsample(ds.graph, np.array([4, 1]), (2, 2),
+                                                    seed=0))
+        _, trace = forward(model, batch, ds.features)
+        assert np.array_equal(trace.x_sub, ds.features[batch.node_ids])
+
     def test_zero_conv_weights_residual_passthrough(self, rng):
         ds, model, plan = tiny_instance()
         for layer in model.layers:
@@ -239,16 +253,24 @@ class TestBlockSum:
         values = np.array(data.draw(st.lists(value, min_size=edges * cols,
                                              max_size=edges * cols)),
                           dtype=np.float64).reshape(edges, cols)
-        expected = np.zeros((size, cols))
-        np.add.at(expected, index, values)
-        got = _block_sum(values, index + start, slice(start, start + size))
-        assert got.dtype == np.float64 and got.shape == (size, cols)
-        assert got.tobytes() == expected.tobytes()  # tells -0.0 from 0.0
+        # a second array summed over the same cells gets its own sums
+        both = (values, -2.5 * values[::-1])
+        rows = slice(start, start + size)
+        for got, v in zip(_block_sum(index + start, rows, *both), both):
+            expected = np.zeros((size, cols))
+            np.add.at(expected, index, v)
+            assert got.dtype == np.float64 and got.shape == (size, cols)
+            assert got.tobytes() == expected.tobytes()  # tells -0.0 from 0.0
+        [alone] = _block_sum(index + start, rows, both[1])
+        assert alone.tobytes() == got.tobytes()
 
     def test_no_edges_give_float64_zeros(self):
-        got = _block_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), slice(64, 68))
-        assert got.dtype == np.float64
-        assert np.array_equal(got, np.zeros((4, 3)))
+        sums = list(_block_sum(np.zeros(0, dtype=np.int64), slice(64, 68),
+                               np.zeros((0, 3)), np.zeros((0, 3))))
+        assert len(sums) == 2
+        for got in sums:
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.zeros((4, 3)))
 
     def test_edgeless_graph_forward_and_backward_finite(self, rng):
         model = init_model(3, 8, seed=1)
@@ -276,7 +298,11 @@ class TestBlockedPasses:
         model = init_model(3, 4, seed=seed % 1000)
         for _, param in model.named_parameters():
             param[:] = rng.normal(size=param.shape)
-        features = rng.normal(size=(n, 3))
+        # the full plan reads C-ordered features in place and gathers any other
+        features = {"C": lambda: rng.normal(size=(n, 3)),
+                    "F": lambda: np.asfortranarray(rng.normal(size=(n, 3))),
+                    "strided": lambda: rng.normal(size=(n, 6))[:, ::2]}[
+            data.draw(st.sampled_from(["C", "F", "strided"]), label="layout")]()
         plans = [build_full_plan(graph, model.num_layers)]
         batch = rng.choice(n, size=data.draw(st.integers(1, n)), replace=False)
         fanouts = data.draw(st.tuples(st.integers(1, 80), st.integers(1, 80)))
@@ -394,6 +420,30 @@ class TestCheckpoint:
         for (na, a), (nb, b) in zip(model.named_state(), loaded.named_state()):
             assert na == nb
             assert np.array_equal(a, b), na
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    def test_roundtrip_bit_identical_property(self, input_dim, hidden_dim,
+                                              num_layers, seed):
+        model = init_model(input_dim, hidden_dim, seed=0, num_layers=num_layers)
+        rng = np.random.default_rng(seed)
+        special = [0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf, np.nan,
+                   np.finfo(np.float64).max]
+        for _, arr in model.named_state():
+            arr[:] = rng.normal(size=arr.shape) * 10.0 ** rng.integers(-300, 300,
+                                                                        size=arr.shape)
+            mask = rng.random(arr.shape) < 0.2
+            arr[mask] = rng.choice(special, size=int(mask.sum()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.gtsne")
+            save_model(model, path)
+            loaded = load_model(path)
+        assert loaded.num_layers == num_layers
+        saved, read = list(model.named_state()), list(loaded.named_state())
+        assert [name for name, _ in saved] == [name for name, _ in read]
+        for (name, a), (_, b) in zip(saved, read):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     def test_magic_string_written(self, tmp_path):
         model = init_model(3, 4, seed=30)

@@ -253,6 +253,31 @@ class TestTrainFullBatch:
         assert np.all(p[hops > cap] == 0.0)
         assert np.all(p[hops == 1] > 0.0)
 
+    def test_joint_p_calls_reach_its_trainer_name(self, small_sbm, monkeypatch):
+        """Wrappers of trainer.joint_p, like the benchmark's row counts and
+        span names, see both calibrations, called as (distances, perplexity):
+        the graph one first, on the array all_pairs_distances returned."""
+        hops, calls = [], []
+        distances_of, calibrate = trainer.all_pairs_distances, trainer.joint_p
+
+        def hops_spy(*args, **kwargs):
+            hops.append(distances_of(*args, **kwargs))
+            return hops[-1]
+
+        def joint_p_spy(distances, perplexity):
+            calls.append((distances, calibrate(distances, perplexity)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(trainer, "all_pairs_distances", hops_spy)
+        monkeypatch.setattr(trainer, "joint_p", joint_p_spy)
+        train_full_batch(small_sbm, TrainConfig(alpha=0.5, epochs=1, hidden_dim=4,
+                                                mode="full", perplexity=5.0))
+        assert len(hops) == 1 and len(calls) == 2
+        assert calls[0][0] is hops[0]
+        for distances, result in calls:
+            assert result.n_converged > 0
+            assert result.p is distances  # each distance matrix became its P
+
     def test_identical_features_raise_named_training_error(self):
         # uniform feature rows: no bandwidth can hit the target perplexity
         g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
