@@ -19,7 +19,8 @@ compared as one array: its largest difference relative to its largest
 magnitude. It exits 1 when that exceeds RTOL, and when any other value
 differs: an exit code, a list's length, text around the numbers, an array's
 dtype, shape or hash, a checkpoint's header, or a key present on one side
-only. The exceptions are named in ONLY_IN_OLD and CHANGED below.
+only. The exceptions are named in ONLY_IN_OLD, ONLY_IN_NEW and CHANGED
+below.
 
 Floats are recorded as their exact repr; float arrays of at most FULL_FLOATS
 entries as dtype, shape and every value, other arrays as dtype, shape and
@@ -45,7 +46,8 @@ Covered:
   real-valued features whose distances are all distinct, and on one
   50-node batch's hop and feature matrices, the shape mini-batch training
   calibrates: P (by value where it is small enough, else hashed and
-  sampled), sigmas by value, and the converged and degenerate counts;
+  sampled), sigmas by value, and the converged, degenerate and bound-hit
+  counts;
 - knn_graph pairs for k = 1, 10 and 50 on the citation stand-in's features,
   whose many ties test the tie order, and on the real-valued features;
 - every rank_blocks order (hashed) on the citation stand-in's features and on
@@ -238,7 +240,8 @@ def rank_orders(distances) -> str:
 def affinity_record(distances) -> dict:
     aff = joint_p(distances, 30.0)
     return {"p": digest(aff.p), "sigmas": digest(aff.sigmas),
-            "n_converged": aff.n_converged, "n_degenerate": aff.n_degenerate}
+            "n_converged": aff.n_converged, "n_degenerate": aff.n_degenerate,
+            "n_bound_hit": aff.n_bound_hit}
 
 
 def affinities() -> dict:
@@ -382,12 +385,14 @@ def cli_outputs(scratch) -> dict:
 DIGEST = re.compile(r"([a-z0-9]+\[[0-9, ]*\]):[0-9a-f]{64}")
 RTOL = 1e-9   # largest relative float difference --compare accepts
 # What a change expects to move beyond float drift, as globs over "/"-joined
-# paths: keys only the old dump has (say, a removed parameter), and entries
-# whose bytes change while their float samples stay within RTOL (say, a hash
-# of an array whose summation order moved). A change that moves nothing
-# leaves both empty.
+# paths: keys only the old dump has (say, a removed parameter), keys only
+# the new dump has (say, a new counter), and entries whose bytes change
+# while their float samples stay within RTOL (say, a hash of an array whose
+# summation order moved). A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-CHANGED = ()
+ONLY_IN_NEW = ("affinities/*/n_bound_hit",)
+# the preset's batch count, min(1000, max(1, N // 50)), is in every manifest
+CHANGED = ("cli/*/files/manifest.json/config/batch_count",)
 
 
 def named(where: str, globs) -> bool:
@@ -424,7 +429,7 @@ class Comparison:
                 side, where = "old" if key in old else "new", path + (key,)
                 self.one_side[path[0] if path else key].append((side, where))
                 joined = "/".join(map(str, where))
-                if not (side == "old" and named(joined, ONLY_IN_OLD)):
+                if not named(joined, ONLY_IN_OLD if side == "old" else ONLY_IN_NEW):
                     self.failures.append((joined, f"only in the {side} dump"))
         elif (isinstance(old, list) and isinstance(new, list)
               and len(old) == len(new)):

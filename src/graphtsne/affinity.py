@@ -139,6 +139,7 @@ class AffinityMatrix:
     sigmas: np.ndarray
     n_degenerate: int = 0
     n_converged: int = 0
+    n_bound_hit: int = 0     # rows whose unconverged search ran into SIGMA_LO or SIGMA_HI
 
     @property
     def size(self) -> int:
@@ -179,7 +180,7 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
         raise ValueError("distance matrix must be square")
     n = d.shape[0]
     sigmas = np.full(n, np.nan)
-    n_converged = 0
+    n_converged = n_bound_hit = 0
     for rows in row_blocks(n):
         s = rows.start
         block, mirror = d[rows, s:], d[s:, rows].T
@@ -191,8 +192,9 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
             raise ValueError("distance matrix must be symmetric")
         block = d[rows].copy()
         np.fill_diagonal(block[:, rows], np.inf)  # the self entry gets probability 0
-        sigmas[rows], _, converged, _, d[rows] = _calibrate(block, target_perplexity)
+        sigmas[rows], _, converged, bound_hit, d[rows] = _calibrate(block, target_perplexity)
         n_converged += int(converged.sum())
+        n_bound_hit += int(bound_hit.sum())
     n_degenerate = int(np.isnan(sigmas).sum())
     if n_degenerate == n:
         raise EmptyAffinityError("every row of the distance matrix is unreachable")
@@ -203,7 +205,7 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
         d[s:, rows] = t.T
     d /= d.sum()
     return AffinityMatrix(p=d, sigmas=sigmas, n_degenerate=n_degenerate,
-                          n_converged=n_converged)
+                          n_converged=n_converged, n_bound_hit=n_bound_hit)
 
 
 @dataclass

@@ -13,10 +13,13 @@ use a zero aggregation term. All math is float64; gradients are exact
 
 Every per-edge term is made for the edges of one 64-node slice of
 ``affinity.row_blocks`` at a time, so no pass holds an array of all edges
-by hidden units: the forward pass walks the edges by destination block,
-the backward pass once by destination and once by source block, and each
-recomputes the gates from the per-node gate terms kept in the trace. Each
-node's edge terms are added one after another in edge order, from 0.0.
+by hidden units. The forward pass walks the edges by destination block and
+sums, besides each node's gated messages, its gate slope msg * gate *
+(1 - gate), from which the backward pass gets the destination gate
+gradient with no edge walk. The backward pass walks the edges once, by
+source block, recomputing the gates from the per-node gate terms kept in
+the trace. Each node's edge terms are added one after another in edge
+order, from 0.0.
 """
 
 from __future__ import annotations
@@ -187,19 +190,17 @@ def _edge_blocks(ends: np.ndarray, size: int) -> list:
             for rows, lo, hi in zip(blocks, [0, *cuts[:-1]], cuts)]
 
 
-def _block_sum(ends: np.ndarray, rows: slice, *values: np.ndarray):
-    """Yield, per array of ``values``, all (E, cols), the (len(rows), cols) sums
-    of its rows into the nodes ``rows`` by their ``ends``, each node's terms
+def _block_sum(ends: np.ndarray, rows: slice, *values: np.ndarray) -> list:
+    """Per array of ``values``, all (E, cols), the (len(rows), cols) sums of
+    its rows into the nodes ``rows`` by their ``ends``, each node's terms
     added one after another from 0.0; a node no value ends at gets 0.0. The
-    arrays share one table of bincount cells, and each sum is made only when
-    the one before it has been taken."""
+    arrays share one table of bincount cells."""
     cols = values[0].shape[1]
     cells = ((ends - rows.start)[:, None] * cols + np.arange(cols)).ravel()
     size = (rows.stop - rows.start) * cols
-    for v in values:
-        # with no input bincount returns int64 zeros, whatever the weights' dtype
-        yield np.bincount(cells, weights=v.ravel(), minlength=size).astype(
-            np.float64, copy=False).reshape(-1, cols)
+    # with no input bincount returns int64 zeros, whatever the weights' dtype
+    return [np.bincount(cells, weights=v.ravel(), minlength=size).astype(
+        np.float64, copy=False).reshape(-1, cols) for v in values]
 
 
 def _gate(gate_dst: np.ndarray, gate_src: np.ndarray, dst: np.ndarray,
@@ -223,7 +224,7 @@ class _LayerTrace:
     gate_dst: np.ndarray    # gate_dst_w h + gate_dst_b for the output nodes
     gate_src: np.ndarray    # gate_src_w h + gate_src_b for all input nodes
     msg_in: np.ndarray      # msg_w h + msg_b for all input nodes
-    by_dst: list            # _edge_blocks of the edges by destination
+    slope: np.ndarray       # per output node, sum over its edges of msg * gate * (1 - gate)
     by_src: list            # _edge_blocks of the edges by source
     x_hat: np.ndarray       # batch-norm normalized pre-activation
     inv_std: np.ndarray
@@ -233,7 +234,7 @@ class _LayerTrace:
 @dataclass
 class ForwardTrace:
     """What ``backward`` reads of a forward pass: per layer the N x H node
-    terms and the two edge orders, no array with a row per edge."""
+    terms and the edge order by source, no array with a row per edge."""
 
     plan: PropagationPlan
     x_sub: np.ndarray
@@ -277,14 +278,17 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         gate_dst = h_in[:out_n] @ layer.gate_dst_w.T + layer.gate_dst_b
         gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
         msg_in = h_in @ layer.msg_w.T + layer.msg_b
-        by_dst = _edge_blocks(lp.dst, out_n)
 
         s = h_in[:out_n] @ layer.self_w.T   # plus the mean gated message
-        for rows, edges in by_dst:
+        slope = np.empty_like(gate_dst)
+        for rows, edges in _edge_blocks(lp.dst, out_n):
             dst, src = lp.dst[edges], lp.src[edges]
+            gate = _gate(gate_dst, gate_src, dst, src)
             msg = msg_in[src]
-            msg *= _gate(gate_dst, gate_src, dst, src)
-            [agg] = _block_sum(dst, rows, msg)
+            msg *= gate
+            np.subtract(1.0, gate, out=gate)
+            gate *= msg     # the message times the gate's slope, 1 - gate
+            agg, slope[rows] = _block_sum(dst, rows, msg, gate)
             agg *= lp.inv_deg[rows, None]
             s[rows] += agg
 
@@ -302,7 +306,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         h = np.where(relu_mask, z, 0.0) + h_in[:out_n]
         trace.layers.append(_LayerTrace(
             h_in=h_in, gate_dst=gate_dst, gate_src=gate_src, msg_in=msg_in,
-            by_dst=by_dst, by_src=_edge_blocks(lp.src, lp.in_size),
+            slope=slope, by_src=_edge_blocks(lp.src, lp.in_size),
             x_hat=x_hat, inv_std=inv_std, relu_mask=relu_mask))
     trace.h_final = h
     y = h[:plan.batch_size] @ model.out_w.T
@@ -339,7 +343,7 @@ def backward(model: GcnModel, trace: ForwardTrace,
         # batch norm backward (batch statistics, biased variance)
         grads[prefix + "bn_scale"] = (dz * lt.x_hat).sum(axis=0)
         grads[prefix + "bn_shift"] = dz.sum(axis=0)
-        dxhat = dz * layer.bn_scale
+        dxhat = np.multiply(dz, layer.bn_scale, out=dz)   # dz is read no more
         b = float(out_n)
         ds = (lt.inv_std / b) * (b * dxhat - dxhat.sum(axis=0)
                                  - lt.x_hat * (dxhat * lt.x_hat).sum(axis=0))
@@ -352,31 +356,22 @@ def backward(model: GcnModel, trace: ForwardTrace,
 
         # aggregation path: per edge, the message's gradient is dagg[dst] *
         # gate and the gate pre-activation's is dagg[dst] * msg_in[src] *
-        # gate * (1 - gate); each sum runs over one block of end nodes
-        dagg = ds * lp.inv_deg[:, None]
-        dgate_dst = np.empty_like(lt.gate_dst)
-        for rows, edges in lt.by_dst:
-            dst, src = lp.dst[edges], lp.src[edges]
-            gate = _gate(lt.gate_dst, lt.gate_src, dst, src)
-            dpre = dagg[dst]
-            dpre *= lt.msg_in[src]
-            dpre *= gate
-            dpre *= np.subtract(1.0, gate, out=gate)
-            [dgate_dst[rows]] = _block_sum(dst, rows, dpre)
-
+        # gate * (1 - gate). Summed by destination, that is dagg times the
+        # forward's slope; summed by source, msg_in times the sum of dagg[dst]
+        # * gate * (1 - gate), so one walk by source block makes both sums.
+        dagg = np.multiply(ds, lp.inv_deg[:, None], out=ds)   # ds is read no more
         dmsg_in = np.empty_like(lt.msg_in)
         dgate_src = np.empty_like(lt.gate_src)
         for rows, edges in lt.by_src:
             dst, src = lp.dst[edges], lp.src[edges]
             gate = _gate(lt.gate_dst, lt.gate_src, dst, src)
             dmsg = dagg[dst]
-            dpre = dmsg * lt.msg_in[src]
             dmsg *= gate
-            dpre *= gate
-            dpre *= np.subtract(1.0, gate, out=gate)
-            for grad, sums in zip((dmsg_in, dgate_src),
-                                  _block_sum(src, rows, dmsg, dpre)):
-                grad[rows] = sums
+            np.subtract(1.0, gate, out=gate)
+            gate *= dmsg
+            dmsg_in[rows], dgate_src[rows] = _block_sum(src, rows, dmsg, gate)
+        dgate_src *= lt.msg_in
+        dgate_dst = np.multiply(dagg, lt.slope, out=dagg)   # and dagg no more
 
         grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
         grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)

@@ -76,15 +76,17 @@ class TrainConfig:
 
 def default_config(num_nodes: int, alpha: float = 0.5, seed: int = 0) -> TrainConfig:
     """Preset by graph size: <= 10000 nodes trains full-batch with 128 hidden
-    units for 360 epochs; larger graphs train 5 epochs of min(1000, N // 50)
-    mini-batches (so at least 50 nodes each, room for perplexity 30) with
-    256 hidden units and fanouts (10, 15)."""
+    units for 360 epochs; larger graphs train 5 epochs of mini-batches with
+    256 hidden units and fanouts (10, 15). Either preset sets min(1000,
+    max(1, N // 50)) batches, so a batch holds at least 50 nodes (room for
+    perplexity 30) on any graph of 50 nodes or more, also when
+    ``--mode minibatch`` switches a small graph's preset to mini-batches."""
+    batch_count = min(1000, max(1, num_nodes // 50))
     if num_nodes <= SMALL_GRAPH_LIMIT:
         return TrainConfig(alpha=alpha, epochs=360, hidden_dim=128,
-                           mode="full", seed=seed)
+                           mode="full", batch_count=batch_count, seed=seed)
     return TrainConfig(alpha=alpha, epochs=5, hidden_dim=256, mode="minibatch",
-                       batch_count=min(1000, num_nodes // 50), fanouts=(10, 15),
-                       seed=seed)
+                       batch_count=batch_count, fanouts=(10, 15), seed=seed)
 
 
 @dataclass
@@ -195,6 +197,7 @@ def _train(features: np.ndarray, cfg: TrainConfig, epochs,
                 raise TrainingError(f"epoch {epoch}: the loss or its gradient "
                                     f"is not finite (lr {cfg.lr:g})")
             adam_step(adam, model, backward(model, trace, loss.grad))
+            del trace   # else it is alive through the next step's forward
             losses.append((loss.total, loss.graph_term, loss.feature_term))
             if on_step is not None:
                 on_step(epoch, *args, loss)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from graphtsne import Graph, LabeledDataset, sbm_dataset
+from graphtsne import Graph, LabeledDataset, neighbor_subsample, sbm_dataset
 
 ACCEPTANCE_VERDICTS = []
 
@@ -61,3 +62,19 @@ def max_relative_error(a, b, floor=1e-3):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def draw_sampled_batch(data):
+    """A hypothesis-drawn graph of 1-40 nodes, a batch of its nodes and one
+    to three fanouts, sampled by ``neighbor_subsample``. Returns
+    (edge pairs, graph, batch, fanouts, seed, sample)."""
+    n = data.draw(st.integers(1, 40), label="n")
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=4 * n), label="pairs")
+    graph = Graph.from_edges(n, [(i, j) for i, j in pairs if i != j])
+    batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                        unique=True), label="batch"))
+    fanouts = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+                        label="fanouts")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return pairs, graph, batch, fanouts, seed, neighbor_subsample(graph, batch, fanouts, seed)

@@ -10,7 +10,11 @@ over whole arrays, to check the one made in row blocks bit for bit.
 ``whole_array_forward`` and ``whole_array_backward`` are the former GCN
 passes, which built every per-edge array for all edges at once, with
 their sums made by ``np.add.at``; they check the edge passes that walk 64
-nodes at a time.
+nodes at a time. By default the backward sums the gate gradients in the
+factored order the library uses (the forward's gate slope times the
+destination's gradient; the source's message times a sum by source);
+``per_edge=True`` sums each edge's full product instead, as the library
+did before, to check that factoring moved the gradients only by rounding.
 """
 
 import numpy as np
@@ -239,31 +243,34 @@ def calibrate_row_loop(dist_row, target_perplexity):
 
 def joint_p_loop(distances, target_perplexity):
     """Symmetrized joint affinities from one ``calibrate_row_loop`` per row.
-    Returns (p, sigmas, n_degenerate, n_converged), or None when every row
-    is degenerate."""
+    Returns (p, sigmas, n_degenerate, n_converged, n_bound_hit), or None
+    when every row is degenerate."""
     d = np.asarray(distances, dtype=np.float64)
     n = d.shape[0]
     conditionals = np.zeros((n, n), dtype=np.float64)
     sigmas = np.full(n, np.nan)
     n_degenerate = 0
     n_converged = 0
+    n_bound_hit = 0
     for i in range(n):
         row = d[i].copy()
         row[i] = np.inf  # the self entry gets probability exactly zero
-        sigma, conditional, _, converged, _, degenerate = calibrate_row_loop(
+        sigma, conditional, _, converged, bound_hit, degenerate = calibrate_row_loop(
             row, target_perplexity)
         if degenerate:
             n_degenerate += 1
             continue
         if converged:
             n_converged += 1
+        if bound_hit:
+            n_bound_hit += 1
         sigmas[i] = sigma
         conditionals[i] = conditional
     if n_degenerate == n:
         return None
     p = (conditionals + conditionals.T) / (2.0 * n)
     p /= p.sum()
-    return p, sigmas, n_degenerate, n_converged
+    return p, sigmas, n_degenerate, n_converged, n_bound_hit
 
 
 def kl_oracle(p, y):
@@ -351,7 +358,9 @@ def whole_array_forward(model, plan, features, mode="train"):
         msg_in = h_in @ layer.msg_w.T + layer.msg_b
 
         gate = 1.0 / (1.0 + np.exp(-(gate_dst[lp.dst] + gate_src[lp.src])))
-        agg = _add_at_sum(gate * msg_in[lp.src], lp.dst, out_n)
+        msg = gate * msg_in[lp.src]
+        slope = _add_at_sum((1.0 - gate) * msg, lp.dst, out_n)
+        agg = _add_at_sum(msg, lp.dst, out_n)
         agg *= lp.inv_deg[:, None]
 
         s = self_term + agg
@@ -368,15 +377,16 @@ def whole_array_forward(model, plan, features, mode="train"):
         relu_mask = z > 0.0
         h = np.where(relu_mask, z, 0.0) + h_in[:out_n]
         layers.append(SimpleNamespace(h_in=h_in, gate=gate, msg_in=msg_in,
-                                      agg=agg, x_hat=x_hat, inv_std=inv_std,
+                                      slope=slope, x_hat=x_hat, inv_std=inv_std,
                                       relu_mask=relu_mask))
     y = h[:plan.batch_size] @ model.out_w.T
     return y, SimpleNamespace(plan=plan, x_sub=x_sub, layers=layers, h_final=h)
 
 
-def whole_array_backward(model, trace, grad_y):
-    """``gcn.backward`` as it was before its edge passes were blocked, on a
-    ``whole_array_forward`` trace of a train-mode pass."""
+def whole_array_backward(model, trace, grad_y, per_edge=False):
+    """``gcn.backward`` over all edges at once, on a ``whole_array_forward``
+    trace of a train-mode pass: the gate gradients factored as the library
+    makes them, or with ``per_edge`` as sums of each edge's product."""
     grad_y = np.asarray(grad_y, dtype=np.float64)
     plan = trace.plan
     grads = {"out_w": grad_y.T @ trace.h_final[:plan.batch_size]}
@@ -404,14 +414,16 @@ def whole_array_backward(model, trace, grad_y):
         dh_in[:out_n] += dh
 
         dagg = ds * lp.inv_deg[:, None]
-        dmsg_edge = dagg[lp.dst]
-        dgate = dmsg_edge * lt.msg_in[lp.src]
-        dmsg_src_edge = dmsg_edge * lt.gate
-        dpre = dgate * lt.gate * (1.0 - lt.gate)
-
-        dmsg_in = _add_at_sum(dmsg_src_edge, lp.src, lp.in_size)
-        dgate_dst = _add_at_sum(dpre, lp.dst, out_n)
-        dgate_src = _add_at_sum(dpre, lp.src, lp.in_size)
+        dmsg_edge = dagg[lp.dst] * lt.gate
+        if per_edge:
+            dpre = dagg[lp.dst] * lt.msg_in[lp.src] * lt.gate * (1.0 - lt.gate)
+            dgate_dst = _add_at_sum(dpre, lp.dst, out_n)
+            dgate_src = _add_at_sum(dpre, lp.src, lp.in_size)
+        else:
+            dgate_dst = dagg * lt.slope
+            dgate_src = _add_at_sum((1.0 - lt.gate) * dmsg_edge, lp.src,
+                                    lp.in_size) * lt.msg_in
+        dmsg_in = _add_at_sum(dmsg_edge, lp.src, lp.in_size)
 
         grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
         grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
@@ -428,6 +440,36 @@ def whole_array_backward(model, trace, grad_y):
     grads["in_w"] = dh.T @ trace.x_sub
     grads["in_b"] = dh.sum(axis=0)
     return grads
+
+
+def adjacency_sets(num_nodes, edge_pairs):
+    """{node: set of neighbors} of an undirected edge list, self-loops dropped."""
+    adj = {i: set() for i in range(num_nodes)}
+    for i, j in edge_pairs:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    return adj
+
+
+def batch_plan_oracle(sample):
+    """Per conv layer of a SubsampledBatch, bottom first, the (dst, src,
+    inv_deg) lists a batch plan holds, made with dicts: global ids become
+    their position in the last frontier, and a destination's inv_deg is
+    1 over how many sampled edges end at it (0 for none)."""
+    local = {int(g): i for i, g in enumerate(sample.frontiers[-1])}
+    num_layers = len(sample.layer_edges)
+    layers = []
+    for l, (dst_g, src_g) in enumerate(sample.layer_edges):
+        out_size = len(sample.frontiers[num_layers - 1 - l])
+        dst = [local[int(g)] for g in dst_g]
+        src = [local[int(g)] for g in src_g]
+        count = {}
+        for i in dst:
+            count[i] = count.get(i, 0) + 1
+        inv_deg = [1.0 / count[i] if i in count else 0.0 for i in range(out_size)]
+        layers.append((dst, src, inv_deg))
+    return layers
 
 
 def receptive_field_sizes(sample):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtsne import (EmptyAffinityError, UNREACHABLE, affinity, calibrate_row,
-                       composite_loss_and_grad, joint_p, pairwise_sq_euclidean,
-                       studentt_q)
+from graphtsne import (EmptyAffinityError, Graph, UNREACHABLE, affinity,
+                       all_pairs_distances, calibrate_row, composite_loss_and_grad,
+                       joint_p, pairwise_sq_euclidean, studentt_q)
 
 from conftest import finite_difference_grads, max_relative_error
 from oracles import (calibrate_row_loop, joint_p_loop, joint_p_reference,
@@ -215,16 +215,17 @@ class TestJointP:
                 aff = joint_p(d, perplexity)
                 owned = d.copy()
                 in_place = affinity._joint_p_owned(owned, perplexity)
-                p, sigmas, n_degenerate, n_converged = expected
-                assert (aff.n_converged, aff.n_degenerate) == (n_converged, n_degenerate)
+                p, sigmas, n_degenerate, n_converged, n_bound_hit = expected
+                assert (aff.n_converged, aff.n_degenerate, aff.n_bound_hit) == (
+                    n_converged, n_degenerate, n_bound_hit)
                 np.testing.assert_allclose(aff.sigmas, sigmas, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(aff.p, p, rtol=1e-12, atol=0.0)
                 # one kernel: the copy the public call makes changes no bit
                 assert in_place.p is owned
                 assert in_place.p.tobytes() == aff.p.tobytes()
                 assert in_place.sigmas.tobytes() == aff.sigmas.tobytes()
-                assert (in_place.n_converged, in_place.n_degenerate) == (
-                    n_converged, n_degenerate)
+                assert (in_place.n_converged, in_place.n_degenerate,
+                        in_place.n_bound_hit) == (n_converged, n_degenerate, n_bound_hit)
         assert d.tobytes() == given_bytes  # the public joint_p never writes its input
         for i in range(n):
             row = d[i].copy()
@@ -241,6 +242,16 @@ class TestJointP:
             assert res.converged == (abs(res.perplexity - perplexity)
                                      <= affinity.PERPLEXITY_TOL)
             assert not res.degenerate or res.perplexity == 0.0
+
+    def test_rows_reaching_fewer_nodes_than_the_perplexity_count_as_bound_hit(self):
+        # a 40-node path and a 4-node path: at most 3 nodes are reachable from
+        # the short path's rows, so their perplexity cannot reach 30
+        edges = [(i, i + 1) for i in range(39)] + [(40, 41), (41, 42), (42, 43)]
+        d = all_pairs_distances(Graph.from_edges(44, edges))
+        with mock.patch.object(affinity, "_ROW_BLOCK", 16):  # rows 40-43 share a block
+            aff = joint_p(d, 30.0)
+        assert (aff.n_converged, aff.n_bound_hit, aff.n_degenerate) == (40, 4, 0)
+        assert np.all(aff.sigmas[40:] > 0.1 * affinity.SIGMA_HI)  # searched up to the bound
 
     def test_input_matrix_freed_before_p_is_made(self):
         """The kernel the trainer calls makes P in the distance matrix it is

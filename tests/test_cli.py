@@ -1,6 +1,7 @@
 """End-to-end command-line tests: file parsing, exit codes, artifacts."""
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphtsne
 from graphtsne import metrics
 from graphtsne.cli import _write_layout, main, read_layout_csv
 from graphtsne.graph import (Graph, LabeledDataset, load_edge_list, load_features_csv,
@@ -92,6 +94,16 @@ class TestFit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 3        # flag beats fast.cfg
         assert manifest["config"]["hidden_dim"] == 8     # config beats preset
+
+    def test_mode_minibatch_on_a_small_graph_sets_the_preset_batch_count(
+            self, dataset_dir, tmp_path):
+        out = tmp_path / "run"
+        code = main(["fit", *base_args(dataset_dir), "--alpha", "0.5",
+                     "--mode", "minibatch", "--out-dir", str(out)])
+        assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        # min(1000, max(1, 45 // 50)): one batch of all 45 nodes
+        assert (config["mode"], config["batch_count"]) == ("minibatch", 1)
 
     def test_labels_are_optional(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -576,18 +588,25 @@ class TestSvgOutput:
         assert "href" not in text and "<image" not in text
 
 
+def run_module(*argv):
+    """``python -m graphtsne argv`` in a child that imports the package from
+    where this process does, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(graphtsne.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "graphtsne", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestConsoleScript:
     def test_installed_entrypoint_runs(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphtsne", "fit", *base_args(dataset_dir),
-             "--alpha", "0.5", "--out-dir", str(out)],
-            capture_output=True, text=True)
+        proc = run_module("fit", *base_args(dataset_dir), "--alpha", "0.5",
+                          "--out-dir", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "layout.csv").exists()
 
     def test_version_flag(self):
-        proc = subprocess.run([sys.executable, "-m", "graphtsne", "--version"],
-                              capture_output=True, text=True)
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip()

@@ -16,8 +16,9 @@ from graphtsne.gcn import (LR_DECAY_FACTOR, LR_PATIENCE, AdamState, GcnModel,
 from graphtsne.graph import neighbor_subsample
 from graphtsne.synthetic import random_dataset
 
-from conftest import finite_difference_grads, max_relative_error
-from oracles import adam_scalar_reference, whole_array_backward, whole_array_forward
+from conftest import draw_sampled_batch, finite_difference_grads, max_relative_error
+from oracles import (adam_scalar_reference, batch_plan_oracle, whole_array_backward,
+                     whole_array_forward)
 
 
 def tiny_instance(seed=3, n_nodes=6, in_dim=4, hidden=8):
@@ -238,6 +239,26 @@ class TestBackward:
             backward(model, trace, np.zeros((2, 2)))
 
 
+class TestBatchPlan:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_dict_oracle(self, data):
+        _, _, batch, fanouts, _, sample = draw_sampled_batch(data)
+        plan = build_batch_plan(sample)
+        ids = plan.node_ids
+        assert np.array_equal(ids, sample.frontiers[-1])
+        assert plan.batch_size == batch.size and np.array_equal(ids[:batch.size], batch)
+        num_layers = len(fanouts)
+        for l, (lp, (dst, src, inv_deg), (dst_g, src_g)) in enumerate(
+                zip(plan.layers, batch_plan_oracle(sample), sample.layer_edges)):
+            assert lp.out_size == sample.frontiers[num_layers - 1 - l].size
+            assert lp.in_size == sample.frontiers[num_layers - l].size
+            assert lp.dst.tolist() == dst and lp.src.tolist() == src
+            # local ids map back to the sampled global ids
+            assert np.array_equal(ids[lp.dst], dst_g) and np.array_equal(ids[lp.src], src_g)
+            assert lp.inv_deg.tolist() == inv_deg
+
+
 class TestBlockSum:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -281,23 +302,31 @@ class TestBlockSum:
             assert arr.dtype == np.float64 and np.isfinite(arr).all()
 
 
+def draw_graph_and_model(data):
+    """A hypothesis-drawn graph of 1-90 nodes, maybe with a hub of degree
+    n - 1, and a model whose every parameter is standard normal; returns
+    (n, graph, model, rng, seed)."""
+    n = data.draw(st.integers(1, 90), label="n")
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=3 * n), label="pairs")
+    pairs = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+    if data.draw(st.booleans(), label="hub"):   # degree n - 1, > 64 from n = 66
+        pairs |= {(0, j) for j in range(1, n)}
+    graph = Graph.from_edges(n, sorted(pairs))  # nodes on no pair are isolated
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    model = init_model(3, 4, seed=seed % 1000)
+    for _, param in model.named_parameters():
+        param[:] = rng.normal(size=param.shape)
+    return n, graph, model, rng, seed
+
+
 class TestBlockedPasses:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_match_whole_array_oracle_bit_for_bit(self, data):
-        n = data.draw(st.integers(1, 90), label="n")
-        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                             st.integers(0, n - 1)),
-                                   max_size=3 * n), label="pairs")
-        pairs = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
-        if data.draw(st.booleans(), label="hub"):   # degree n - 1, > 64 from n = 66
-            pairs |= {(0, j) for j in range(1, n)}
-        graph = Graph.from_edges(n, sorted(pairs))  # nodes on no pair are isolated
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        rng = np.random.default_rng(seed)
-        model = init_model(3, 4, seed=seed % 1000)
-        for _, param in model.named_parameters():
-            param[:] = rng.normal(size=param.shape)
+        n, graph, model, rng, seed = draw_graph_and_model(data)
         # the full plan reads C-ordered features in place and gathers any other
         features = {"C": lambda: rng.normal(size=(n, 3)),
                     "F": lambda: np.asfortranarray(rng.normal(size=(n, 3))),
@@ -329,6 +358,49 @@ class TestBlockedPasses:
                                                  want_model.named_state()):
                     assert got.tobytes() == ref.tobytes(), name
                 assert y_eval.tobytes() == want_eval.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_factored_gate_gradients_match_per_edge_sums(self, data):
+        n, graph, model, rng, seed = draw_graph_and_model(data)
+        batch = rng.choice(n, size=data.draw(st.integers(1, n)), replace=False)
+        sample = neighbor_subsample(graph, batch, (80, 80), seed=seed)
+        for plan in (build_full_plan(graph, model.num_layers), build_batch_plan(sample)):
+            y, trace = whole_array_forward(copy.deepcopy(model), plan, rng.normal(size=(n, 3)))
+            grad_y = rng.normal(size=y.shape)
+            factored = whole_array_backward(model, trace, grad_y)
+            per_edge = whole_array_backward(model, trace, grad_y, per_edge=True)
+            scale = max(np.abs(g).max() for g in per_edge.values())
+            for name, want in per_edge.items():
+                assert np.abs(factored[name] - want).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_matches_finite_differences_across_blocks(self, rng, batched):
+        # node 0 is a hub of degree 66 over 3-node blocks, node 67 is isolated
+        pairs = [(0, j) for j in range(1, 67)] + [(j, j + 1) for j in range(1, 66, 4)]
+        graph = Graph.from_edges(68, pairs)
+        features = rng.normal(size=(68, 2))
+        model = init_model(2, 3, seed=5)
+        for _, param in model.named_parameters():
+            param[:] = rng.normal(size=param.shape)
+        if batched:
+            sample = neighbor_subsample(graph, np.array([0, 5, 67]), (70, 3), seed=6)
+            plan = build_batch_plan(sample)
+        else:
+            plan = build_full_plan(graph, model.num_layers)
+        gy = rng.normal(size=(plan.batch_size, 2))
+
+        def loss():
+            y, _ = forward(model, plan, features, mode="train")
+            return float((gy * y).sum())
+
+        params = dict(model.named_parameters())
+        with mock.patch.object(affinity, "_ROW_BLOCK", 3):
+            _, trace = forward(model, plan, features, mode="train")
+            grads = backward(model, trace, gy)
+            fds = finite_difference_grads(loss, list(params.values()))
+        for name, fd in zip(params, fds):
+            assert max_relative_error(grads[name], fd) <= 1e-5, name
 
 
 class TestAdam:

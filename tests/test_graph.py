@@ -14,8 +14,9 @@ from graphtsne import affinity
 from graphtsne.graph import rank_blocks
 from graphtsne.synthetic import random_dataset
 
-from oracles import (brute_knn_pairs, floyd_warshall, receptive_field_sizes,
-                     stable_rank_orders)
+from conftest import draw_sampled_batch
+from oracles import (adjacency_sets, brute_knn_pairs, floyd_warshall,
+                     receptive_field_sizes, stable_rank_orders)
 
 
 class TestGraphConstruction:
@@ -306,6 +307,39 @@ class TestNeighborSubsample:
         ds = random_dataset(500, 8000, seed=31)
         sample = neighbor_subsample(ds.graph, np.arange(40), (10, 15), seed=3)
         assert receptive_field_sizes(sample).max() <= 150
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_expansion_properties_against_adjacency_sets(self, data):
+        pairs, graph, batch, fanouts, seed, sample = draw_sampled_batch(data)
+        adj = adjacency_sets(graph.num_nodes, pairs)
+
+        assert np.array_equal(sample.frontiers[0], batch)
+        assert len(sample.frontiers) == len(fanouts) + 1
+        # expansion step k grows frontiers[k] with the fanout of conv layer L - k
+        for step, (dst, src) in enumerate(reversed(sample.layer_edges)):
+            current, grown = sample.frontiers[step], sample.frontiers[step + 1]
+            fanout = fanouts[len(fanouts) - 1 - step]
+            assert np.array_equal(grown[:current.size], current)   # prefix-nested
+            assert grown[current.size:].tolist() == sorted(
+                set(src.tolist()) - set(current.tolist()))
+            # each node of the frontier, in order, with min(degree, fanout)
+            # distinct sampled neighbors, all of them graph edges
+            want_dst = [v for v in current.tolist()
+                        for _ in range(min(len(adj[v]), fanout))]
+            assert dst.tolist() == want_dst
+            for v in current.tolist():
+                picked = src[dst == v].tolist()
+                assert len(set(picked)) == len(picked)
+                assert set(picked) <= adj[v]
+                if len(adj[v]) <= fanout:
+                    assert set(picked) == adj[v]
+
+        again = neighbor_subsample(graph, batch, fanouts, seed=seed)
+        for a, b in zip(sample.frontiers, again.frontiers):
+            assert a.tobytes() == b.tobytes()
+        for (da, sa), (db, sb) in zip(sample.layer_edges, again.layer_edges):
+            assert da.tobytes() == db.tobytes() and sa.tobytes() == sb.tobytes()
 
     def test_sampled_edges_exist_in_graph(self):
         ds = random_dataset(60, 240, seed=37)

@@ -190,6 +190,10 @@ class TestTrainConfig:
         assert large.batch_count == 200   # min(1000, N // 50)
         assert default_config(12000).batch_count == 240
         assert default_config(50000).batch_count == 1000
+        # the full-batch preset sets the same count, for a --mode minibatch run
+        assert small.batch_count == 200
+        assert default_config(2708).batch_count == 54
+        assert default_config(49).batch_count == 1
         assert large.fanouts == (10, 15)
         assert small.lr == large.lr == 0.00075
         assert small.perplexity == 30.0
