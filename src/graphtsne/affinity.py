@@ -184,12 +184,13 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     for rows in row_blocks(n):
         s = rows.start
         block, mirror = d[rows, s:], d[s:, rows].T
-        finite = np.isfinite(block)
-        # both directions: allclose measures the difference against its second argument
-        if not (np.array_equal(finite, np.isfinite(mirror))
-                and np.allclose(block[finite], mirror[finite], rtol=1e-9, atol=1e-12)
-                and np.allclose(mirror[finite], block[finite], rtol=1e-9, atol=1e-12)):
-            raise ValueError("distance matrix must be symmetric")
+        if not np.array_equal(block, mirror):   # NaN is never equal: it is checked here
+            finite = np.isfinite(block)
+            # both directions: allclose measures the difference against its second argument
+            if not (np.array_equal(finite, np.isfinite(mirror))
+                    and np.allclose(block[finite], mirror[finite], rtol=1e-9, atol=1e-12)
+                    and np.allclose(mirror[finite], block[finite], rtol=1e-9, atol=1e-12)):
+                raise ValueError("distance matrix must be symmetric")
         block = d[rows].copy()
         np.fill_diagonal(block[:, rows], np.inf)  # the self entry gets probability 0
         sigmas[rows], _, converged, bound_hit, d[rows] = _calibrate(block, target_perplexity)

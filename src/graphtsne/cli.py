@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedInputError, TrainingError
-from .graph import (LabeledDataset, _float_row, _read_lines, load_edge_list,
-                    load_features_csv, load_labels_csv)
+from .graph import (LabeledDataset, _field_counts, _float_row, _name_bad_line, _parse,
+                    _read_chunks, load_edge_list, load_features_csv, load_labels_csv)
 from .metrics import (DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_T_KS, DEFAULT_T_RS,
                       alpha_sweep, evaluate_layout)
 from .svg import write_svg
@@ -166,10 +166,7 @@ def read_layout_csv(path, num_nodes: int) -> np.ndarray:
     Every node id in [0, num_nodes) must appear exactly once, with finite
     coordinates.
     """
-    y = np.full((num_nodes, 2), np.nan)  # a NaN row: that node is not read yet
-    for rowno, line in _read_lines(path):
-        if rowno == 1 and line.lower().startswith("node_id"):
-            continue
+    def check(rowno, line):
         cells = line.split(",")
         if len(cells) != 3:
             raise MalformedInputError(
@@ -188,6 +185,25 @@ def read_layout_csv(path, num_nodes: int) -> np.ndarray:
             raise MalformedInputError(
                 f"{path}: row {rowno}: duplicate node id {node}")
         y[node] = coords
+
+    y = np.full((num_nodes, 2), np.nan)  # a NaN row: that node is not read yet
+    for rownos, texts in _read_chunks(path):
+        if rownos[0] == 1 and texts[0].lower().startswith("node_id"):
+            rownos, texts = rownos[1:], texts[1:]
+            if not texts:
+                continue
+        nodes = coords = None
+        if (_field_counts(texts, ",") == 3).all():
+            cells = ",".join(texts).split(",")
+            nodes = _parse(cells[0::3], np.int64)
+            del cells[0::3]
+            coords = _parse(cells, np.float64)
+        if nodes is None or coords is None or not (
+                np.isfinite(coords).all() and nodes.min() >= 0
+                and nodes.max() < num_nodes and np.isnan(y[nodes, 0]).all()
+                and np.unique(nodes).size == nodes.size):
+            _name_bad_line(rownos, texts, check)
+        y[nodes] = coords.reshape(-1, 2)
     count = int(np.count_nonzero(~np.isnan(y[:, 0])))
     if count != num_nodes:
         raise MalformedInputError(

@@ -224,8 +224,8 @@ class _LayerTrace:
     gate_dst: np.ndarray    # gate_dst_w h + gate_dst_b for the output nodes
     gate_src: np.ndarray    # gate_src_w h + gate_src_b for all input nodes
     msg_in: np.ndarray      # msg_w h + msg_b for all input nodes
-    slope: np.ndarray       # per output node, sum over its edges of msg * gate * (1 - gate)
-    by_src: list            # _edge_blocks of the edges by source
+    slope: np.ndarray | None  # per output node, sum over its edges of msg * gate * (1 - gate)
+    by_src: list | None     # _edge_blocks of the edges by source; both None in eval mode
     x_hat: np.ndarray       # batch-norm normalized pre-activation
     inv_std: np.ndarray
     relu_mask: np.ndarray
@@ -280,15 +280,18 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         msg_in = h_in @ layer.msg_w.T + layer.msg_b
 
         s = h_in[:out_n] @ layer.self_w.T   # plus the mean gated message
-        slope = np.empty_like(gate_dst)
+        slope = np.empty_like(gate_dst) if train else None  # only backward reads it
         for rows, edges in _edge_blocks(lp.dst, out_n):
             dst, src = lp.dst[edges], lp.src[edges]
             gate = _gate(gate_dst, gate_src, dst, src)
             msg = msg_in[src]
             msg *= gate
-            np.subtract(1.0, gate, out=gate)
-            gate *= msg     # the message times the gate's slope, 1 - gate
-            agg, slope[rows] = _block_sum(dst, rows, msg, gate)
+            if train:
+                np.subtract(1.0, gate, out=gate)
+                gate *= msg     # the message times the gate's slope, 1 - gate
+                agg, slope[rows] = _block_sum(dst, rows, msg, gate)
+            else:
+                [agg] = _block_sum(dst, rows, msg)
             agg *= lp.inv_deg[rows, None]
             s[rows] += agg
 
@@ -306,7 +309,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         h = np.where(relu_mask, z, 0.0) + h_in[:out_n]
         trace.layers.append(_LayerTrace(
             h_in=h_in, gate_dst=gate_dst, gate_src=gate_src, msg_in=msg_in,
-            slope=slope, by_src=_edge_blocks(lp.src, lp.in_size),
+            slope=slope, by_src=_edge_blocks(lp.src, lp.in_size) if train else None,
             x_hat=x_hat, inv_std=inv_std, relu_mask=relu_mask))
     trace.h_final = h
     y = h[:plan.batch_size] @ model.out_w.T

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from typing import NoReturn
 
 import numpy as np
 
@@ -20,6 +22,11 @@ logger = logging.getLogger(__name__)
 
 #: Distance sentinel for node pairs with no connecting path (or beyond a hop cap).
 UNREACHABLE = np.inf
+
+_MAX_NODES = 3_037_000_499  # the largest N with N * N < 2**63: edge keys i * N + j fit int64
+
+_CHUNK_CHARS = 1 << 16  # characters per chunk an input file is read in: O(chunk) temporaries
+_INT64_MIN = -2.0 ** 63  # as a float; every integer-valued float in [min, -min) fits int64
 
 
 @dataclass
@@ -53,10 +60,13 @@ class Graph:
 
         Self-loops and duplicate edges (in either orientation) are dropped;
         a count of each is logged as a warning. Raises ValueError on
-        out-of-range endpoints.
+        out-of-range endpoints, and when num_nodes exceeds 3 037 000 499:
+        edges are sorted as int64 keys i * num_nodes + j.
         """
         if num_nodes < 0:
             raise ValueError("num_nodes must be nonnegative")
+        if num_nodes > _MAX_NODES:
+            raise ValueError(f"num_nodes must be at most {_MAX_NODES}")
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                          dtype=np.int64)
         if arr.size == 0:
@@ -66,27 +76,29 @@ class Graph:
         if arr.size and (arr.min() < 0 or arr.max() >= num_nodes):
             raise ValueError("edge endpoint out of range [0, num_nodes)")
 
-        loops = arr[:, 0] == arr[:, 1]
-        n_loops = int(loops.sum())
-        arr = arr[~loops]
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        undirected = np.stack([lo, hi], axis=1)
-        if undirected.shape[0]:
-            undirected = np.unique(undirected, axis=0)
-        n_dupes = int(arr.shape[0] - undirected.shape[0])
+        kept = lo != hi
+        n_loops = int(arr.shape[0] - kept.sum())
+        keys = lo[kept] * num_nodes + hi[kept]
+        # np.unique, by hand: NumPy's unique of integers hashes before it sorts,
+        # which takes longer. Keys sort as their (lo, hi) pairs, lexicographically.
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        n_dupes = int(arr.shape[0] - n_loops - keys.size)
         if n_loops or n_dupes:
             logger.warning("dropped %d self-loop(s) and %d duplicate edge(s)",
                            n_loops, n_dupes)
 
-        both = np.concatenate([undirected, undirected[:, ::-1]], axis=0)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=num_nodes)
+        lo, hi = np.divmod(keys, num_nodes)
+        both = np.concatenate([keys, hi * num_nodes + lo])
+        both.sort()     # each node's neighbors, node by node
+        counts = np.bincount(lo, minlength=num_nodes)
+        counts += np.bincount(hi, minlength=num_nodes)
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return cls(num_nodes=num_nodes, edge_pairs=undirected,
-                   offsets=offsets, neighbors=both[:, 1].copy())
+        return cls(num_nodes=num_nodes, edge_pairs=np.stack([lo, hi], axis=1),
+                   offsets=offsets, neighbors=both % num_nodes)
 
 
 @dataclass
@@ -111,20 +123,53 @@ class LabeledDataset:
                 raise ValueError("labels must have one entry per node")
 
 
-def _read_lines(path, comments: bool = False):
-    """Yield (1-based line number, stripped text) for each non-blank line of
-    a UTF-8 text file, read line by line; with ``comments``, text after a '#'
+def _read_chunks(path, comments: bool = False):
+    """Yield (line numbers, texts) per chunk of about ``_CHUNK_CHARS``
+    characters of a UTF-8 text file: the 1-based numbers and the stripped
+    text of the chunk's non-blank lines. With ``comments``, text after a '#'
     is dropped. Raises MalformedInputError naming the file if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if comments:
-                    line = line.split("#", 1)[0]
-                text = line.strip()
-                if text:
-                    yield lineno, text
-        except UnicodeDecodeError:
-            raise MalformedInputError(f"{path}: not UTF-8 text") from None
+        first = 1
+        while True:
+            try:
+                lines = fh.readlines(_CHUNK_CHARS)
+            except UnicodeDecodeError:
+                raise MalformedInputError(f"{path}: not UTF-8 text") from None
+            if not lines:
+                return
+            if comments and "#" in "".join(lines):
+                lines = [line.split("#", 1)[0] for line in lines]
+            texts = list(map(str.strip, lines))
+            linenos = range(first, first + len(texts))
+            first += len(texts)
+            if not all(texts):
+                linenos = list(compress(linenos, texts))
+                texts = list(filter(None, texts))
+            if texts:
+                yield linenos, texts
+
+
+def _parse(cells: list, dtype):
+    """``cells``, a list of str, as one array of ``dtype``, which NumPy fills
+    by calling Python's float() or int() on each; None if one does not parse
+    or, as an int, does not fit."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _field_counts(texts: list, sep: str) -> np.ndarray:
+    """The number of ``sep``-separated fields in each text."""
+    return np.fromiter(map(str.count, texts, repeat(sep)), np.int64, len(texts)) + 1
+
+
+def _name_bad_line(linenos, texts, check) -> NoReturn:
+    """Run the per-line ``check`` over a chunk that failed its checks as a
+    whole, so that it raises MalformedInputError naming the first bad line."""
+    for lineno, text in zip(linenos, texts):
+        check(lineno, text)
+    raise AssertionError("a chunk failed as a whole but on no line")
 
 
 def _float_row(path, rowno: int, cells) -> np.ndarray:
@@ -149,8 +194,7 @@ def load_edge_list(path, num_nodes: int) -> Graph:
     Raises MalformedInputError (naming the line) on parse errors or
     endpoints outside [0, num_nodes); OSError if the file is unreadable.
     """
-    pairs = []
-    for lineno, text in _read_lines(path, comments=True):
+    def check(lineno, text):
         parts = text.split()
         if len(parts) != 2:
             raise MalformedInputError(
@@ -163,7 +207,15 @@ def load_edge_list(path, num_nodes: int) -> Graph:
         if not (0 <= i < num_nodes and 0 <= j < num_nodes):
             raise MalformedInputError(
                 f"{path}: line {lineno}: node id out of range [0, {num_nodes})")
-        pairs.append((i, j))
+
+    blocks = []
+    for linenos, texts in _read_chunks(path, comments=True):
+        fields = np.fromiter(map(len, map(str.split, texts)), np.int64, len(texts))
+        ids = _parse(" ".join(texts).split(), np.int64) if (fields == 2).all() else None
+        if ids is None or ids.min() < 0 or ids.max() >= num_nodes:
+            _name_bad_line(linenos, texts, check)
+        blocks.append(ids.reshape(-1, 2))
+    pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     return Graph.from_edges(num_nodes, pairs)
 
 
@@ -173,34 +225,58 @@ def load_features_csv(path) -> np.ndarray:
     Raises MalformedInputError naming the (1-based) row on ragged rows,
     non-numeric cells, or non-finite values.
     """
-    rows = []
-    for rowno, line in _read_lines(path):
-        cells = line.split(",")
-        if rows and len(cells) != rows[0].size:
+    def check(rowno, text):
+        cells = text.split(",")
+        if len(cells) != ncols:
             raise MalformedInputError(
-                f"{path}: row {rowno}: expected {rows[0].size} columns, got {len(cells)}")
-        rows.append(_float_row(path, rowno, cells))
-    if not rows:
+                f"{path}: row {rowno}: expected {ncols} columns, got {len(cells)}")
+        _float_row(path, rowno, cells)
+
+    blocks, ncols = [], None
+    for rownos, texts in _read_chunks(path):
+        counts = _field_counts(texts, ",")
+        ncols = int(counts[0]) if ncols is None else ncols  # the first row's
+        values = (_parse(",".join(texts).split(","), np.float64)
+                  if (counts == ncols).all() else None)
+        if values is None or not np.isfinite(values).all():
+            _name_bad_line(rownos, texts, check)
+        blocks.append(values.reshape(-1, ncols))
+    if not blocks:
         raise MalformedInputError(f"{path}: no data rows")
-    return np.vstack(rows)
+    return np.concatenate(blocks)
 
 
 def load_labels_csv(path) -> np.ndarray:
-    """Read a headerless CSV with one integer class id per row."""
-    labels = []
-    for rowno, line in _read_lines(path):
+    """Read a headerless CSV with one integer class id per row.
+
+    Raises MalformedInputError naming the row on a label that is not an
+    integer or does not fit in int64.
+    """
+    def check(rowno, text):
         try:
-            value = float(line)
+            value = float(text)
         except ValueError:
             raise MalformedInputError(
                 f"{path}: row {rowno}: non-integer label") from None
         if not value.is_integer():
             raise MalformedInputError(
                 f"{path}: row {rowno}: non-integer label")
-        labels.append(int(value))
-    if not labels:
+        if not _INT64_MIN <= value < -_INT64_MIN:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: label {text} out of the int64 range")
+
+    blocks = []
+    for rownos, texts in _read_chunks(path):
+        values = _parse(texts, np.float64)
+        # NaN and inf fail the first test or the range
+        if values is None or not ((values == np.trunc(values)).all() and
+                                  _INT64_MIN <= values.min() and
+                                  values.max() < -_INT64_MIN):
+            _name_bad_line(rownos, texts, check)
+        blocks.append(values.astype(np.int64))
+    if not blocks:
         raise MalformedInputError(f"{path}: no data rows")
-    return np.asarray(labels, dtype=np.int64)
+    return np.concatenate(blocks)
 
 
 def bfs_shortest_paths(graph: Graph, sources, targets,

@@ -25,7 +25,7 @@ from .affinity import _joint_p_owned as joint_p
 from .errors import EmptyAffinityError, MalformedInputError, TrainingError
 from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
                   backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
-from .graph import (Graph, LabeledDataset, _read_lines, all_pairs_distances,
+from .graph import (Graph, LabeledDataset, _read_chunks, all_pairs_distances,
                     bfs_shortest_paths, neighbor_subsample)
 
 logger = logging.getLogger(__name__)
@@ -345,7 +345,8 @@ def read_config_file(path) -> dict:
     by_type = {"float": float, "int": int, "str": str, "tuple": parse_comma_ints}
     parsers = {f.name: by_type[f.type] for f in fields(TrainConfig)}
     overrides = {}
-    for lineno, line in _read_lines(path, comments=True):
+    lines = (line for chunk in _read_chunks(path, comments=True) for line in zip(*chunk))
+    for lineno, line in lines:
         if "=" not in line:
             raise MalformedInputError(
                 f"{path}:{lineno}: expected 'key = value', got {line!r}")

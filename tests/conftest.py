@@ -1,8 +1,12 @@
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from graphtsne import Graph, LabeledDataset, neighbor_subsample, sbm_dataset
+from graphtsne import Graph, LabeledDataset, graph, neighbor_subsample, sbm_dataset
 
 ACCEPTANCE_VERDICTS = []
 
@@ -78,3 +82,48 @@ def draw_sampled_batch(data):
                         label="fanouts")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     return pairs, graph, batch, fanouts, seed, neighbor_subsample(graph, batch, fanouts, seed)
+
+
+#: Padding around a cell or a line, and line endings, as input files may have them.
+PADDING = st.sampled_from(["", " ", "\t", "  \t"])
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def draw_input_file(data, lines, bad_line):
+    """``lines`` with blank lines drawn between them and, half the time, one
+    line from ``bad_line`` at a drawn position."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 3), label="blanks")):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(PADDING))
+    if data.draw(st.booleans(), label="with a bad line"):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(bad_line, label="bad"))
+    return lines
+
+
+def _outcome(load, path):
+    """What ``load(path)`` did: the dtype, shape and bytes of each array it
+    returned, or the type and message of what it raised."""
+    try:
+        result = load(path)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return "returned", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_loads_like_oracle(data, lines, load, oracle):
+    """Write ``lines`` with a drawn line ending, then read the file with
+    ``load`` in chunks of a drawn size, mostly a line or a few, and with
+    ``oracle``: both return the same bytes or raise the same error."""
+    newline = data.draw(NEWLINES, label="newline")
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline]), label="end")
+    chunk = data.draw(st.integers(1, 40) | st.just(graph._CHUNK_CHARS), label="chunk")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        with mock.patch.object(graph, "_CHUNK_CHARS", chunk):
+            got = _outcome(load, path)
+        want = _outcome(oracle, path)
+    assert got == want

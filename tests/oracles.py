@@ -15,6 +15,12 @@ factored order the library uses (the forward's gate slope times the
 destination's gradient; the source's message times a sum by source);
 ``per_edge=True`` sums each edge's full product instead, as the library
 did before, to check that factoring moved the gradients only by rounding.
+The ``*_oracle`` file readers are the library's former loaders, which read
+and checked one line at a time, kept as they were but for the int64 range
+check of ``labels_csv_oracle``; ``from_edges_oracle`` is the former graph
+construction, which deduplicated (i, j) rows and lexsorted both directions.
+They check the loaders that parse a chunk of lines at once, and the graph
+built from sorted 1-D edge keys.
 """
 
 import numpy as np
@@ -22,6 +28,7 @@ import numpy as np
 from types import SimpleNamespace
 
 from graphtsne.affinity import AffinityMatrix, studentt_q
+from graphtsne.errors import MalformedInputError
 from graphtsne.gcn import BN_EPS, BN_MOMENTUM
 from graphtsne.trainer import CompositeLoss
 
@@ -502,3 +509,127 @@ def adam_scalar_reference(grads_sequence, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         theta -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
         out.append(theta)
     return out
+
+
+def _read_lines(path, comments=False):
+    """(1-based line number, stripped text) of each non-blank line of a UTF-8
+    text file, read line by line; with ``comments``, text after a '#' is
+    dropped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if comments:
+                    line = line.split("#", 1)[0]
+                text = line.strip()
+                if text:
+                    yield lineno, text
+        except UnicodeDecodeError:
+            raise MalformedInputError(f"{path}: not UTF-8 text") from None
+
+
+def _float_row(path, rowno, cells):
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        raise MalformedInputError(f"{path}: row {rowno}: non-numeric cell") from None
+    if not np.isfinite(values).all():
+        raise MalformedInputError(f"{path}: row {rowno}: non-finite value")
+    return values
+
+
+def from_edges_oracle(num_nodes, pairs):
+    """(edge_pairs, offsets, neighbors) of ``Graph.from_edges``: unique
+    (min, max) rows, then both directions in lexicographic order."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    undirected = np.stack([arr.min(axis=1), arr.max(axis=1)], axis=1)
+    if undirected.shape[0]:
+        undirected = np.unique(undirected, axis=0)
+    both = np.concatenate([undirected, undirected[:, ::-1]], axis=0)
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both[:, 0], minlength=num_nodes), out=offsets[1:])
+    return undirected, offsets, both[:, 1].copy()
+
+
+def edge_list_oracle(path, num_nodes):
+    """The (i, j) pairs of an edge list file, as a list."""
+    pairs = []
+    for lineno, text in _read_lines(path, comments=True):
+        parts = text.split()
+        if len(parts) != 2:
+            raise MalformedInputError(
+                f"{path}: line {lineno}: expected two node ids, got {len(parts)} fields")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MalformedInputError(
+                f"{path}: line {lineno}: non-integer node id") from None
+        if not (0 <= i < num_nodes and 0 <= j < num_nodes):
+            raise MalformedInputError(
+                f"{path}: line {lineno}: node id out of range [0, {num_nodes})")
+        pairs.append((i, j))
+    return pairs
+
+
+def features_csv_oracle(path):
+    rows = []
+    for rowno, line in _read_lines(path):
+        cells = line.split(",")
+        if rows and len(cells) != rows[0].size:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: expected {rows[0].size} columns, got {len(cells)}")
+        rows.append(_float_row(path, rowno, cells))
+    if not rows:
+        raise MalformedInputError(f"{path}: no data rows")
+    return np.vstack(rows)
+
+
+def labels_csv_oracle(path):
+    labels = []
+    for rowno, line in _read_lines(path):
+        try:
+            value = float(line)
+        except ValueError:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: non-integer label") from None
+        if not value.is_integer():
+            raise MalformedInputError(
+                f"{path}: row {rowno}: non-integer label")
+        if not -2 ** 63 <= int(value) < 2 ** 63:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: label {line} out of the int64 range")
+        labels.append(int(value))
+    if not labels:
+        raise MalformedInputError(f"{path}: no data rows")
+    return np.asarray(labels, dtype=np.int64)
+
+
+def layout_csv_oracle(path, num_nodes):
+    y = np.full((num_nodes, 2), np.nan)
+    for rowno, line in _read_lines(path):
+        if rowno == 1 and line.lower().startswith("node_id"):
+            continue
+        cells = line.split(",")
+        if len(cells) != 3:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: expected 3 columns, got {len(cells)}")
+        try:
+            node = int(cells[0])
+        except ValueError:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: non-numeric cell") from None
+        coords = _float_row(path, rowno, cells[1:])
+        if not 0 <= node < num_nodes:
+            raise MalformedInputError(
+                f"{path}: row {rowno}: node id {node} out of range "
+                f"[0, {num_nodes})")
+        if not np.isnan(y[node, 0]):
+            raise MalformedInputError(
+                f"{path}: row {rowno}: duplicate node id {node}")
+        y[node] = coords
+    count = int(np.count_nonzero(~np.isnan(y[:, 0])))
+    if count != num_nodes:
+        raise MalformedInputError(
+            f"{path}: {count} layout rows for {num_nodes} nodes")
+    return y

@@ -289,6 +289,20 @@ class TestJointP:
                 with pytest.raises(ValueError, match="symmetric"):
                     affinity._joint_p_owned(d.copy(), 10.0)
 
+    def test_symmetric_nan_entries_are_unreachable(self, rng):
+        """NaN is never equal to itself, so a NaN pair takes the full check:
+        a symmetric one passes it and calibrates as unreachable (inf), a NaN
+        facing a number is rejected."""
+        d = pairwise_sq_euclidean(rng.normal(size=(130, 3)))
+        nan, inf = d.copy(), d.copy()
+        for i, j in ((100, 3), (5, 7)):
+            nan[i, j] = nan[j, i] = np.nan
+            inf[i, j] = inf[j, i] = UNREACHABLE
+        assert joint_p(nan, 10.0).p.tobytes() == joint_p(inf, 10.0).p.tobytes()
+        nan[3, 100] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            joint_p(nan, 10.0)
+
     def test_symmetry_tolerance_is_measured_from_both_entries(self, rng):
         """allclose measures |a - b| against |b|: a pair within tolerance of
         one entry but not of the other is rejected in either triangle."""

@@ -21,6 +21,9 @@ from graphtsne.metrics import evaluate_layout
 from graphtsne.synthetic import sbm_dataset
 from graphtsne.trainer import read_config_file
 
+from conftest import assert_loads_like_oracle, draw_input_file
+from oracles import layout_csv_oracle
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -150,6 +153,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.csv" in err
         assert err.count("\n") == 1
+
+    def test_label_beyond_int64_exits_1_naming_row(self, dataset_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n" * 44 + "1e300\n")
+        args = base_args(dataset_dir)
+        args[args.index("--labels") + 1] = str(labels)
+        code = main(["fit", *args, "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {labels}: row 45: label 1e300 out of the int64 range\n"
 
     def test_unknown_config_key_exits_1(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -573,6 +586,30 @@ class TestLayoutRoundTrip:
             paths = _write_layout(tmp, y, data)
             back = read_layout_csv(paths["layout"], len(y))
         assert back.tobytes() == y.tobytes()  # tells -0.0 from 0.0
+
+
+class TestLayoutMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_chunked_reader_matches_line_by_line(self, data):
+        """The chunked reader against the former line-by-line one, with chunks
+        of a line or a few so that row numbers run across chunk boundaries."""
+        n = data.draw(st.integers(1, 8), label="num_nodes")
+        coordinate = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                      | st.sampled_from([" 1_000", "-0", "5e-324 ", "+.5"]))
+        rows = [f"{i},{data.draw(coordinate)},{data.draw(coordinate)}"
+                for i in data.draw(st.permutations(range(n)), label="order")]
+        if data.draw(st.booleans(), label="drop a row"):
+            rows.pop()          # a node with no row
+        bad = (st.sampled_from([f"{n},0,0", "-1,0,0", "0,1", "0,1,2,3", "x,0,0",
+                                "0,inf,0", "1,0,nan", "1.0,0,0", "99999999999999999999,0,0",
+                                "0,1e999,0"])
+               | st.integers(0, n - 1).map(lambda i: f" {i} , 1.5,2"))  # a duplicate
+        header = data.draw(st.sampled_from([[], ["node_id,x,y"], ["NODE_ID , x"]]),
+                           label="header")
+        lines = draw_input_file(data, header + rows, bad)  # a blank line may precede it
+        assert_loads_like_oracle(data, lines, lambda p: read_layout_csv(p, n),
+                                 lambda p: layout_csv_oracle(p, n))
 
 
 class TestSvgOutput:

@@ -232,6 +232,11 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, trace, np.zeros((ds.graph.num_nodes, 2)))
 
+    def test_eval_trace_holds_nothing_only_backward_reads(self):
+        ds, model, plan = tiny_instance()
+        _, trace = forward(model, plan, ds.features, mode="eval")
+        assert all(lt.slope is None and lt.by_src is None for lt in trace.layers)
+
     def test_wrong_grad_shape_rejected(self):
         ds, model, plan = tiny_instance()
         _, trace = forward(model, plan, ds.features, mode="train")

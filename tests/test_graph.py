@@ -10,13 +10,14 @@ from graphtsne import (Graph, MalformedInputError, UNREACHABLE,
                        all_pairs_distances, bfs_shortest_paths, knn_graph,
                        load_edge_list, load_features_csv, load_labels_csv,
                        neighbor_subsample)
-from graphtsne import affinity
+from graphtsne import affinity, graph
 from graphtsne.graph import rank_blocks
 from graphtsne.synthetic import random_dataset
 
-from conftest import draw_sampled_batch
-from oracles import (adjacency_sets, brute_knn_pairs, floyd_warshall,
-                     receptive_field_sizes, stable_rank_orders)
+from conftest import PADDING, assert_loads_like_oracle, draw_input_file, draw_sampled_batch
+from oracles import (adjacency_sets, brute_knn_pairs, edge_list_oracle,
+                     features_csv_oracle, floyd_warshall, from_edges_oracle,
+                     labels_csv_oracle, receptive_field_sizes, stable_rank_orders)
 
 
 class TestGraphConstruction:
@@ -56,6 +57,24 @@ class TestGraphConstruction:
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(-1, 1)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_pair_oracle_bit_for_bit(self, data):
+        n = data.draw(st.integers(0, 12))
+        node = st.integers(0, n - 1) if n else st.nothing()
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=4 * n))
+        g = Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        got = (g.edge_pairs, g.offsets, g.neighbors)
+        for want, have in zip(from_edges_oracle(n, pairs), got):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+
+    def test_node_count_whose_edge_keys_overflow_rejected(self):
+        # edges are sorted as i * N + j, which fits in int64 up to this N
+        assert graph._MAX_NODES ** 2 < 2 ** 63 <= (graph._MAX_NODES + 1) ** 2
+        with pytest.raises(ValueError, match="at most"):
+            Graph.from_edges(graph._MAX_NODES + 1, [])
 
 
 class TestLoadEdgeList:
@@ -139,6 +158,85 @@ class TestLoadCsv:
         p.write_text("0\n1.5\n")
         with pytest.raises(MalformedInputError, match=r"row 2"):
             load_labels_csv(p)
+
+    @pytest.mark.parametrize("label", ["1e20", "-1e300", "9223372036854775808"])
+    def test_label_beyond_int64_names_row(self, tmp_path, label):
+        p = tmp_path / "labels.csv"
+        p.write_text(f"0\n-9223372036854775808\n{label}\n")
+        with pytest.raises(MalformedInputError,
+                           match=rf"row 3: label {label} out of the int64 range"):
+            load_labels_csv(p)
+
+
+def ids_as_written(i):
+    """Spellings int() reads as the node id ``i``."""
+    return st.sampled_from([str(i), f"+{i}", f"0{i}", f"{i:_}"])
+
+
+cell = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        | st.integers(-10**6, 10**6).map(str)
+        | st.sampled_from(["1_000", " 1.5e3", "-0", "+.5", "5.", "1e-400"]))
+bad_cell = st.sampled_from(["abc", "", "inf", "-Infinity", "nan", "1e999", "1__0",
+                            "0x10", "1,5"])
+
+
+class TestLoadersMatchOracles:
+    """The chunked loaders against the former line-by-line ones, with chunks
+    of a line or a few so that line numbers run across chunk boundaries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edge_list(self, data):
+        n = data.draw(st.integers(1, 8), label="num_nodes")
+
+        @st.composite
+        def edge(draw):
+            i, j = (draw(ids_as_written(draw(st.integers(0, n - 1)))) for _ in range(2))
+            sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+            note = draw(st.sampled_from(["", " # note", "#x", "\t#"]))
+            return draw(PADDING) + i + sep + j + note + draw(PADDING)
+
+        def load(path):
+            g = load_edge_list(path, n)
+            return g.edge_pairs, g.offsets, g.neighbors
+
+        bad = st.sampled_from(["3", "1 2 3 # note", "1.5 2", "a b", f"{n} 0", f"0 {n}",
+                               "-1 0", "99999999999999999999 0"])
+        comment = st.sampled_from(["# comment", "  #x 1 2", "#"])
+        lines = draw_input_file(data, data.draw(st.lists(edge() | comment, max_size=12)), bad)
+        assert_loads_like_oracle(data, lines, load,
+                                 lambda p: from_edges_oracle(n, edge_list_oracle(p, n)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_features(self, data):
+        ncols = data.draw(st.integers(1, 4), label="columns")
+
+        padded = cell.flatmap(lambda c: PADDING.map(lambda pad: pad + c + pad))
+
+        @st.composite
+        def with_bad_cell(draw):
+            cells = draw(st.lists(padded, min_size=ncols - 1, max_size=ncols - 1))
+            cells.insert(draw(st.integers(0, ncols - 1)), draw(bad_cell))
+            return ",".join(cells)
+
+        good = st.lists(padded, min_size=ncols, max_size=ncols).map(",".join)
+        ragged = st.lists(padded, min_size=1, max_size=5).filter(lambda r: len(r) != ncols)
+        bad = ragged.map(",".join) | with_bad_cell()
+        lines = draw_input_file(data, data.draw(st.lists(good, max_size=12)), bad)
+        assert_loads_like_oracle(data, lines, load_features_csv, features_csv_oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_labels(self, data):
+        good = (st.integers(-10**6, 10**6).map(str)
+                | st.sampled_from(["2.0", "1e2", "-0", "1_0", "-9223372036854775808",
+                                   "9223372036854774784"]))
+        bad = st.sampled_from(["1.5", "x", "inf", "nan", "1e20", "-1e300", "1,2",
+                               "9223372036854775808"])
+        good = good.flatmap(lambda v: PADDING.map(lambda p: p + v + p))
+        lines = draw_input_file(data, data.draw(st.lists(good, max_size=12)), bad)
+        assert_loads_like_oracle(data, lines, load_labels_csv, labels_csv_oracle)
 
 
 class TestBfsShortestPaths:
