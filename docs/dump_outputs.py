@@ -58,6 +58,8 @@ Covered:
   with '#' comments (edge list only), blank lines and padded cells, once
   with LF and once with CRLF line endings, and the edge list and features
   readers on files of over 1 MiB, which they read in more than one chunk;
+- what each of those readers raises, type and message, on a file with one
+  bad line after more than one chunk of good lines, one file per rule;
 - the files `graphtsne fit`, `graphtsne fit --config` (a commented config
   that sets every key), `graphtsne sweep` and `graphtsne evaluate` write,
   with the manifests' timestamps and the reports' run times removed.
@@ -317,6 +319,51 @@ def readers(scratch) -> dict:
             "labels": digest(load_labels_csv(paths["labels.csv"])),
             "layout": digest(read_layout_csv(paths["layout.csv"], n))}
     out["over 1 MiB"] = large_inputs(scratch)
+    out["errors"] = reader_errors(scratch)
+    return out
+
+
+def reader_errors(scratch) -> dict:
+    """The type and message of what each reader raises on a file with one
+    bad line, one file per rule. The bad line comes after more than one
+    chunk of good lines (a reader takes about 64 KiB at a time) and before
+    a few more, so its number is counted across chunks."""
+    n = 20_000
+    layout = ["node_id,x,y", *(f"{i},{i / 4!r},{-i}" for i in range(n))]
+    good = {"edges": [f"{i} {i * 7 % n}" for i in range(n)],
+            "features": [f"{i / 8!r},{-i}" for i in range(n)],
+            "labels": [str(i - n // 2) for i in range(n)],
+            "layout": layout[:-1]}  # the bad line stands in for the last node's row
+    bad = {"edges": ["3", "1 2 3", "1.5 2", "a b", f"{n} 0", "0 -1",
+                     "99999999999999999999 0", "99999999999999999999 x",
+                     "x 99999999999999999999", "0 -99999999999999999999",
+                     "0 1\udcff"],
+           "features": ["0.5", "0.5,1,2", "x,1", "1,inf", "nan,1", "1e400,x"],
+           "labels": ["1.5", "x", "inf", "-inf", "nan", "1e400", "1e20",
+                      "9223372036854775808", "1,2"],
+           "layout": ["0,1", "0,1,2,3", "x,0,0", "1.0,0,0", "0,x,0", "0,1e400,0",
+                      f"{n},0,0", "-1,0,0", "99999999999999999999,x,0",
+                      "-99999999999999999999,0,inf", "99999999999999999999,0,0",
+                      "0,0,0", f"{n - 7},0,0", f"{n - 3},0,0",
+                      f"{n - 1},0,0\n{n - 1},0,0", ""]}
+    load = {"edges": lambda path: load_edge_list(path, n),
+            "features": load_features_csv, "labels": load_labels_csv,
+            "layout": lambda path: read_layout_csv(path, n)}
+    out = {}
+    for name, lines in good.items():
+        path = os.path.join(scratch, f"bad-{name}.txt")
+        at = len(lines) - 5
+        assert len("\n".join(lines[:at])) > 1 << 16
+        out[name] = {}
+        for line in bad[name]:
+            with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
+                fh.writelines(text + "\n" for text in [*lines[:at], line, *lines[at:]])
+            try:
+                load[name](path)
+            except Exception as exc:
+                out[name][line] = [type(exc).__name__, str(exc).replace(scratch + os.sep, "")]
+            else:
+                out[name][line] = "no error"
     return out
 
 
@@ -416,7 +463,7 @@ RTOL = 1e-9   # largest relative float difference --compare accepts
 # while their float samples stay within RTOL (say, a hash of an array whose
 # summation order moved). A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-ONLY_IN_NEW = ("readers/over 1 MiB",)
+ONLY_IN_NEW = ("readers/errors",)
 CHANGED = ()
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedInputError, TrainingError
-from .graph import (LabeledDataset, _field_counts, _float_row, _name_bad_line, _parse,
-                    _read_chunks, load_edge_list, load_features_csv, load_labels_csv)
+from .graph import (LabeledDataset, load_edge_list, load_features_csv, load_labels_csv,
+                    read_layout_csv)
 from .metrics import (DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_T_KS, DEFAULT_T_RS,
                       alpha_sweep, evaluate_layout)
 from .svg import write_svg
@@ -122,6 +122,8 @@ def _load_dataset(edges_path, features_path, labels_path, num_nodes=None, scored
 
 
 def _resolve_config(args, num_nodes, alpha):
+    if num_nodes < 1:
+        raise ValueError(f"--num-nodes must be >= 1, got {num_nodes}")
     # sweep passes alpha=None; the placeholder is replaced per grid point
     cfg = default_config(num_nodes, alpha=0.5 if alpha is None else alpha)
     if args.config:
@@ -158,57 +160,6 @@ def _write_layout(out_dir, y: np.ndarray, data: LabeledDataset) -> dict:
         fh.write("\n")
     write_svg(paths["svg"], y, labels=data.labels, edges=data.graph.edge_pairs)
     return paths
-
-
-def read_layout_csv(path, num_nodes: int) -> np.ndarray:
-    """Parse a layout CSV (node_id,x,y; header optional) into an N x 2 matrix.
-
-    Every node id in [0, num_nodes) must appear exactly once, with finite
-    coordinates.
-    """
-    def check(rowno, line):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise MalformedInputError(
-                f"{path}: row {rowno}: expected 3 columns, got {len(cells)}")
-        try:
-            node = int(cells[0])
-        except ValueError:
-            raise MalformedInputError(
-                f"{path}: row {rowno}: non-numeric cell") from None
-        coords = _float_row(path, rowno, cells[1:])
-        if not 0 <= node < num_nodes:
-            raise MalformedInputError(
-                f"{path}: row {rowno}: node id {node} out of range "
-                f"[0, {num_nodes})")
-        if not np.isnan(y[node, 0]):
-            raise MalformedInputError(
-                f"{path}: row {rowno}: duplicate node id {node}")
-        y[node] = coords
-
-    y = np.full((num_nodes, 2), np.nan)  # a NaN row: that node is not read yet
-    for rownos, texts in _read_chunks(path):
-        if rownos[0] == 1 and texts[0].lower().startswith("node_id"):
-            rownos, texts = rownos[1:], texts[1:]
-            if not texts:
-                continue
-        nodes = coords = None
-        if (_field_counts(texts, ",") == 3).all():
-            cells = ",".join(texts).split(",")
-            nodes = _parse(cells[0::3], np.int64)
-            del cells[0::3]
-            coords = _parse(cells, np.float64)
-        if nodes is None or coords is None or not (
-                np.isfinite(coords).all() and nodes.min() >= 0
-                and nodes.max() < num_nodes and np.isnan(y[nodes, 0]).all()
-                and np.unique(nodes).size == nodes.size):
-            _name_bad_line(rownos, texts, check)
-        y[nodes] = coords.reshape(-1, 2)
-    count = int(np.count_nonzero(~np.isnan(y[:, 0])))
-    if count != num_nodes:
-        raise MalformedInputError(
-            f"{path}: {count} layout rows for {num_nodes} nodes")
-    return y
 
 
 def _manifest(command: str, args, cfg, inputs: dict, outputs: dict) -> dict:
@@ -255,6 +206,8 @@ def cmd_sweep(args) -> int:
     grid = list(args.grid)
     if not grid:
         raise ValueError("--grid must list at least one alpha value")
+    if not all(0.0 <= a <= 1.0 for a in grid):
+        raise ValueError(f"--grid values must lie in [0, 1]: {grid}")
     cfg = _resolve_config(args, args.num_nodes, alpha=None)
     data = _load_dataset(args.edges, args.features, args.labels, args.num_nodes)
     result = alpha_sweep(data, cfg, grid, knn_k=args.knn_k,

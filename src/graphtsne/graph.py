@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import NoReturn
 
 import numpy as np
 
@@ -151,12 +150,18 @@ def _read_chunks(path, comments: bool = False):
 
 def _parse(cells: list, dtype):
     """``cells``, a list of str, as one array of ``dtype``, which NumPy fills
-    by calling Python's float() or int() on each; None if one does not parse
-    or, as an int, does not fit."""
+    by calling Python's float() or int() on each; None if one does not parse.
+    Integers beyond int64 come back as an object array of Python ints, which
+    any caller's range check rejects."""
     try:
         return np.array(cells, dtype=dtype)
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
+    except OverflowError:
+        try:
+            return np.array(list(map(int, cells)), dtype=object)
+        except ValueError:
+            return None
 
 
 def _field_counts(texts: list, sep: str) -> np.ndarray:
@@ -164,24 +169,34 @@ def _field_counts(texts: list, sep: str) -> np.ndarray:
     return np.fromiter(map(str.count, texts, repeat(sep)), np.int64, len(texts)) + 1
 
 
-def _name_bad_line(linenos, texts, check) -> NoReturn:
-    """Run the per-line ``check`` over a chunk that failed its checks as a
-    whole, so that it raises MalformedInputError naming the first bad line."""
-    for lineno, text in zip(linenos, texts):
-        check(lineno, text)
-    raise AssertionError("a chunk failed as a whole but on no line")
-
-
-def _float_row(path, rowno: int, cells) -> np.ndarray:
-    """Parse one CSV row's cells as finite float64 values, or raise
-    MalformedInputError naming the row."""
-    try:
-        values = np.array(cells, dtype=np.float64)
-    except ValueError:
-        raise MalformedInputError(f"{path}: row {rowno}: non-numeric cell") from None
+def _floats(cells: list, width: int):
+    """``cells`` as finite float64 values in rows of ``width``, or the reason
+    they are not."""
+    values = _parse(cells, np.float64)
+    if values is None:
+        return "non-numeric cell"
     if not np.isfinite(values).all():
-        raise MalformedInputError(f"{path}: row {rowno}: non-finite value")
-    return values
+        return "non-finite value"
+    return values.reshape(-1, width)
+
+
+def _read_table(path, unit: str, parse, comments: bool = False) -> list:
+    """What ``parse(numbers, texts)`` returns for each chunk of the file's
+    non-blank lines (see _read_chunks): an array, or a str, the reason it
+    rejects the chunk. A rejected chunk is parsed again one line at a time,
+    and the first line rejected alone raises MalformedInputError naming the
+    line as ``unit`` ("line" or "row") with its reason. Only a one-line
+    call's reason is read, so ``parse`` checks in the order that picks it:
+    field count, parse, finiteness, range, duplicates."""
+    blocks = []
+    for numbers, texts in _read_chunks(path, comments):
+        block = parse(numbers, texts)
+        if isinstance(block, str):  # a chunk is rejected for a line rejected alone
+            alone = ((number, parse([number], [text])) for number, text in zip(numbers, texts))
+            number, reason = next(line for line in alone if isinstance(line[1], str))
+            raise MalformedInputError(f"{path}: {unit} {number}: {reason}")
+        blocks.append(block)
+    return blocks
 
 
 def load_edge_list(path, num_nodes: int) -> Graph:
@@ -194,27 +209,18 @@ def load_edge_list(path, num_nodes: int) -> Graph:
     Raises MalformedInputError (naming the line) on parse errors or
     endpoints outside [0, num_nodes); OSError if the file is unreadable.
     """
-    def check(lineno, text):
-        parts = text.split()
-        if len(parts) != 2:
-            raise MalformedInputError(
-                f"{path}: line {lineno}: expected two node ids, got {len(parts)} fields")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedInputError(
-                f"{path}: line {lineno}: non-integer node id") from None
-        if not (0 <= i < num_nodes and 0 <= j < num_nodes):
-            raise MalformedInputError(
-                f"{path}: line {lineno}: node id out of range [0, {num_nodes})")
-
-    blocks = []
-    for linenos, texts in _read_chunks(path, comments=True):
+    def parse(linenos, texts):
         fields = np.fromiter(map(len, map(str.split, texts)), np.int64, len(texts))
-        ids = _parse(" ".join(texts).split(), np.int64) if (fields == 2).all() else None
-        if ids is None or ids.min() < 0 or ids.max() >= num_nodes:
-            _name_bad_line(linenos, texts, check)
-        blocks.append(ids.reshape(-1, 2))
+        if (fields != 2).any():
+            return f"expected two node ids, got {fields[0]} fields"
+        ids = _parse(" ".join(texts).split(), np.int64)
+        if ids is None:
+            return "non-integer node id"
+        if ids.min() < 0 or ids.max() >= num_nodes:
+            return f"node id out of range [0, {num_nodes})"
+        return ids.reshape(-1, 2)
+
+    blocks = _read_table(path, "line", parse, comments=True)
     pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     return Graph.from_edges(num_nodes, pairs)
 
@@ -225,22 +231,17 @@ def load_features_csv(path) -> np.ndarray:
     Raises MalformedInputError naming the (1-based) row on ragged rows,
     non-numeric cells, or non-finite values.
     """
-    def check(rowno, text):
-        cells = text.split(",")
-        if len(cells) != ncols:
-            raise MalformedInputError(
-                f"{path}: row {rowno}: expected {ncols} columns, got {len(cells)}")
-        _float_row(path, rowno, cells)
+    ncols = None
 
-    blocks, ncols = [], None
-    for rownos, texts in _read_chunks(path):
+    def parse(rownos, texts):
+        nonlocal ncols
         counts = _field_counts(texts, ",")
         ncols = int(counts[0]) if ncols is None else ncols  # the first row's
-        values = (_parse(",".join(texts).split(","), np.float64)
-                  if (counts == ncols).all() else None)
-        if values is None or not np.isfinite(values).all():
-            _name_bad_line(rownos, texts, check)
-        blocks.append(values.reshape(-1, ncols))
+        if (counts != ncols).any():
+            return f"expected {ncols} columns, got {counts[0]}"
+        return _floats(",".join(texts).split(","), ncols)
+
+    blocks = _read_table(path, "row", parse)
     if not blocks:
         raise MalformedInputError(f"{path}: no data rows")
     return np.concatenate(blocks)
@@ -252,31 +253,57 @@ def load_labels_csv(path) -> np.ndarray:
     Raises MalformedInputError naming the row on a label that is not an
     integer or does not fit in int64.
     """
-    def check(rowno, text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise MalformedInputError(
-                f"{path}: row {rowno}: non-integer label") from None
-        if not value.is_integer():
-            raise MalformedInputError(
-                f"{path}: row {rowno}: non-integer label")
-        if not _INT64_MIN <= value < -_INT64_MIN:
-            raise MalformedInputError(
-                f"{path}: row {rowno}: label {text} out of the int64 range")
-
-    blocks = []
-    for rownos, texts in _read_chunks(path):
+    def parse(rownos, texts):
         values = _parse(texts, np.float64)
-        # NaN and inf fail the first test or the range
-        if values is None or not ((values == np.trunc(values)).all() and
-                                  _INT64_MIN <= values.min() and
-                                  values.max() < -_INT64_MIN):
-            _name_bad_line(rownos, texts, check)
-        blocks.append(values.astype(np.int64))
+        if values is None or not (np.isfinite(values) & (values == np.trunc(values))).all():
+            return "non-integer label"
+        if not _INT64_MIN <= values.min() <= values.max() < -_INT64_MIN:
+            return f"label {texts[0]} out of the int64 range"
+        return values.astype(np.int64)
+
+    blocks = _read_table(path, "row", parse)
     if not blocks:
         raise MalformedInputError(f"{path}: no data rows")
     return np.concatenate(blocks)
+
+
+def read_layout_csv(path, num_nodes: int) -> np.ndarray:
+    """Parse a layout CSV (node_id,x,y; header optional) into an N x 2 matrix.
+
+    Every node id in [0, num_nodes) must appear exactly once, with finite
+    coordinates.
+    """
+    y = np.full((num_nodes, 2), np.nan)  # a NaN row: that node is not read yet
+
+    def parse(rownos, texts):
+        if rownos[0] == 1 and texts[0].lower().startswith("node_id"):
+            texts = texts[1:]  # the header
+            if not texts:
+                return y
+        counts = _field_counts(texts, ",")
+        if (counts != 3).any():
+            return f"expected 3 columns, got {counts[0]}"
+        cells = ",".join(texts).split(",")
+        nodes = _parse(cells[0::3], np.int64)
+        if nodes is None:
+            return "non-numeric cell"
+        del cells[0::3]
+        coords = _floats(cells, 2)
+        if isinstance(coords, str):
+            return coords
+        if nodes.min() < 0 or nodes.max() >= num_nodes:
+            return f"node id {nodes[0]} out of range [0, {num_nodes})"
+        if not (np.isnan(y[nodes, 0]).all() and np.unique(nodes).size == nodes.size):
+            return f"duplicate node id {nodes[0]}"
+        y[nodes] = coords  # only once the whole chunk passes
+        return y
+
+    _read_table(path, "row", parse)
+    count = int(np.count_nonzero(~np.isnan(y[:, 0])))
+    if count != num_nodes:
+        raise MalformedInputError(
+            f"{path}: {count} layout rows for {num_nodes} nodes")
+    return y
 
 
 def bfs_shortest_paths(graph: Graph, sources, targets,

@@ -51,8 +51,10 @@ def _check_metric_args(n: int, x=None, ks=(), graph: Graph | None = None, rs=(),
         raise ValueError(f"layout has {n} rows for a graph of {graph.num_nodes} nodes")
     if x is not None and len(x) != n:
         raise ValueError(f"x has {len(x)} rows but y has {n}")
+    if min(ks, default=1) < 1:
+        raise ValueError(f"trustworthiness k must be >= 1, got {min(ks)}")
     for k in ks:
-        if k < 1 or 3 * k + 1 >= 2 * n:
+        if 3 * k + 1 >= 2 * n:
             raise ValueError(f"k={k} too large for N={n} (need 3k + 1 < 2N)")
     if min(rs, default=1) < 1:
         raise ValueError(f"hop radius must be >= 1, got {min(rs)}")

@@ -206,6 +206,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert "fanouts" in err and "absent.txt" not in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_node_count_below_1_exits_2_before_reading_input(self, dataset_dir, tmp_path,
+                                                            capsys, count):
+        code = main(["fit", "--edges", str(tmp_path / "absent.txt"),
+                     *base_args(dataset_dir)[2:6], "--num-nodes", count,
+                     "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert code == 2  # an absent edges file, once read, exits 1
+        err = capsys.readouterr().err
+        assert err == f"error: --num-nodes must be >= 1, got {count}\n"
+
     def test_nan_lr_in_config_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "lr.cfg"
         cfg.write_text("hidden_dim = 8\nepochs = 2\nlr = nan\n")
@@ -346,6 +356,16 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "s")])
         assert code == 2
         assert "[0, 1]" in capsys.readouterr().err
+
+    def test_grid_value_out_of_range_exits_2_before_reading_input(self, dataset_dir,
+                                                                  tmp_path, capsys):
+        code = main(["sweep", "--edges", str(tmp_path / "absent.txt"),
+                     *base_args(dataset_dir)[2:], "--grid", "1.5",
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 2  # an absent edges file, once read, exits 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid") and "[0, 1]" in err
+        assert err.count("\n") == 1
 
     def test_empty_grid_exits_2(self, dataset_dir, tmp_path):
         code = main(["sweep", *base_args(dataset_dir), "--grid", ",",
@@ -603,7 +623,8 @@ class TestLayoutMatchesOracle:
             rows.pop()          # a node with no row
         bad = (st.sampled_from([f"{n},0,0", "-1,0,0", "0,1", "0,1,2,3", "x,0,0",
                                 "0,inf,0", "1,0,nan", "1.0,0,0", "99999999999999999999,0,0",
-                                "0,1e999,0"])
+                                "0,1e999,0", "99999999999999999999,x,0",
+                                "-99999999999999999999,0,inf"])
                | st.integers(0, n - 1).map(lambda i: f" {i} , 1.5,2"))  # a duplicate
         header = data.draw(st.sampled_from([[], ["node_id,x,y"], ["NODE_ID , x"]]),
                            label="header")

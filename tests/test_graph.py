@@ -201,7 +201,8 @@ class TestLoadersMatchOracles:
             return g.edge_pairs, g.offsets, g.neighbors
 
         bad = st.sampled_from(["3", "1 2 3 # note", "1.5 2", "a b", f"{n} 0", f"0 {n}",
-                               "-1 0", "99999999999999999999 0"])
+                               "-1 0", "99999999999999999999 0", "99999999999999999999 x",
+                               "x 99999999999999999999", "0 -99999999999999999999"])
         comment = st.sampled_from(["# comment", "  #x 1 2", "#"])
         lines = draw_input_file(data, data.draw(st.lists(edge() | comment, max_size=12)), bad)
         assert_loads_like_oracle(data, lines, load,
@@ -232,8 +233,8 @@ class TestLoadersMatchOracles:
         good = (st.integers(-10**6, 10**6).map(str)
                 | st.sampled_from(["2.0", "1e2", "-0", "1_0", "-9223372036854775808",
                                    "9223372036854774784"]))
-        bad = st.sampled_from(["1.5", "x", "inf", "nan", "1e20", "-1e300", "1,2",
-                               "9223372036854775808"])
+        bad = st.sampled_from(["1.5", "x", "inf", "-inf", "nan", "1e400", "1e20", "-1e300",
+                               "1,2", "9223372036854775808"])
         good = good.flatmap(lambda v: PADDING.map(lambda p: p + v + p))
         lines = draw_input_file(data, data.draw(st.lists(good, max_size=12)), bad)
         assert_loads_like_oracle(data, lines, load_labels_csv, labels_csv_oracle)

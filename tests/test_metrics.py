@@ -72,6 +72,13 @@ class TestFeatureTrustworthiness:
         with pytest.raises(ValueError):
             feature_trustworthiness(x, y, 0)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_1_rejected_as_such(self, rng, k):
+        x = rng.normal(size=(12, 3))
+        y = rng.normal(size=(12, 2))
+        with pytest.raises(ValueError, match=rf"^trustworthiness k must be >= 1, got {k}$"):
+            feature_trustworthiness(x, y, k)
+
     def test_row_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             feature_trustworthiness(rng.normal(size=(8, 3)),
