@@ -58,8 +58,9 @@ Covered:
   with '#' comments (edge list only), blank lines and padded cells, once
   with LF and once with CRLF line endings, and the edge list and features
   readers on files of over 1 MiB, which they read in more than one chunk;
-- what each of those readers raises, type and message, on a file with one
-  bad line after more than one chunk of good lines, one file per rule;
+- what each of those readers and the config file reader raise, type and
+  message, on a file with one bad line after more than one chunk of good
+  lines, one file per rule;
 - the files `graphtsne fit`, `graphtsne fit --config` (a commented config
   that sets every key), `graphtsne sweep` and `graphtsne evaluate` write,
   with the manifests' timestamps and the reports' run times removed.
@@ -87,8 +88,8 @@ from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
                        backward, bfs_shortest_paths, build_batch_plan, build_full_plan,
                        citation_dataset, embed, evaluate_layout, forward,
                        init_model, joint_p, knn_graph, load_model, neighbor_subsample,
-                       pairwise_sq_euclidean, random_dataset, save_model, sbm_dataset,
-                       train_full_batch, train_minibatch)
+                       pairwise_sq_euclidean, random_dataset, read_config_file,
+                       save_model, sbm_dataset, train_full_batch, train_minibatch)
 from graphtsne.cli import main as cli_main, read_layout_csv
 from graphtsne.graph import (load_edge_list, load_features_csv, load_labels_csv,
                             rank_blocks)
@@ -333,7 +334,8 @@ def reader_errors(scratch) -> dict:
     good = {"edges": [f"{i} {i * 7 % n}" for i in range(n)],
             "features": [f"{i / 8!r},{-i}" for i in range(n)],
             "labels": [str(i - n // 2) for i in range(n)],
-            "layout": layout[:-1]}  # the bad line stands in for the last node's row
+            "layout": layout[:-1],  # the bad line stands in for the last node's row
+            "config": [f"seed = {i}  # run {i}" for i in range(n)]}
     bad = {"edges": ["3", "1 2 3", "1.5 2", "a b", f"{n} 0", "0 -1",
                      "99999999999999999999 0", "99999999999999999999 x",
                      "x 99999999999999999999", "0 -99999999999999999999",
@@ -345,10 +347,11 @@ def reader_errors(scratch) -> dict:
                       f"{n},0,0", "-1,0,0", "99999999999999999999,x,0",
                       "-99999999999999999999,0,inf", "99999999999999999999,0,0",
                       "0,0,0", f"{n - 7},0,0", f"{n - 3},0,0",
-                      f"{n - 1},0,0\n{n - 1},0,0", ""]}
+                      f"{n - 1},0,0\n{n - 1},0,0", ""],
+           "config": ["alpha 0.5", "wat = 3", "epochs = soon", "wat 3", "wat = soon"]}
     load = {"edges": lambda path: load_edge_list(path, n),
             "features": load_features_csv, "labels": load_labels_csv,
-            "layout": lambda path: read_layout_csv(path, n)}
+            "layout": lambda path: read_layout_csv(path, n), "config": read_config_file}
     out = {}
     for name, lines in good.items():
         path = os.path.join(scratch, f"bad-{name}.txt")
@@ -463,7 +466,7 @@ RTOL = 1e-9   # largest relative float difference --compare accepts
 # while their float samples stay within RTOL (say, a hash of an array whose
 # summation order moved). A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-ONLY_IN_NEW = ("readers/errors",)
+ONLY_IN_NEW = ("readers/errors/config",)
 CHANGED = ()
 
 

@@ -5,8 +5,8 @@ autograd) against a composite KL objective: a weighted mix of a t-SNE loss
 over graph shortest-path distances and one over feature distances.
 """
 
-from .affinity import (AffinityMatrix, MapAffinity, calibrate_row, joint_p,
-                       pairwise_sq_euclidean, studentt_q)
+from .affinity import (AffinityMatrix, calibrate_row, joint_p,
+                       pairwise_sq_euclidean)
 from .errors import (EmptyAffinityError, GraphTSNEError, MalformedInputError,
                      TrainingError)
 from .gcn import (GcnModel, backward, build_batch_plan, build_full_plan,
@@ -29,8 +29,7 @@ from .trainer import (CompositeLoss, TrainConfig, TrainReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix", "MapAffinity", "calibrate_row", "joint_p",
-    "pairwise_sq_euclidean", "studentt_q",
+    "AffinityMatrix", "calibrate_row", "joint_p", "pairwise_sq_euclidean",
     "EmptyAffinityError", "GraphTSNEError", "MalformedInputError",
     "TrainingError",
     "GcnModel", "backward", "build_batch_plan", "build_full_plan", "forward",

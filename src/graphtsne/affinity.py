@@ -1,7 +1,7 @@
-"""Perplexity-calibrated input affinities and Student-t map affinities.
+"""Perplexity-calibrated input affinities.
 
-The KL loss between them is ``trainer.composite_loss_and_grad``; it makes
-its Student-t weights a block of rows at a time, not with ``studentt_q``.
+The KL loss against the Student-t map affinities is
+``trainer.composite_loss_and_grad``, which makes them a block of rows at a time.
 
 All computations here run in float64. Input distances may contain the
 unreachable sentinel (inf); such entries always receive exactly zero
@@ -207,22 +207,3 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     d /= d.sum()
     return AffinityMatrix(p=d, sigmas=sigmas, n_degenerate=n_degenerate,
                           n_converged=n_converged, n_bound_hit=n_bound_hit)
-
-
-@dataclass
-class MapAffinity:
-    """Normalized Student-t (1 dof) joint probabilities q over map point
-    pairs, and their unnormalized weights w = Z q."""
-
-    q: np.ndarray
-    w: np.ndarray
-
-
-def studentt_q(y: np.ndarray) -> MapAffinity:
-    """Map affinities q_ij = (1 + ||y_i - y_j||^2)^-1 / Z over all pairs."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] < 2:
-        raise ValueError("need at least 2 map points")
-    w = 1.0 / (1.0 + pairwise_sq_euclidean(y))
-    np.fill_diagonal(w, 0.0)
-    return MapAffinity(q=w / w.sum(), w=w)

@@ -25,7 +25,6 @@ UNREACHABLE = np.inf
 _MAX_NODES = 3_037_000_499  # the largest N with N * N < 2**63: edge keys i * N + j fit int64
 
 _CHUNK_CHARS = 1 << 16  # characters per chunk an input file is read in: O(chunk) temporaries
-_INT64_MIN = -2.0 ** 63  # as a float; every integer-valued float in [min, -min) fits int64
 
 
 @dataclass
@@ -182,12 +181,13 @@ def _floats(cells: list, width: int):
 
 def _read_table(path, unit: str, parse, comments: bool = False) -> list:
     """What ``parse(numbers, texts)`` returns for each chunk of the file's
-    non-blank lines (see _read_chunks): an array, or a str, the reason it
-    rejects the chunk. A rejected chunk is parsed again one line at a time,
-    and the first line rejected alone raises MalformedInputError naming the
-    line as ``unit`` ("line" or "row") with its reason. Only a one-line
-    call's reason is read, so ``parse`` checks in the order that picks it:
-    field count, parse, finiteness, range, duplicates."""
+    non-blank lines (see _read_chunks): the chunk's value, such as an
+    array, or a str, the reason it rejects the chunk. A rejected chunk is
+    parsed again one line at a time, and the first line rejected alone
+    raises MalformedInputError naming the line as ``unit`` ("line" or
+    "row") with its reason. Only a one-line call's reason is read, so
+    ``parse`` checks in the order that picks it: field count, parse,
+    finiteness, range, duplicates."""
     blocks = []
     for numbers, texts in _read_chunks(path, comments):
         block = parse(numbers, texts)
@@ -247,19 +247,36 @@ def load_features_csv(path) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _label(text: str):
+    """The integer a label cell holds: what int() reads, else a finite,
+    integer-valued float() as an int; None if it holds no integer."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            return None
+        return int(value) if value.is_integer() else None
+
+
 def load_labels_csv(path) -> np.ndarray:
     """Read a headerless CSV with one integer class id per row.
 
-    Raises MalformedInputError naming the row on a label that is not an
-    integer or does not fit in int64.
+    A cell that int() reads loads as exactly that integer; one that only
+    float() reads must hold an integer value. Raises MalformedInputError
+    naming the row on a label that is not an integer or does not fit in int64.
     """
     def parse(rownos, texts):
-        values = _parse(texts, np.float64)
-        if values is None or not (np.isfinite(values) & (values == np.trunc(values))).all():
-            return "non-integer label"
-        if not _INT64_MIN <= values.min() <= values.max() < -_INT64_MIN:
+        labels = _parse(texts, np.int64)
+        if labels is None:  # a cell that int() does not read, or a chunk beyond int64
+            labels = list(map(_label, texts))
+            if None in labels:
+                return "non-integer label"
+        try:
+            return np.asarray(labels, dtype=np.int64)
+        except OverflowError:
             return f"label {texts[0]} out of the int64 range"
-        return values.astype(np.int64)
 
     blocks = _read_table(path, "row", parse)
     if not blocks:

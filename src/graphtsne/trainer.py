@@ -22,10 +22,10 @@ from .affinity import AffinityMatrix, pairwise_sq_euclidean, row_blocks
 # each distance matrix is a temporary that becomes its P; _affinities calls
 # this module's joint_p by name, so wrapping trainer.joint_p sees every call
 from .affinity import _joint_p_owned as joint_p
-from .errors import EmptyAffinityError, MalformedInputError, TrainingError
+from .errors import EmptyAffinityError, TrainingError
 from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
                   backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
-from .graph import (Graph, LabeledDataset, _read_chunks, all_pairs_distances,
+from .graph import (Graph, LabeledDataset, _read_table, all_pairs_distances,
                     bfs_shortest_paths, neighbor_subsample)
 
 logger = logging.getLogger(__name__)
@@ -338,28 +338,27 @@ def read_config_file(path) -> dict:
     """Parse a flat key-value config file into TrainConfig field overrides.
 
     One ``key = value`` pair per line; blank lines and '#' comments ignored.
-    The keys are TrainConfig's fields. Unknown keys or unparseable values
-    raise with the file and line number.
+    The keys are TrainConfig's fields; a repeated key keeps its last value.
+    A line without '=', an unknown key or an unparseable value raises
+    MalformedInputError naming the file and line, checked in that order.
     """
     # f.type is the annotation's text: this module postpones annotations
     by_type = {"float": float, "int": int, "str": str, "tuple": parse_comma_ints}
     parsers = {f.name: by_type[f.type] for f in fields(TrainConfig)}
-    overrides = {}
-    lines = (line for chunk in _read_chunks(path, comments=True) for line in zip(*chunk))
-    for lineno, line in lines:
-        if "=" not in line:
-            raise MalformedInputError(
-                f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        parser = parsers.get(key)
-        if parser is None:
-            raise MalformedInputError(
-                f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            overrides[key] = parser(value)
-        except ValueError as exc:
-            raise MalformedInputError(
-                f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
-    return overrides
+
+    def parse(linenos, texts):
+        overrides = {}
+        for text in texts:
+            if "=" not in text:
+                return f"expected 'key = value', got {text!r}"
+            key, _, value = (part.strip() for part in text.partition("="))
+            if key not in parsers:
+                return f"unknown config key {key!r}"
+            try:
+                overrides[key] = parsers[key](value)
+            except ValueError:
+                return f"bad value for {key!r}: {value!r}"
+        return overrides
+
+    blocks = _read_table(path, "line", parse, comments=True)
+    return {key: value for block in blocks for key, value in block.items()}

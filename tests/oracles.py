@@ -3,7 +3,8 @@
 Everything here is written as literal, loop-based formula transcriptions
 with no code shared with the package, deliberately favoring obviousness
 over speed. There are three exceptions. ``dense_composite_loss`` is the
-library's former whole-matrix loss, kept as it was (Q from ``studentt_q``)
+library's former whole-matrix loss, kept as it was (Q from ``studentt_q``,
+the library's former whole-matrix map distribution, now kept here only)
 to check the row-blocked loss that replaced it at sizes the loops cannot
 reach. ``whole_array_sq_euclidean`` is the former distance matrix, made
 over whole arrays, to check the one made in row blocks bit for bit.
@@ -16,8 +17,9 @@ destination's gradient; the source's message times a sum by source);
 ``per_edge=True`` sums each edge's full product instead, as the library
 did before, to check that factoring moved the gradients only by rounding.
 The ``*_oracle`` file readers are the library's former loaders, which read
-and checked one line at a time, kept as they were but for the int64 range
-check of ``labels_csv_oracle``; ``from_edges_oracle`` is the former graph
+and checked one line at a time, kept as they were but for
+``labels_csv_oracle``'s int64 range check and its reading of a cell that
+int() reads as exactly that integer; ``from_edges_oracle`` is the former graph
 construction, which deduplicated (i, j) rows and lexsorted both directions.
 They check the loaders that parse a chunk of lines at once, and the graph
 built from sorted 1-D edge keys.
@@ -27,7 +29,7 @@ import numpy as np
 
 from types import SimpleNamespace
 
-from graphtsne.affinity import AffinityMatrix, studentt_q
+from graphtsne.affinity import AffinityMatrix, pairwise_sq_euclidean
 from graphtsne.errors import MalformedInputError
 from graphtsne.gcn import BN_EPS, BN_MOMENTUM
 from graphtsne.trainer import CompositeLoss
@@ -303,6 +305,17 @@ def kl_oracle(p, y):
                 loss += p[i, j] * np.log(p[i, j] / q)
             grad[i] += 4.0 * (p[i, j] - q) * w[i, j] * (y[i] - y[j])
     return loss, grad
+
+
+def studentt_q(y: np.ndarray) -> SimpleNamespace:
+    """Map affinities q_ij = (1 + ||y_i - y_j||^2)^-1 / Z over all pairs, as
+    ``q``, and their unnormalized weights ``w`` = Z q."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[0] < 2:
+        raise ValueError("need at least 2 map points")
+    w = 1.0 / (1.0 + pairwise_sq_euclidean(y))
+    np.fill_diagonal(w, 0.0)
+    return SimpleNamespace(q=w / w.sum(), w=w)
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
@@ -589,17 +602,21 @@ def labels_csv_oracle(path):
     labels = []
     for rowno, line in _read_lines(path):
         try:
-            value = float(line)
+            value = int(line)
         except ValueError:
-            raise MalformedInputError(
-                f"{path}: row {rowno}: non-integer label") from None
-        if not value.is_integer():
-            raise MalformedInputError(
-                f"{path}: row {rowno}: non-integer label")
-        if not -2 ** 63 <= int(value) < 2 ** 63:
+            try:
+                value = float(line)
+            except ValueError:
+                raise MalformedInputError(
+                    f"{path}: row {rowno}: non-integer label") from None
+            if not value.is_integer():
+                raise MalformedInputError(
+                    f"{path}: row {rowno}: non-integer label")
+            value = int(value)
+        if not -2 ** 63 <= value < 2 ** 63:
             raise MalformedInputError(
                 f"{path}: row {rowno}: label {line} out of the int64 range")
-        labels.append(int(value))
+        labels.append(value)
     if not labels:
         raise MalformedInputError(f"{path}: no data rows")
     return np.asarray(labels, dtype=np.int64)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from graphtsne.affinity import joint_p, pairwise_sq_euclidean, studentt_q
+from graphtsne.affinity import joint_p, pairwise_sq_euclidean
 from graphtsne.cli import main, read_layout_csv
 from graphtsne.gcn import backward, build_full_plan, forward, init_model
 from graphtsne.graph import Graph, all_pairs_distances, knn_graph
@@ -29,12 +29,12 @@ from graphtsne.trainer import TrainConfig, composite_loss_and_grad, train_miniba
 import conftest
 from conftest import finite_difference_grads, max_relative_error
 from oracles import (brute_knn_pairs, distance_metrics_oracle, floyd_warshall,
-                     knn_1_oracle, receptive_field_sizes, trust_feature_oracle,
-                     trust_graph_oracle)
+                     knn_1_oracle, receptive_field_sizes, studentt_q,
+                     trust_feature_oracle, trust_graph_oracle)
 
 GRAD_TOL = 1e-5          # criterion 1: max relative error vs central differences
 GRAD_TIME_LIMIT_S = 10.0
-SUM_TOL = 1e-9           # criterion 2: affinity normalization
+SUM_TOL = 1e-9           # criterion 2: affinity normalization, KL(Q || Q)
 PERPLEXITY_TOL = 1e-3    # criterion 2: calibrated rows vs target 30
 ORACLE_TOL = 1e-10       # criterion 3: metric oracle agreement
 SWEEP_TIME_LIMIT_S = 300.0   # criterion 4
@@ -95,7 +95,7 @@ class TestCriterion1GradientCorrectness:
 class TestCriterion2AffinityContracts:
     def test_100_random_instances(self):
         rng = np.random.default_rng(22)
-        worst_p = worst_q = worst_perp = 0.0
+        worst_p = worst_kl = worst_grad = worst_perp = 0.0
         checked_rows = 0
         for case in range(100):
             b = int(rng.integers(5, 51))
@@ -112,8 +112,13 @@ class TestCriterion2AffinityContracts:
                 d = all_pairs_distances(Graph.from_edges(b, edges))
             aff = joint_p(d, 30.0)
             worst_p = max(worst_p, abs(aff.p.sum() - 1.0))
-            q = studentt_q(rng.normal(size=(b, 2)))
-            worst_q = max(worst_q, abs(q.q.sum() - 1.0))
+            # the loss's own Q: KL(Q || Q) and its gradient vanish only if
+            # the loss normalizes the same Student-t weights to sum 1
+            y = rng.normal(size=(b, 2))
+            q = studentt_q(y).q
+            kl = composite_loss_and_grad(q, q, y, 0.5)
+            worst_kl = max(worst_kl, abs(kl.total))
+            worst_grad = max(worst_grad, float(np.abs(kl.grad).max()))
             off_diag = d.copy()
             np.fill_diagonal(off_diag, np.inf)
             for i in range(b):
@@ -126,11 +131,12 @@ class TestCriterion2AffinityContracts:
                 perp = float(np.exp(-np.sum(nz * np.log(nz))))
                 worst_perp = max(worst_perp, abs(perp - 30.0))
                 checked_rows += 1
-        ok = (worst_p <= SUM_TOL and worst_q <= SUM_TOL
+        ok = (worst_p <= SUM_TOL and worst_kl <= SUM_TOL and worst_grad <= SUM_TOL
               and worst_perp <= PERPLEXITY_TOL and checked_rows > 0)
         assert verdict(2, "affinity contracts", ok,
-                       f"|P sum - 1| {worst_p:.1e}, |Q sum - 1| {worst_q:.1e} "
-                       f"(tol {SUM_TOL}); perplexity err {worst_perp:.1e} over "
+                       f"|P sum - 1| {worst_p:.1e}, |KL(Q||Q)| {worst_kl:.1e}, "
+                       f"|its grad| {worst_grad:.1e} (tol {SUM_TOL}); "
+                       f"perplexity err {worst_perp:.1e} over "
                        f"{checked_rows} rows (tol {PERPLEXITY_TOL})")
 
 

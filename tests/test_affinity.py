@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from graphtsne import (EmptyAffinityError, Graph, UNREACHABLE, affinity,
                        all_pairs_distances, calibrate_row, composite_loss_and_grad,
-                       joint_p, pairwise_sq_euclidean, studentt_q)
+                       joint_p, pairwise_sq_euclidean)
 
 from conftest import finite_difference_grads, max_relative_error
 from oracles import (calibrate_row_loop, joint_p_loop, joint_p_reference,
-                     naive_sq_euclidean, whole_array_sq_euclidean)
+                     naive_sq_euclidean, studentt_q, whole_array_sq_euclidean)
 
 
 def draw_distances(data, n):
@@ -333,15 +333,23 @@ class TestJointP:
 
 
 class TestStudenttQ:
+    """The loss's Student-t map distribution, pinned through the loss: given
+    P = Q it reads KL(P || Q) = 0 with a zero gradient only if its own Q is
+    that Q (were its Q s times the given one, it would read -log s)."""
+
+    @staticmethod
+    def assert_kl_zero(q, y, tol=1e-12):
+        kl = composite_loss_and_grad(q, q, y, 0.5)
+        assert kl.total == pytest.approx(0.0, abs=tol)
+        assert np.abs(kl.grad).max() <= tol
+
     def test_two_points_half(self):
-        q = studentt_q(np.array([[0.0, 0.0], [5.0, 1.0]]))
-        assert q.q[0, 1] == pytest.approx(0.5, abs=1e-12)
+        q = np.array([[0.0, 0.5], [0.5, 0.0]])
+        self.assert_kl_zero(q, np.array([[0.0, 0.0], [5.0, 1.0]]))
 
     def test_equilateral_triangle_sixths(self):
         y = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        q = studentt_q(y)
-        off = q.q[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, 1.0 / 6, atol=1e-12)
+        self.assert_kl_zero((1.0 - np.eye(3)) / 6, y)
 
     def test_matches_naive_oracle(self, rng):
         y = rng.normal(size=(25, 2))
@@ -351,16 +359,16 @@ class TestStudenttQ:
                 if i != j:
                     diff = y[i] - y[j]
                     w[i, j] = 1.0 / (1.0 + np.dot(diff, diff))
-        oracle = w / w.sum()
-        assert np.abs(studentt_q(y).q - oracle).max() <= 1e-12
+        self.assert_kl_zero(w / w.sum(), y)
 
     def test_sums_to_one(self, rng):
         y = rng.normal(size=(40, 2))
-        assert studentt_q(y).q.sum() == pytest.approx(1.0, abs=1e-9)
+        self.assert_kl_zero(studentt_q(y).q, y, tol=1e-9)
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
-            studentt_q(np.array([[1.0, 2.0]]))
+            composite_loss_and_grad(np.zeros((1, 1)), np.zeros((1, 1)),
+                                    np.array([[1.0, 2.0]]), 0.5)
 
 
 class TestKlLossAndGrad:

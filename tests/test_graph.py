@@ -159,6 +159,16 @@ class TestLoadCsv:
         with pytest.raises(MalformedInputError, match=r"row 2"):
             load_labels_csv(p)
 
+    @pytest.mark.parametrize("text, want", [
+        ("9007199254740993\n", [9007199254740993]),   # 2**53 + 1: float() reads ...992
+        ("2.0\n9007199254740993\n", [2, 9007199254740993]),
+        ("9223372036854775807\n", [9223372036854775807])])  # float() reads 2**63
+    def test_integer_label_loads_exactly(self, tmp_path, text, want):
+        p = tmp_path / "labels.csv"
+        p.write_text(text)
+        labels = load_labels_csv(p)
+        assert labels.dtype == np.int64 and labels.tolist() == want
+
     @pytest.mark.parametrize("label", ["1e20", "-1e300", "9223372036854775808"])
     def test_label_beyond_int64_names_row(self, tmp_path, label):
         p = tmp_path / "labels.csv"
@@ -232,7 +242,8 @@ class TestLoadersMatchOracles:
     def test_labels(self, data):
         good = (st.integers(-10**6, 10**6).map(str)
                 | st.sampled_from(["2.0", "1e2", "-0", "1_0", "-9223372036854775808",
-                                   "9223372036854774784"]))
+                                   "9223372036854774784", "9223372036854775807",
+                                   "9007199254740993"]))
         bad = st.sampled_from(["1.5", "x", "inf", "-inf", "nan", "1e400", "1e20", "-1e300",
                                "1,2", "9223372036854775808"])
         good = good.flatmap(lambda v: PADDING.map(lambda p: p + v + p))

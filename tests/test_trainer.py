@@ -574,3 +574,39 @@ class TestConfigFile:
         p.write_text("alpha 0.5\n")
         with pytest.raises(MalformedInputError):
             read_config_file(p)
+
+    # more than one 64 KiB chunk of comment lines: a line after them is line 1202
+    COMMENTS = "".join(f"# note {i:04d} {'x' * 50}\n" for i in range(1200))
+
+    @pytest.mark.parametrize("line, reason", [
+        ("alpha 0.5", "expected 'key = value', got 'alpha 0.5'"),
+        ("wat = 3", "unknown config key 'wat'"),
+        ("epochs = soon", "bad value for 'epochs': 'soon'")])
+    def test_error_names_line_past_first_chunk(self, tmp_path, line, reason):
+        assert len(self.COMMENTS) > 1 << 16
+        p = tmp_path / "run.cfg"
+        p.write_text(f"alpha = 0.5\n{self.COMMENTS}{line}  # why\nseed = 1\n")
+        with pytest.raises(MalformedInputError) as exc:
+            read_config_file(p)
+        assert str(exc.value) == f"{p}: line 1202: {reason}"
+
+    def test_rules_apply_in_order(self, tmp_path):
+        # '=' first, then a known key, then a parsable value
+        p = tmp_path / "run.cfg"
+        for text, reason in (("wat 3", "expected 'key = value'"),
+                             ("wat = soon", "unknown config key 'wat'")):
+            p.write_text(text + "\n")
+            with pytest.raises(MalformedInputError, match=reason):
+                read_config_file(p)
+
+    def test_non_utf8_names_file(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(self.COMMENTS.encode() + b"seed = \xff\n")
+        with pytest.raises(MalformedInputError) as exc:
+            read_config_file(p)
+        assert str(exc.value) == f"{p}: not UTF-8 text"
+
+    def test_repeated_key_keeps_last_value(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"seed = 1\nalpha = 0.25\n{self.COMMENTS}seed = 2\n")
+        assert read_config_file(p) == {"seed": 2, "alpha": 0.25}
