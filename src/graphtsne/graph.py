@@ -268,11 +268,9 @@ def load_labels_csv(path) -> np.ndarray:
     naming the row on a label that is not an integer or does not fit in int64.
     """
     def parse(rownos, texts):
-        labels = _parse(texts, np.int64)
-        if labels is None:  # a cell that int() does not read, or a chunk beyond int64
-            labels = list(map(_label, texts))
-            if None in labels:
-                return "non-integer label"
+        labels = list(map(_label, texts))
+        if None in labels:
+            return "non-integer label"
         try:
             return np.asarray(labels, dtype=np.int64)
         except OverflowError:

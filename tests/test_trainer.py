@@ -557,38 +557,27 @@ class TestConfigFile:
             f"  # {key}\n" for key, value in want.items()))
         assert read_config_file(p) == want
 
-    def test_unknown_key_names_line(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("alpha = 0.5\nwat = 3\n")
-        with pytest.raises(MalformedInputError, match=r"2"):
-            read_config_file(p)
-
-    def test_bad_value_names_line(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("epochs = soon\n")
-        with pytest.raises(MalformedInputError, match=r"1"):
-            read_config_file(p)
-
-    def test_missing_equals_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("alpha 0.5\n")
-        with pytest.raises(MalformedInputError):
-            read_config_file(p)
-
     # more than one 64 KiB chunk of comment lines: a line after them is line 1202
     COMMENTS = "".join(f"# note {i:04d} {'x' * 50}\n" for i in range(1200))
 
-    @pytest.mark.parametrize("line, reason", [
-        ("alpha 0.5", "expected 'key = value', got 'alpha 0.5'"),
-        ("wat = 3", "unknown config key 'wat'"),
-        ("epochs = soon", "bad value for 'epochs': 'soon'")])
-    def test_error_names_line_past_first_chunk(self, tmp_path, line, reason):
+    def assert_names_line(self, tmp_path, line, reason):
+        """The bad line as line 2 of a short file and as line 1202, past the first chunk."""
         assert len(self.COMMENTS) > 1 << 16
         p = tmp_path / "run.cfg"
-        p.write_text(f"alpha = 0.5\n{self.COMMENTS}{line}  # why\nseed = 1\n")
-        with pytest.raises(MalformedInputError) as exc:
-            read_config_file(p)
-        assert str(exc.value) == f"{p}: line 1202: {reason}"
+        for head, lineno in (("", 2), (self.COMMENTS, 1202)):
+            p.write_text(f"alpha = 0.5\n{head}{line}  # why\nseed = 1\n")
+            with pytest.raises(MalformedInputError) as exc:
+                read_config_file(p)
+            assert str(exc.value) == f"{p}: line {lineno}: {reason}"
+
+    def test_unknown_key_names_line(self, tmp_path):
+        self.assert_names_line(tmp_path, "wat = 3", "unknown config key 'wat'")
+
+    def test_bad_value_names_line(self, tmp_path):
+        self.assert_names_line(tmp_path, "epochs = soon", "bad value for 'epochs': 'soon'")
+
+    def test_missing_equals_rejected(self, tmp_path):
+        self.assert_names_line(tmp_path, "alpha 0.5", "expected 'key = value', got 'alpha 0.5'")
 
     def test_rules_apply_in_order(self, tmp_path):
         # '=' first, then a known key, then a parsable value
