@@ -51,7 +51,8 @@ Covered:
 - knn_graph pairs for k = 1, 10 and 50 on the citation stand-in's features,
   whose many ties test the tie order, and on the real-valued features;
 - every rank_blocks order (hashed) on the citation stand-in's features and on
-  a seeded 2-D layout rounded to 0.1, so that its distances tie;
+  a seeded 2-D layout rounded to 0.1, so that its distances tie, the layout's
+  once from its distance matrix and once from the loss's distance blocks;
 - evaluate_layout on that layout and on it rounded, its report without the
   run time;
 - the four input readers (edge list, features, labels, layout) on files
@@ -65,8 +66,9 @@ Covered:
   that sets every key), `graphtsne sweep` and `graphtsne evaluate` write,
   with the manifests' timestamps and the reports' run times removed.
 
-Uses only the public API, so it runs under any tree that has it. Takes
-about 10 s on a 2-core machine.
+Uses the public API plus `graph.rank_blocks`, `affinity.distance_blocks` and
+`affinity.row_blocks`; a tree that lacks one of them is dumped with its own
+copy of this script. Takes about 10 s on a 2-core machine.
 """
 
 import argparse
@@ -90,6 +92,7 @@ from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
                        init_model, joint_p, knn_graph, load_model, neighbor_subsample,
                        pairwise_sq_euclidean, random_dataset, read_config_file,
                        save_model, sbm_dataset, train_full_batch, train_minibatch)
+from graphtsne.affinity import distance_blocks, row_blocks
 from graphtsne.cli import main as cli_main, read_layout_csv
 from graphtsne.graph import (load_edge_list, load_features_csv, load_labels_csv,
                             rank_blocks)
@@ -233,12 +236,18 @@ def plans() -> dict:
     return out
 
 
-def rank_orders(distances) -> str:
-    """SHA-256 of every rank_blocks order of a distance matrix, block by block."""
-    sha = hashlib.sha256()
-    for _, order in rank_blocks(distances):
+def matrix_blocks(distances):
+    """A distance matrix as the (rows, distances[rows]) blocks rank_blocks takes."""
+    return ((rows, distances[rows]) for rows in row_blocks(len(distances)))
+
+
+def rank_orders(blocks) -> str:
+    """SHA-256 of every rank_blocks order of (rows, distances) blocks, block by block."""
+    sha, n = hashlib.sha256(), 0
+    for _, order in rank_blocks(blocks):
         sha.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
-    return f"int64{[len(distances), len(distances) - 1]}:{sha.hexdigest()}"
+        n += len(order)
+    return f"int64{[n, n - 1]}:{sha.hexdigest()}"
 
 
 def affinity_record(distances) -> dict:
@@ -253,7 +262,7 @@ def affinities() -> dict:
     feature_d = pairwise_sq_euclidean(data.features)
     out = {"graph": affinity_record(all_pairs_distances(data.graph, hop_cap=20)),
            "feature": affinity_record(feature_d),
-           "rank_blocks_citation": rank_orders(feature_d)}
+           "rank_blocks_citation": rank_orders(matrix_blocks(feature_d))}
     del feature_d
     # every value distinct: real-valued features
     real = random_dataset(300, 1500, feature_dim=16, seed=0).features
@@ -268,7 +277,10 @@ def affinities() -> dict:
     out["batch_feature"] = affinity_record(pairwise_sq_euclidean(big.features[batch]))
     layout = np.random.default_rng(2).normal(size=(data.graph.num_nodes, 2))
     rounded = np.round(layout, 1)  # many equal distances: the tie order shows
-    out["rank_blocks_rounded_layout"] = rank_orders(pairwise_sq_euclidean(rounded))
+    out["rank_blocks_rounded_layout"] = rank_orders(matrix_blocks(
+        pairwise_sq_euclidean(rounded)))
+    # the blocks the loss and the metrics' map pass rank
+    out["rank_blocks_rounded_map"] = rank_orders(distance_blocks(rounded))
     for name, y in (("evaluate_layout", layout), ("evaluate_rounded_layout", rounded)):
         report = evaluate_layout(data, y, alpha=0.5).to_dict()
         del report["runtime_s"]
@@ -462,12 +474,15 @@ DIGEST = re.compile(r"([a-z0-9]+\[[0-9, ]*\]):[0-9a-f]{64}")
 RTOL = 1e-9   # largest relative float difference --compare accepts
 # What a change expects to move beyond float drift, as globs over "/"-joined
 # paths: keys only the old dump has (say, a removed parameter), keys only
-# the new dump has (say, a new counter), and entries whose bytes change
-# while their float samples stay within RTOL (say, a hash of an array whose
-# summation order moved). A change that moves nothing leaves all three empty.
+# the new dump has (say, a new counter), and entries whose bytes or floats
+# change by more than RTOL (say, a hash of an array whose summation order
+# moved, or a score whose tie order moved); they are still counted and their
+# drift printed. A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-ONLY_IN_NEW = ("readers/errors/config",)
-CHANGED = ()
+ONLY_IN_NEW = ("affinities/rank_blocks_rounded_map",)
+# the map pass ranks the loss's row-block distances, not syrk's: on the rounded
+# layout a few ties fall the other way
+CHANGED = ("affinities/evaluate_rounded_layout/*",)
 
 
 def named(where: str, globs) -> bool:
@@ -541,7 +556,7 @@ class Comparison:
             rel = math.inf
         if rel > self.drift[0]:
             self.drift = (rel, where)
-        if rel > RTOL:
+        if rel > RTOL and not named(where, CHANGED):
             self.failures.append((where, f"differs by {rel:.3g} of its largest "
                                          f"magnitude {scale:.3g}"))
 

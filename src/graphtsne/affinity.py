@@ -47,6 +47,19 @@ def pairwise_sq_euclidean(x: np.ndarray) -> np.ndarray:
     return d
 
 
+def distance_blocks(x: np.ndarray):
+    """Yield ``(rows, d)`` per ``row_blocks`` slice, d a fresh array of the squared
+    distances from those rows of x to every row, clamped at 0, self 0. On a 2-D map
+    its bits do not depend on the BLAS thread count; ``pairwise_sq_euclidean``'s do."""
+    x = np.asarray(x, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    for rows in row_blocks(len(x)):
+        d = sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
+        np.maximum(d, 0.0, out=d)
+        np.fill_diagonal(d[:, rows], 0.0)
+        yield rows, d
+
+
 @dataclass
 class CalibrationResult:
     """Outcome of a single-row bandwidth search."""

@@ -21,7 +21,7 @@ from .errors import MalformedInputError, TrainingError
 from .graph import (LabeledDataset, load_edge_list, load_features_csv, load_labels_csv,
                     read_layout_csv)
 from .metrics import (DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_T_KS, DEFAULT_T_RS,
-                      alpha_sweep, evaluate_layout)
+                      _check_grid, alpha_sweep, evaluate_layout)
 from .svg import write_svg
 from .trainer import (default_config, embed, parse_comma_ints,
                       read_config_file, train)
@@ -137,6 +137,12 @@ def _resolve_config(args, num_nodes, alpha):
         flag_overrides["alpha"] = alpha
     cfg = dataclasses.replace(cfg, **flag_overrides)
     cfg.validate()
+    # a row calibrated among S nodes has S - 1 others: its perplexity is at most S - 1
+    size = num_nodes if cfg.mode == "full" else -(-num_nodes // cfg.batch_count)
+    if cfg.perplexity > size - 1:
+        where = "the graph" if cfg.mode == "full" else "the largest mini-batch"
+        raise ValueError(f"perplexity {cfg.perplexity} is out of reach: {where} has "
+                         f"{size} nodes, so no row reaches more than {size - 1}")
     return cfg
 
 
@@ -203,11 +209,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = list(args.grid)
-    if not grid:
-        raise ValueError("--grid must list at least one alpha value")
-    if not all(0.0 <= a <= 1.0 for a in grid):
-        raise ValueError(f"--grid values must lie in [0, 1]: {grid}")
+    grid = _check_grid(args.grid, "--grid")
     cfg = _resolve_config(args, args.num_nodes, alpha=None)
     data = _load_dataset(args.edges, args.features, args.labels, args.num_nodes)
     result = alpha_sweep(data, cfg, grid, knn_k=args.knn_k,

@@ -383,19 +383,19 @@ def all_pairs_distances(graph: Graph, hop_cap: int | None = None) -> np.ndarray:
     return bfs_shortest_paths(graph, ids, ids, hop_cap=hop_cap)
 
 
-def rank_blocks(d: np.ndarray):
-    """Yield ``(rows, order)`` per row slice of a square distance matrix: ``order[b]``
-    lists every column but ``rows.start + b``, nearest first, ties to the smaller index
-    and NaN last, the order of a stable argsort.
+def rank_blocks(blocks):
+    """Yield ``(rows, order)`` per ``(rows, block)`` of distances from those rows to all
+    n points, whose self entries it sets to -inf: ``order[b]`` lists every column but
+    ``rows.start + b``, nearest first, ties to the smaller index and NaN last, the order
+    of a stable argsort.
 
     Each block is sorted by NumPy's default, unstable argsort. A row with no two equal
     values has only one order. In a row with ties, each distinct value gets a dense
     code, and a stable argsort of the codes as small unsigned integers (NumPy's radix
     sort below 65536 columns) orders every tie by index.
     """
-    n = len(d)
-    for rows in row_blocks(n):
-        block = d[rows].copy()
+    for rows, block in blocks:
+        n = block.shape[1]
         np.fill_diagonal(block[:, rows], -np.inf)  # self sorts first, then is cut
         order = np.argsort(block, axis=1)
         ranked = np.take_along_axis(block, order, axis=1)
@@ -425,7 +425,8 @@ def knn_graph(x: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k={k} must be smaller than the number of rows ({n})")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = [order[:, :k] for _, order in rank_blocks(pairwise_sq_euclidean(x))]
+    d = pairwise_sq_euclidean(x)
+    ranked = [order[:, :k] for _, order in rank_blocks((r, d[r]) for r in row_blocks(n))]
     return np.stack([np.repeat(np.arange(n), k), np.concatenate(ranked).ravel()], axis=1)
 
 

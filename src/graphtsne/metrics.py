@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .affinity import pairwise_sq_euclidean, row_blocks
+from .affinity import distance_blocks, pairwise_sq_euclidean, row_blocks
 from .errors import TrainingError
 from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks
 # not called here, but perfbench/tracer.py wraps metrics.knn_graph
@@ -71,8 +71,9 @@ def _check_metric_args(n: int, x=None, ks=(), graph: Graph | None = None, rs=(),
 
 def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | None = None,
            labels=None, folds: int = DEFAULT_FOLDS, seed: int = 0):
-    """The requested metrics from one pass over row blocks of the map
-    distances and one over the feature distances, each matrix sorted once.
+    """The requested metrics from one pass over the map's distance blocks, made
+    as the loss makes them, and one over row blocks of the feature distance
+    matrix, each block sorted once.
     Returns ({k: T_X(k)}, {r: T_G(r)}, k-NN feature pairs, 1-NN accuracy)."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
@@ -86,10 +87,7 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
 
     map_top = np.empty((n, max(ks, default=0)), dtype=np.int64)
     jaccard = np.empty((len(rs), n))
-    d = pairwise_sq_euclidean(y)
-    # 1-NN accuracy alone takes an argmin per row and needs no rank order
-    blocks = rank_blocks(d) if ks or rs else ((rows, None) for rows in row_blocks(n))
-    for rows, order in blocks:
+    for rows, order in rank_blocks(distance_blocks(y)):
         if ks:
             map_top[rows] = order[:, :map_top.shape[1]]
         if rs:  # one BFS for every radius; hops in map order, self cut
@@ -103,16 +101,15 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
                 inter = within[np.arange(len(size)), size - 1]
                 jaccard[slot, rows] = np.where(
                     size > 0, inter / np.maximum(2 * size - inter, 1), 1.0)
-        if labels is not None:
-            # argmin takes the first minimum, so ties go to the smaller index
-            outside = np.where(fold_of[rows, None] == fold_of, np.inf, d[rows])
-            correct[rows] = labels[np.argmin(outside, axis=1)] == labels[rows]
-    del d  # hold one N x N distance matrix at a time
+        if labels is not None:  # the nearest point of another fold, ties to the smaller index
+            first = (fold_of[order] != fold_of[rows, None]).argmax(axis=1)
+            correct[rows] = labels[order[np.arange(len(first)), first]] == labels[rows]
 
     penalty = [0] * len(ks)
     knn = np.empty((n, knn_k or 0), dtype=np.int64)
     if x is not None:
-        for rows, order in rank_blocks(pairwise_sq_euclidean(x)):
+        d = pairwise_sq_euclidean(x)
+        for rows, order in rank_blocks((rows, d[rows]) for rows in row_blocks(n)):
             knn[rows] = order[:, :knn.shape[1]]
             # feature rank (1 = nearest) of each kept map neighbor
             rank = np.empty((len(order), n), dtype=np.int64)
@@ -221,6 +218,17 @@ def evaluate_layout(data: LabeledDataset, y: np.ndarray, alpha: float | None = N
                          runtime_s=time.perf_counter() - start)
 
 
+def _check_grid(grid, name: str = "alpha grid") -> list:
+    """The grid as a list of floats; ValueError naming it when it is empty or a
+    value lies outside [0, 1]."""
+    grid = [float(a) for a in grid]
+    if not grid:
+        raise ValueError(f"{name} must be non-empty")
+    if any(not 0.0 <= a <= 1.0 for a in grid):
+        raise ValueError(f"{name} values must lie in [0, 1]: {grid}")
+    return grid
+
+
 @dataclass
 class SweepResult:
     reports: list
@@ -238,11 +246,7 @@ def alpha_sweep(data: LabeledDataset, cfg: TrainConfig, grid,
     sweeps are deterministic but runs do not share initialization. Training
     failures are re-raised annotated with the failing alpha.
     """
-    grid = [float(a) for a in grid]
-    if not grid:
-        raise ValueError("alpha grid must be non-empty")
-    if any(not 0.0 <= a <= 1.0 for a in grid):
-        raise ValueError(f"alpha grid values must lie in [0, 1]: {grid}")
+    grid = _check_grid(grid)
     _check_metric_args(data.graph.num_nodes, data.features, t_ks, data.graph,
                        t_rs, knn_k, data.labels, folds)
     reports = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affinity import AffinityMatrix, pairwise_sq_euclidean, row_blocks
+from .affinity import AffinityMatrix, distance_blocks, pairwise_sq_euclidean
 # each distance matrix is a temporary that becomes its P; _affinities calls
 # this module's joint_p by name, so wrapping trainer.joint_p sees every call
 from .affinity import _joint_p_owned as joint_p
@@ -125,13 +125,9 @@ def composite_loss_and_grad(p_graph, p_feat, y: np.ndarray,
         raise ValueError("affinity matrices must be BxB matching y rows")
     if y.shape[0] < 2:
         raise ValueError("need at least 2 map points")
-    sq = np.einsum("ij,ij->i", y, y)
     z, inner_g, inner_x = 0.0, 0.0, 0.0
     attr, rep = np.empty_like(y), np.empty_like(y)
-    for rows in row_blocks(y.shape[0]):
-        d = sq[rows, None] + sq[None, :] - 2.0 * (y[rows] @ y.T)
-        np.maximum(d, 0.0, out=d)
-        np.fill_diagonal(d[:, rows], 0.0)
+    for rows, d in distance_blocks(y):
         log1p_d = np.log1p(d)  # -log w
         inner_g += float(np.vdot(pg.p[rows], log1p_d))
         inner_x += float(np.vdot(px.p[rows], log1p_d))

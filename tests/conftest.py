@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import graphtsne
 from graphtsne import Graph, LabeledDataset, graph, neighbor_subsample, sbm_dataset
 
 ACCEPTANCE_VERDICTS = []
+
+
+def child_env(**extra):
+    """This process's environment plus ``extra``, for a child process that
+    imports graphtsne from where this process does, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(graphtsne.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def pytest_terminal_summary(terminalreporter):

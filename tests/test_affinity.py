@@ -87,6 +87,25 @@ class TestPairwiseSqEuclidean:
             assert np.array_equal(np.diag(d), np.zeros(70))
 
 
+class TestDistanceBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_rows_match_pairwise_sq_euclidean(self, n, dim, seed):
+        """Exactly on small-integer points, whose products are exact, and within
+        1e-12 relative on random ones; n crosses the 64-row block boundaries."""
+        rng = np.random.default_rng(seed)
+        for x, rtol in ((rng.integers(-3, 4, size=(n, dim)).astype(float), 0.0),
+                        (rng.normal(size=(n, dim)), 1e-12)):
+            whole = pairwise_sq_euclidean(x)
+            covered = 0
+            for rows, d in affinity.distance_blocks(x):
+                assert rows.start == covered and d.shape == (rows.stop - rows.start, n)
+                assert np.all(d >= 0.0) and np.all(np.diagonal(d[:, rows]) == 0.0)
+                assert np.allclose(d, whole[rows], rtol=rtol, atol=rtol * whole.max())
+                covered = rows.stop
+            assert covered == n
+
+
 class TestCalibrateRow:
     def test_uniform_row_perplexity_is_count(self):
         row = np.full(29, 3.7)

@@ -1,7 +1,6 @@
 """End-to-end command-line tests: file parsing, exit codes, artifacts."""
 
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphtsne
 from graphtsne import metrics
 from graphtsne.cli import _write_layout, main, read_layout_csv
 from graphtsne.graph import (Graph, LabeledDataset, load_edge_list, load_features_csv,
@@ -21,7 +19,7 @@ from graphtsne.metrics import evaluate_layout
 from graphtsne.synthetic import sbm_dataset
 from graphtsne.trainer import read_config_file
 
-from conftest import assert_loads_like_oracle, draw_input_file
+from conftest import assert_loads_like_oracle, child_env, draw_input_file
 from oracles import layout_csv_oracle
 
 
@@ -138,8 +136,10 @@ class TestFit:
 
     def test_edge_endpoint_out_of_range_exits_1(self, dataset_dir, tmp_path,
                                                 capsys):
+        # perplexity 3 is reachable among 10 nodes, so the edge file is read
         code = main(["fit", *base_args(dataset_dir)[:4], "--num-nodes", "10",
-                     "--alpha", "0.5", "--out-dir", str(tmp_path / "x")])
+                     "--perplexity", "3", "--alpha", "0.5",
+                     "--out-dir", str(tmp_path / "x")])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
@@ -270,6 +270,39 @@ class TestFit:
                      "--alpha", alpha, "--out-dir", str(out)])
         assert code == 0
         assert read_layout_csv(out / "layout.csv", 45).shape == (45, 2)
+
+
+class TestUnreachablePerplexity:
+    """A row calibrated among S nodes reaches a perplexity of at most S - 1. S is
+    N (45 here) in full-batch mode and the largest mini-batch, ceil(N /
+    batch_count), in mini-batch mode; a perplexity above S - 1 exits 2 before
+    any input is read, and S - 1 itself trains."""
+
+    def args(self, dataset_dir, tmp_path, command, mode, perplexity):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hidden_dim = 8\nepochs = 2\nbatch_count = 2\n")
+        args = [command, *base_args(dataset_dir), "--mode", mode,
+                "--perplexity", perplexity, "--out-dir", str(tmp_path / "out")]
+        args[args.index("--config") + 1] = str(cfg)
+        return args + (["--alpha", "0.5"] if command == "fit" else ["--grid", "0.5"])
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    @pytest.mark.parametrize("mode, perplexity, size", [("full", "44.5", 45),
+                                                        ("minibatch", "22.5", 23)])
+    def test_exits_2_before_reading_input(self, dataset_dir, tmp_path, capsys,
+                                          command, mode, perplexity, size):
+        args = self.args(dataset_dir, tmp_path, command, mode, perplexity)
+        args[args.index("--edges") + 1] = str(tmp_path / "absent.txt")
+        assert main(args) == 2  # an absent edges file, once read, exits 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: perplexity {perplexity} ")
+        assert f"{size} nodes" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode, perplexity", [("full", "44"), ("minibatch", "22")])
+    def test_largest_reachable_perplexity_trains(self, dataset_dir, tmp_path, mode,
+                                                 perplexity):
+        assert main(self.args(dataset_dir, tmp_path, "fit", mode, perplexity)) == 0
+        assert (tmp_path / "out" / "layout.csv").exists()
 
 
 class TestOutDir:
@@ -649,11 +682,8 @@ class TestSvgOutput:
 def run_module(*argv):
     """``python -m graphtsne argv`` in a child that imports the package from
     where this process does, installed or not."""
-    package_root = os.path.dirname(os.path.dirname(graphtsne.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "graphtsne", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=child_env())
 
 
 class TestConsoleScript:

@@ -371,7 +371,8 @@ class TestRankBlocks:
         for block in (affinity._ROW_BLOCK, 1, 3, n + 1):
             with mock.patch.object(affinity, "_ROW_BLOCK", block):
                 covered = 0
-                for rows, order in rank_blocks(d):
+                blocks = ((rows, d[rows].copy()) for rows in affinity.row_blocks(n))
+                for rows, order in rank_blocks(blocks):
                     assert rows.start == covered
                     assert np.array_equal(order, want[rows])
                     covered = rows.stop

@@ -1,6 +1,8 @@
 """Metric suite and alpha-sweep tests, checked against brute-force oracles."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from graphtsne.metrics import (MetricsReport, alpha_sweep, distance_metrics,
 from graphtsne.synthetic import random_dataset, sbm_dataset
 from graphtsne.trainer import TrainConfig
 
+from conftest import child_env
 from oracles import (brute_knn_pairs, distance_metrics_oracle, knn_1_oracle,
                      standardize_oracle, trust_feature_oracle,
                      trust_graph_oracle)
@@ -301,7 +304,6 @@ class TestEvaluateLayout:
             mp.setattr("graphtsne.affinity._ROW_BLOCK", block)
             rep = evaluate_layout(dataset, y, knn_k=knn_k, t_ks=t_ks,
                                   t_rs=t_rs, folds=folds, seed=seed)
-            mp.setattr("graphtsne.metrics.rank_blocks", None)  # 1-NN alone sorts nothing
             alone = knn_1_accuracy(y, labels, folds=folds, seed=seed)
         assert rep.t_feature == {k: trust_feature_oracle(x, y, k) for k in t_ks}
         assert rep.t_graph == {r: trust_graph_oracle(n, g.edge_pairs, y, r)
@@ -309,6 +311,48 @@ class TestEvaluateLayout:
         assert rep.p_feature == distance_metrics(
             g, brute_knn_pairs(x, knn_k), y)[1]
         assert rep.knn_accuracy == knn_1_oracle(y, labels, folds, seed) == alone
+
+
+# Prints, as JSON, the hash of each rank order evaluate_layout makes (the map's,
+# then the features') on a 2-D layout rounded to 0.1, whose distances tie, the
+# report, and the losses of a short full-batch fit.
+BLAS_CHILD = """
+import hashlib, json
+import numpy as np
+from graphtsne import (TrainConfig, citation_dataset, evaluate_layout, metrics,
+                       random_dataset, train_full_batch)
+hashes, rank_blocks = [], metrics.rank_blocks
+def hashed(*args):
+    sha = hashlib.sha256()
+    for rows, order in rank_blocks(*args):
+        sha.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
+        yield rows, order
+    hashes.append(sha.hexdigest())
+metrics.rank_blocks = hashed
+data = citation_dataset()
+layout = np.round(np.random.default_rng(2).normal(size=(data.graph.num_nodes, 2)), 1)
+report = evaluate_layout(data, layout).to_dict()
+del report["runtime_s"]
+_, fit = train_full_batch(random_dataset(1500, 6000, feature_dim=16, seed=0),
+                          TrainConfig(alpha=0.5, epochs=5, hidden_dim=64, mode="full"))
+print(json.dumps({"orders": hashes, "report": report, "losses": fit.total_losses}))
+"""
+
+
+def test_scores_do_not_depend_on_blas_thread_count():
+    """One child process per OpenBLAS thread count, set in its environment only:
+    a layout's rank orders and report are byte-identical, and training, whose
+    products the thread count splits differently, agrees at rounding level."""
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", BLAS_CHILD], capture_output=True,
+                              text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    one, two = runs
+    assert len(one["orders"]) == 2 and one["orders"] == two["orders"]
+    assert one["report"] == two["report"]  # floats read back from their exact repr
+    assert np.allclose(one["losses"], two["losses"], rtol=1e-12, atol=0.0)
 
 
 @pytest.fixture(scope="module")
