@@ -137,10 +137,11 @@ def _resolve_config(args, num_nodes, alpha):
         flag_overrides["alpha"] = alpha
     cfg = dataclasses.replace(cfg, **flag_overrides)
     cfg.validate()
-    # a row calibrated among S nodes has S - 1 others: its perplexity is at most S - 1
-    size = num_nodes if cfg.mode == "full" else -(-num_nodes // cfg.batch_count)
+    # a row calibrated among S nodes has S - 1 others: its perplexity is at most S - 1.
+    # np.array_split makes batches of floor(N / batch_count) and one node more
+    size = num_nodes if cfg.mode == "full" else num_nodes // cfg.batch_count
     if cfg.perplexity > size - 1:
-        where = "the graph" if cfg.mode == "full" else "the largest mini-batch"
+        where = "the graph" if cfg.mode == "full" else "the smallest mini-batch"
         raise ValueError(f"perplexity {cfg.perplexity} is out of reach: {where} has "
                          f"{size} nodes, so no row reaches more than {size - 1}")
     return cfg

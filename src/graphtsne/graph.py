@@ -147,11 +147,32 @@ def _read_chunks(path, comments: bool = False):
                 yield linenos, texts
 
 
+def _read_plain(texts: list, dtype, delimiter, width: int):
+    """The lines ``texts`` as a (len(texts), ``width``) array of ``dtype``
+    read by NumPy's C text reader, split at ``delimiter`` (None: white
+    space); None where the reader declines them or might read a cell
+    otherwise than _parse, which gives the same values on plain decimals."""
+    text = "".join(texts)
+    # beyond ASCII the reader's int parser takes some characters for digits (it
+    # reads 1\U00010134 as 65806); it strips \x1c-\x1f around a cell, int() and
+    # float() do not
+    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        values = np.loadtxt(texts, dtype=dtype, delimiter=delimiter, comments=None,
+                            quotechar=None, ndmin=2)
+    except (ValueError, OverflowError):  # say, 1_000 or an id beyond int64
+        return None
+    return values if values.shape == (len(texts), width) else None
+
+
 def _parse(cells: list, dtype):
     """``cells``, a list of str, as one array of ``dtype``, which NumPy fills
     by calling Python's float() or int() on each; None if one does not parse.
-    Integers beyond int64 come back as an object array of Python ints, which
-    any caller's range check rejects."""
+    This defines what a cell means, and the readers' errors are worded from
+    it; _read_plain only reads the common case faster. Integers beyond int64
+    come back as an object array of Python ints, which any caller's range
+    check rejects."""
     try:
         return np.array(cells, dtype=dtype)
     except ValueError:
@@ -204,7 +225,9 @@ def load_edge_list(path, num_nodes: int) -> Graph:
 
     Format: two whitespace-separated integer node ids per line; anything
     after a '#' is a comment; blank lines are skipped. Edges are
-    symmetrized and deduplicated, self-loops dropped with a warning.
+    symmetrized and deduplicated, self-loops dropped with a warning. An id
+    means what int() makes of it. NumPy's text reader reads a chunk of
+    plain decimal ids; a chunk it declines is read id by id with int().
 
     Raises MalformedInputError (naming the line) on parse errors or
     endpoints outside [0, num_nodes); OSError if the file is unreadable.
@@ -213,7 +236,9 @@ def load_edge_list(path, num_nodes: int) -> Graph:
         fields = np.fromiter(map(len, map(str.split, texts)), np.int64, len(texts))
         if (fields != 2).any():
             return f"expected two node ids, got {fields[0]} fields"
-        ids = _parse(" ".join(texts).split(), np.int64)
+        ids = _read_plain(texts, np.int64, None, 2)
+        if ids is None:
+            ids = _parse(" ".join(texts).split(), np.int64)
         if ids is None:
             return "non-integer node id"
         if ids.min() < 0 or ids.max() >= num_nodes:
@@ -228,6 +253,10 @@ def load_edge_list(path, num_nodes: int) -> Graph:
 def load_features_csv(path) -> np.ndarray:
     """Read a headerless CSV of N rows x n numeric columns as float64.
 
+    A cell means what float() makes of it. NumPy's text reader reads a
+    chunk of plain decimal numbers; a chunk it declines, or one with a
+    value that is not finite, is read cell by cell with float().
+
     Raises MalformedInputError naming the (1-based) row on ragged rows,
     non-numeric cells, or non-finite values.
     """
@@ -239,6 +268,9 @@ def load_features_csv(path) -> np.ndarray:
         ncols = int(counts[0]) if ncols is None else ncols  # the first row's
         if (counts != ncols).any():
             return f"expected {ncols} columns, got {counts[0]}"
+        values = _read_plain(texts, np.float64, ",", ncols)
+        if values is not None and np.isfinite(values).all():
+            return values
         return _floats(",".join(texts).split(","), ncols)
 
     blocks = _read_table(path, "row", parse)

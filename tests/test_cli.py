@@ -274,7 +274,7 @@ class TestFit:
 
 class TestUnreachablePerplexity:
     """A row calibrated among S nodes reaches a perplexity of at most S - 1. S is
-    N (45 here) in full-batch mode and the largest mini-batch, ceil(N /
+    N (45 here) in full-batch mode and the smallest mini-batch, floor(N /
     batch_count), in mini-batch mode; a perplexity above S - 1 exits 2 before
     any input is read, and S - 1 itself trains."""
 
@@ -288,7 +288,8 @@ class TestUnreachablePerplexity:
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     @pytest.mark.parametrize("mode, perplexity, size", [("full", "44.5", 45),
-                                                        ("minibatch", "22.5", 23)])
+                                                        ("minibatch", "21.5", 22),
+                                                        ("minibatch", "22.0", 22)])
     def test_exits_2_before_reading_input(self, dataset_dir, tmp_path, capsys,
                                           command, mode, perplexity, size):
         args = self.args(dataset_dir, tmp_path, command, mode, perplexity)
@@ -298,7 +299,7 @@ class TestUnreachablePerplexity:
         assert err.startswith(f"error: perplexity {perplexity} ")
         assert f"{size} nodes" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("mode, perplexity", [("full", "44"), ("minibatch", "22")])
+    @pytest.mark.parametrize("mode, perplexity", [("full", "44"), ("minibatch", "21")])
     def test_largest_reachable_perplexity_trains(self, dataset_dir, tmp_path, mode,
                                                  perplexity):
         assert main(self.args(dataset_dir, tmp_path, "fit", mode, perplexity)) == 0

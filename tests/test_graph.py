@@ -125,9 +125,10 @@ class TestLoadCsv:
 
     def test_non_numeric_cell_names_row(self, tmp_path):
         p = tmp_path / "f.csv"
-        p.write_text("1,2\n3,abc\n")
-        with pytest.raises(MalformedInputError, match=r"row 2"):
-            load_features_csv(p)
+        for text in ("1,2\n3,abc\n", "1,2\n3,\x1c4\n"):  # float() strips no \x1c
+            p.write_text(text)
+            with pytest.raises(MalformedInputError, match=r"row 2: non-numeric"):
+                load_features_csv(p)
 
     def test_ragged_row_names_row(self, tmp_path):
         p = tmp_path / "f.csv"
@@ -147,6 +148,13 @@ class TestLoadCsv:
         x = load_features_csv(p)
         assert x.dtype == np.float64
         assert np.array_equal(x, [[1500.0, -0.0, 7.0], [2.0, 0.1, 1000.0]])
+        # over 64 KiB, so the chunks before the one with 1_000 are read by NumPy
+        rows = ["0.5,1,2"] * 20_000
+        rows[-3] = "1_000,-0,7"
+        p.write_text("\n".join(rows) + "\n")
+        want = np.tile([0.5, 1.0, 2.0], (20_000, 1))
+        want[-3] = [1000.0, -0.0, 7.0]
+        assert load_features_csv(p).tobytes() == want.tobytes()
 
     def test_labels_roundtrip(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -178,16 +186,26 @@ class TestLoadCsv:
             load_labels_csv(p)
 
 
+#: Digits int() and float() read that NumPy's text reader does not.
+ARABIC_INDIC, FULLWIDTH = (str.maketrans("0123456789", digits)
+                           for digits in ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９"))
+
+
 def ids_as_written(i):
     """Spellings int() reads as the node id ``i``."""
-    return st.sampled_from([str(i), f"+{i}", f"0{i}", f"{i:_}"])
+    return st.sampled_from([str(i), f"+{i}", f"0{i}", f"{i:_}", f"0_{i}",
+                            str(i).translate(ARABIC_INDIC), f"+{i}".translate(FULLWIDTH)])
 
 
 cell = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
         | st.integers(-10**6, 10**6).map(str)
-        | st.sampled_from(["1_000", " 1.5e3", "-0", "+.5", "5.", "1e-400"]))
+        | st.sampled_from(["1_000", "1_0", " 1.5e3", "-0", "+.5", "5.", "1e-400",
+                           "٣", "５", "-٣.５e1"]))
+# str.isspace() counts \x1c-\x1f, float() strips none of them
 bad_cell = st.sampled_from(["abc", "", "inf", "-Infinity", "nan", "1e999", "1__0",
-                            "0x10", "1,5"])
+                            "0x10", "1,5", "\x1c1", "1\x1f", "1\U00010134"])
+#: Padding around a cell: PADDING and white space beyond ASCII.
+CELL_PADDING = PADDING | st.sampled_from(["\xa0", "\u2003", " \xa0"])
 
 
 class TestLoadersMatchOracles:
@@ -202,7 +220,7 @@ class TestLoadersMatchOracles:
         @st.composite
         def edge(draw):
             i, j = (draw(ids_as_written(draw(st.integers(0, n - 1)))) for _ in range(2))
-            sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+            sep = draw(st.sampled_from([" ", "\t", "  ", " \t ", "\xa0", "\u2003", "\x1c"]))
             note = draw(st.sampled_from(["", " # note", "#x", "\t#"]))
             return draw(PADDING) + i + sep + j + note + draw(PADDING)
 
@@ -210,9 +228,11 @@ class TestLoadersMatchOracles:
             g = load_edge_list(path, n)
             return g.edge_pairs, g.offsets, g.neighbors
 
+        # int() rejects 1\U00010134, which NumPy's reader reads as 65806
         bad = st.sampled_from(["3", "1 2 3 # note", "1.5 2", "a b", f"{n} 0", f"0 {n}",
                                "-1 0", "99999999999999999999 0", "99999999999999999999 x",
-                               "x 99999999999999999999", "0 -99999999999999999999"])
+                               "x 99999999999999999999", "0 -99999999999999999999",
+                               "1\U00010134 0", "0 1__0"])
         comment = st.sampled_from(["# comment", "  #x 1 2", "#"])
         lines = draw_input_file(data, data.draw(st.lists(edge() | comment, max_size=12)), bad)
         assert_loads_like_oracle(data, lines, load,
@@ -223,7 +243,7 @@ class TestLoadersMatchOracles:
     def test_features(self, data):
         ncols = data.draw(st.integers(1, 4), label="columns")
 
-        padded = cell.flatmap(lambda c: PADDING.map(lambda pad: pad + c + pad))
+        padded = cell.flatmap(lambda c: CELL_PADDING.map(lambda pad: pad + c + pad))
 
         @st.composite
         def with_bad_cell(draw):
