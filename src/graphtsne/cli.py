@@ -137,6 +137,9 @@ def _resolve_config(args, num_nodes, alpha):
         flag_overrides["alpha"] = alpha
     cfg = dataclasses.replace(cfg, **flag_overrides)
     cfg.validate()
+    if cfg.mode != "full" and cfg.batch_count > num_nodes:
+        raise ValueError(f"batch_count {cfg.batch_count} is above --num-nodes {num_nodes}, "
+                         "so some mini-batch would be empty")
     # a row calibrated among S nodes has S - 1 others: its perplexity is at most S - 1.
     # np.array_split makes batches of floor(N / batch_count) and one node more
     size = num_nodes if cfg.mode == "full" else num_nodes // cfg.batch_count

@@ -9,6 +9,7 @@ code can branch on them exactly.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 
@@ -147,22 +148,25 @@ def _read_chunks(path, comments: bool = False):
                 yield linenos, texts
 
 
-def _read_plain(texts: list, dtype, delimiter, width: int):
-    """The lines ``texts`` as a (len(texts), ``width``) array of ``dtype``
-    read by NumPy's C text reader, split at ``delimiter`` (None: white
-    space); None where the reader declines them or might read a cell
-    otherwise than _parse, which gives the same values on plain decimals."""
+def _read_plain(texts: list, width: int):
+    """The comma-separated lines ``texts`` as a (len(texts), ``width``)
+    float64 array read by NumPy's C text reader, which hands each cell to
+    the C function float() calls; None where the reader declines them or
+    might read a cell otherwise than _parse."""
     text = "".join(texts)
-    # beyond ASCII the reader's int parser takes some characters for digits (it
-    # reads 1\U00010134 as 65806); it strips \x1c-\x1f around a cell, int() and
-    # float() do not
+    # float() takes digits beyond ASCII and keeps \x1c-\x1f around a cell; the
+    # reader does neither
     if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
-    try:
-        values = np.loadtxt(texts, dtype=dtype, delimiter=delimiter, comments=None,
-                            quotechar=None, ndmin=2)
-    except (ValueError, OverflowError):  # say, 1_000 or an id beyond int64
-        return None
+    with warnings.catch_warnings():
+        # a cell the reader reads only with a warning, as a deprecated reading
+        # of the installed NumPy, declines the chunk too
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(texts, dtype=np.float64, delimiter=",", comments=None,
+                                quotechar=None, ndmin=2)
+        except (ValueError, Warning):  # say, 1_000 or a bad cell
+            return None
     return values if values.shape == (len(texts), width) else None
 
 
@@ -226,8 +230,7 @@ def load_edge_list(path, num_nodes: int) -> Graph:
     Format: two whitespace-separated integer node ids per line; anything
     after a '#' is a comment; blank lines are skipped. Edges are
     symmetrized and deduplicated, self-loops dropped with a warning. An id
-    means what int() makes of it. NumPy's text reader reads a chunk of
-    plain decimal ids; a chunk it declines is read id by id with int().
+    means what int() makes of it.
 
     Raises MalformedInputError (naming the line) on parse errors or
     endpoints outside [0, num_nodes); OSError if the file is unreadable.
@@ -236,9 +239,7 @@ def load_edge_list(path, num_nodes: int) -> Graph:
         fields = np.fromiter(map(len, map(str.split, texts)), np.int64, len(texts))
         if (fields != 2).any():
             return f"expected two node ids, got {fields[0]} fields"
-        ids = _read_plain(texts, np.int64, None, 2)
-        if ids is None:
-            ids = _parse(" ".join(texts).split(), np.int64)
+        ids = _parse(" ".join(texts).split(), np.int64)
         if ids is None:
             return "non-integer node id"
         if ids.min() < 0 or ids.max() >= num_nodes:
@@ -268,7 +269,7 @@ def load_features_csv(path) -> np.ndarray:
         ncols = int(counts[0]) if ncols is None else ncols  # the first row's
         if (counts != ncols).any():
             return f"expected {ncols} columns, got {counts[0]}"
-        values = _read_plain(texts, np.float64, ",", ncols)
+        values = _read_plain(texts, ncols)
         if values is not None and np.isfinite(values).all():
             return values
         return _floats(",".join(texts).split(","), ncols)

@@ -299,6 +299,17 @@ class TestUnreachablePerplexity:
         assert err.startswith(f"error: perplexity {perplexity} ")
         assert f"{size} nodes" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_batch_count_above_num_nodes_exits_2(self, dataset_dir, tmp_path, capsys,
+                                                 command):
+        args = self.args(dataset_dir, tmp_path, command, "minibatch", "2")
+        (tmp_path / "run.cfg").write_text("hidden_dim = 8\nbatch_count = 46\n")
+        args[args.index("--edges") + 1] = str(tmp_path / "absent.txt")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: batch_count 46 is above --num-nodes 45, so some "
+                       "mini-batch would be empty\n")
+
     @pytest.mark.parametrize("mode, perplexity", [("full", "44"), ("minibatch", "21")])
     def test_largest_reachable_perplexity_trains(self, dataset_dir, tmp_path, mode,
                                                  perplexity):

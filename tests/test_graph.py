@@ -1,4 +1,5 @@
 import logging
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,18 @@ class TestLoadCsv:
         want[-3] = [1000.0, -0.0, 7.0]
         assert load_features_csv(p).tobytes() == want.tobytes()
 
+    def test_cell_the_reader_warns_about_is_read_by_float(self, tmp_path, monkeypatch):
+        # a NumPy that reads a cell only with a warning, say by truncating it,
+        # does not decide that cell
+        def truncating_loadtxt(texts, **kwargs):
+            warnings.warn("conversion of 1.5 is deprecated", DeprecationWarning)
+            return np.array([[1.0, 2.0]])
+
+        monkeypatch.setattr(graph.np, "loadtxt", truncating_loadtxt)
+        p = tmp_path / "f.csv"
+        p.write_text("1.5,2\n")
+        assert np.array_equal(load_features_csv(p), [[1.5, 2.0]])
+
     def test_labels_roundtrip(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("0\n2\n1\n")
@@ -228,7 +241,7 @@ class TestLoadersMatchOracles:
             g = load_edge_list(path, n)
             return g.edge_pairs, g.offsets, g.neighbors
 
-        # int() rejects 1\U00010134, which NumPy's reader reads as 65806
+        # \U00010134 is a numeral but no digit, so int() rejects 1\U00010134
         bad = st.sampled_from(["3", "1 2 3 # note", "1.5 2", "a b", f"{n} 0", f"0 {n}",
                                "-1 0", "99999999999999999999 0", "99999999999999999999 x",
                                "x 99999999999999999999", "0 -99999999999999999999",
