@@ -36,8 +36,9 @@ Covered:
 - mini-batch training at alpha 0, 0.5 and 1: epoch losses, per batch the
   sampled nodes and edges and the gradient, and the trained model's
   eval-mode embedding of the hub graph below;
-- batch plans (every LayerPlan array), a plan and a forward pass on a
-  graph with no edges;
+- batch plans (every LayerPlan array, and each edge walk as its row slices
+  and the digest of its edge ids), a plan and a forward pass on a graph
+  with no edges;
 - one train-mode forward and backward pass, over the full plan and over a
   batch plan, on a graph with isolated nodes and a hub of degree over
   120 (more than the 64 nodes the edge passes take at a time): the output,
@@ -200,10 +201,21 @@ def minibatch(scratch) -> dict:
     return out
 
 
+def walk_digest(walk) -> dict:
+    """An edge walk, a list of (rows, edge ids), as its row slices and the
+    digest of its edge ids in walk order."""
+    edges = [np.zeros(0, dtype=np.int64), *(ids for _, ids in walk)]
+    return {"rows": [[rows.start, rows.stop] for rows, _ in walk],
+            "edges": digest(np.concatenate(edges))}
+
+
 def plan_record(plan) -> dict:
+    def field(value):
+        if isinstance(value, np.ndarray):
+            return digest(value)
+        return walk_digest(value) if isinstance(value, list) else value
     return {"node_ids": digest(plan.node_ids), "batch_size": plan.batch_size,
-            "layers": [{key: digest(value) if isinstance(value, np.ndarray) else value
-                        for key, value in sorted(vars(layer).items())}
+            "layers": [{key: field(value) for key, value in sorted(vars(layer).items())}
                        for layer in plan.layers]}
 
 
@@ -492,7 +504,7 @@ RTOL = 1e-9   # largest relative float difference --compare accepts
 # moved, or a score whose tie order moved); they are still counted and their
 # drift printed. A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-ONLY_IN_NEW = ("readers/over 1 MiB/* spelled late",)
+ONLY_IN_NEW = ("plans/*/layers/*/by_dst", "plans/*/layers/*/by_src")
 CHANGED = ()
 
 

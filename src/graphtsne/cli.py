@@ -107,6 +107,9 @@ def _load_dataset(edges_path, features_path, labels_path, num_nodes=None, scored
     them) and, when labelled, a node for each fold of the 1-NN accuracy."""
     features = load_features_csv(features_path)
     n = features.shape[0] if num_nodes is None else num_nodes
+    if features.shape[0] != n:  # before an N-node graph is built for a wrong N
+        raise MalformedInputError(f"inconsistent inputs: feature rows "
+                                  f"({features.shape[0]}) != graph nodes ({n})")
     graph = load_edge_list(edges_path, n)
     if scored and graph.num_edges == 0:
         raise MalformedInputError(f"{edges_path}: no edges")

@@ -12,14 +12,15 @@ use a zero aggregation term. All math is float64; gradients are exact
 (validated against central finite differences in the test suite).
 
 Every per-edge term is made for the edges of one 64-node slice of
-``affinity.row_blocks`` at a time, so no pass holds an array of all edges
-by hidden units. The forward pass walks the edges by destination block and
-sums, besides each node's gated messages, its gate slope msg * gate *
-(1 - gate), from which the backward pass gets the destination gate
-gradient with no edge walk. The backward pass walks the edges once, by
-source block, recomputing the gates from the per-node gate terms kept in
-the trace. Each node's edge terms are added one after another in edge
-order, from 0.0.
+``affinity.row_blocks`` at a time, so no pass holds an array of all edges by
+hidden units. A plan orders each layer's edges once into two walks of such
+slices, by destination and by source, and one loop, ``_gated_sums``, serves
+both passes. The forward pass walks by destination and sums, besides each
+node's gated messages, its gate slope msg * gate * (1 - gate), from which
+the backward pass gets the destination gate gradient with no further walk.
+The backward pass walks by source, recomputing the gates from the trace's
+per-node gate terms. Each node's edge terms are added one after another in
+edge order, from 0.0.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def init_model(input_dim: int, hidden_dim: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # Propagation plans: a graph (or subsampled batch) compiled to local-index
-# edge arrays; the passes sum edge terms into nodes by endpoint index.
+# edge arrays and their walks; the passes sum edge terms into nodes by end.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -134,6 +135,8 @@ class LayerPlan:
     dst: np.ndarray          # (E,) local dst ids
     src: np.ndarray          # (E,) local src ids
     inv_deg: np.ndarray      # (out_size,) 1/|n(i)| over sampled neighbors, 0 if none
+    by_dst: list             # _edge_walk(dst, out_size), the forward pass's walk
+    by_src: list             # _edge_walk(src, in_size), the backward pass's walk
 
 
 @dataclass
@@ -148,7 +151,8 @@ def _layer_plan(dst: np.ndarray, src: np.ndarray, out_size: int,
     counts = np.bincount(dst, minlength=out_size)
     inv_deg = np.divide(1.0, counts, out=np.zeros(out_size), where=counts > 0)
     return LayerPlan(out_size=out_size, in_size=in_size, dst=dst, src=src,
-                     inv_deg=inv_deg)
+                     inv_deg=inv_deg, by_dst=_edge_walk(dst, out_size),
+                     by_src=_edge_walk(src, in_size))
 
 
 def build_full_plan(graph: Graph, num_layers: int) -> PropagationPlan:
@@ -180,7 +184,7 @@ def build_batch_plan(batch: SubsampledBatch) -> PropagationPlan:
                            batch_size=batch.batch_nodes.size)
 
 
-def _edge_blocks(ends: np.ndarray, size: int) -> list:
+def _edge_walk(ends: np.ndarray, size: int) -> list:
     """(rows, edge ids) for each slice of ``row_blocks(size)``: the edges whose
     ``ends`` lie in rows, ordered by end node and within one node by edge."""
     order = np.argsort(ends, kind="stable")
@@ -203,15 +207,30 @@ def _block_sum(ends: np.ndarray, rows: slice, *values: np.ndarray) -> list:
         np.float64, copy=False).reshape(-1, cols) for v in values]
 
 
-def _gate(gate_dst: np.ndarray, gate_src: np.ndarray, dst: np.ndarray,
-          src: np.ndarray) -> np.ndarray:
-    """sigmoid(gate_dst[dst] + gate_src[src]) for the given edges."""
-    gate = gate_dst[dst]
-    gate += gate_src[src]
+def _gate(gate_end: np.ndarray, gate_other: np.ndarray, end: np.ndarray,
+          other: np.ndarray) -> np.ndarray:
+    """sigmoid(gate_end[end] + gate_other[other]) for the given edges."""
+    gate = gate_end[end]
+    gate += gate_other[other]
     np.negative(gate, out=gate)
     np.exp(gate, out=gate)
     gate += 1.0
     return np.divide(1.0, gate, out=gate)
+
+
+def _gated_sums(walk: list, ends: np.ndarray, others: np.ndarray,
+                gate_end: np.ndarray, gate_other: np.ndarray, values: np.ndarray):
+    """Per (rows, edges) of ``walk``, yield rows and the ``_block_sum`` sums into
+    them, by end, of term = values[other] * gate and of term * (1 - gate), where
+    gate = sigmoid(gate_end[end] + gate_other[other])."""
+    for rows, edges in walk:
+        end, other = ends[edges], others[edges]
+        gate = _gate(gate_end, gate_other, end, other)
+        term = values[other]
+        term *= gate
+        np.subtract(1.0, gate, out=gate)
+        gate *= term    # the term times the gate's slope, 1 - gate
+        yield rows, *_block_sum(end, rows, term, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +243,7 @@ class _LayerTrace:
     gate_dst: np.ndarray    # gate_dst_w h + gate_dst_b for the output nodes
     gate_src: np.ndarray    # gate_src_w h + gate_src_b for all input nodes
     msg_in: np.ndarray      # msg_w h + msg_b for all input nodes
-    slope: np.ndarray | None  # per output node, sum over its edges of msg * gate * (1 - gate)
-    by_src: list | None     # _edge_blocks of the edges by source; both None in eval mode
+    slope: np.ndarray       # per output node, sum over its edges of msg * gate * (1 - gate)
     x_hat: np.ndarray       # batch-norm normalized pre-activation
     inv_std: np.ndarray
     relu_mask: np.ndarray
@@ -234,7 +252,7 @@ class _LayerTrace:
 @dataclass
 class ForwardTrace:
     """What ``backward`` reads of a forward pass: per layer the N x H node
-    terms and the edge order by source, no array with a row per edge."""
+    terms, no array with a row per edge (the plan holds the edge walks)."""
 
     plan: PropagationPlan
     x_sub: np.ndarray
@@ -261,7 +279,6 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
                          f"{model.input_dim}")
     if len(plan.layers) != model.num_layers:
         raise ValueError("plan layer count does not match the model")
-    train = mode == "train"
 
     ids = plan.node_ids
     # the full plan reads every row in order: a C-ordered matrix is used as it
@@ -270,7 +287,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
             and np.array_equal(ids, np.arange(ids.size)))
     x_sub = features if full else features[ids]
     h = x_sub @ model.in_w.T + model.in_b
-    trace = ForwardTrace(plan=plan, x_sub=x_sub, train_mode=train)
+    trace = ForwardTrace(plan=plan, x_sub=x_sub, train_mode=mode == "train")
 
     for layer, lp in zip(model.layers, plan.layers):
         h_in = h
@@ -280,22 +297,13 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         msg_in = h_in @ layer.msg_w.T + layer.msg_b
 
         s = h_in[:out_n] @ layer.self_w.T   # plus the mean gated message
-        slope = np.empty_like(gate_dst) if train else None  # only backward reads it
-        for rows, edges in _edge_blocks(lp.dst, out_n):
-            dst, src = lp.dst[edges], lp.src[edges]
-            gate = _gate(gate_dst, gate_src, dst, src)
-            msg = msg_in[src]
-            msg *= gate
-            if train:
-                np.subtract(1.0, gate, out=gate)
-                gate *= msg     # the message times the gate's slope, 1 - gate
-                agg, slope[rows] = _block_sum(dst, rows, msg, gate)
-            else:
-                [agg] = _block_sum(dst, rows, msg)
+        slope = np.empty_like(gate_dst)
+        for rows, agg, slope[rows] in _gated_sums(lp.by_dst, lp.dst, lp.src,
+                                                  gate_dst, gate_src, msg_in):
             agg *= lp.inv_deg[rows, None]
             s[rows] += agg
 
-        if train:
+        if trace.train_mode:    # batch statistics, the one thing the mode changes
             mu = s.mean(axis=0)
             var = s.var(axis=0)
             layer.bn_mean[:] = (1.0 - BN_MOMENTUM) * layer.bn_mean + BN_MOMENTUM * mu
@@ -309,8 +317,7 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         h = np.where(relu_mask, z, 0.0) + h_in[:out_n]
         trace.layers.append(_LayerTrace(
             h_in=h_in, gate_dst=gate_dst, gate_src=gate_src, msg_in=msg_in,
-            slope=slope, by_src=_edge_blocks(lp.src, lp.in_size) if train else None,
-            x_hat=x_hat, inv_std=inv_std, relu_mask=relu_mask))
+            slope=slope, x_hat=x_hat, inv_std=inv_std, relu_mask=relu_mask))
     trace.h_final = h
     y = h[:plan.batch_size] @ model.out_w.T
     return y, trace
@@ -363,16 +370,11 @@ def backward(model: GcnModel, trace: ForwardTrace,
         # forward's slope; summed by source, msg_in times the sum of dagg[dst]
         # * gate * (1 - gate), so one walk by source block makes both sums.
         dagg = np.multiply(ds, lp.inv_deg[:, None], out=ds)   # ds is read no more
-        dmsg_in = np.empty_like(lt.msg_in)
+        dmsg_in = np.empty_like(lt.msg_in)  # apart: each frees the layer above's first
         dgate_src = np.empty_like(lt.gate_src)
-        for rows, edges in lt.by_src:
-            dst, src = lp.dst[edges], lp.src[edges]
-            gate = _gate(lt.gate_dst, lt.gate_src, dst, src)
-            dmsg = dagg[dst]
-            dmsg *= gate
-            np.subtract(1.0, gate, out=gate)
-            gate *= dmsg
-            dmsg_in[rows], dgate_src[rows] = _block_sum(src, rows, dmsg, gate)
+        for rows, dmsg, dgate in _gated_sums(lp.by_src, lp.src, lp.dst,
+                                             lt.gate_src, lt.gate_dst, dagg):
+            dmsg_in[rows], dgate_src[rows] = dmsg, dgate
         dgate_src *= lt.msg_in
         dgate_dst = np.multiply(dagg, lt.slope, out=dagg)   # and dagg no more
 

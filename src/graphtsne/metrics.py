@@ -219,13 +219,16 @@ def evaluate_layout(data: LabeledDataset, y: np.ndarray, alpha: float | None = N
 
 
 def _check_grid(grid, name: str = "alpha grid") -> list:
-    """The grid as a list of floats; ValueError naming it when it is empty or a
-    value lies outside [0, 1]."""
+    """The grid as a list of floats; ValueError naming it when it is empty, a
+    value lies outside [0, 1] or a value repeats (each alpha keys its layout)."""
     grid = [float(a) for a in grid]
     if not grid:
         raise ValueError(f"{name} must be non-empty")
     if any(not 0.0 <= a <= 1.0 for a in grid):
         raise ValueError(f"{name} values must lie in [0, 1]: {grid}")
+    for i, a in enumerate(grid):
+        if a in grid[:i]:
+            raise ValueError(f"{name} lists {a} more than once: {grid}")
     return grid
 
 

@@ -7,6 +7,12 @@ import numpy as np
 
 from .graph import Graph, LabeledDataset
 
+# citation_dataset's fixed shape (Cora's node, class and word counts) and rates
+CITATION_NODES, CITATION_CLASSES, CITATION_WORDS, COMMUNITY_SIZE = 2708, 7, 1433, 40
+P_COMMUNITY, P_CLASS, P_INTER = 0.25, 0.003, 0.0001
+COMMUNITY_WORDS, COMMUNITY_RATE, CLASS_WORDS, CLASS_RATE = 18, 0.8, 80, 0.05
+BACKGROUND_RATE = 0.0008
+
 
 def sbm_dataset(block_sizes, p_intra: float, p_inter: float,
                 feature_dim: int = 8, separation: float = 4.0,
@@ -39,16 +45,10 @@ def sbm_dataset(block_sizes, p_intra: float, p_inter: float,
     return LabeledDataset(graph=graph, features=features, labels=labels)
 
 
-def citation_dataset(num_nodes: int = 2708, num_classes: int = 7,
-                     community_size: int = 40, p_community: float = 0.25,
-                     p_class: float = 0.003, p_inter: float = 0.0001,
-                     feature_dim: int = 1433, community_words: int = 18,
-                     community_rate: float = 0.8, class_words: int = 80,
-                     class_rate: float = 0.05, background_rate: float = 0.0008,
-                     seed: int = 0) -> LabeledDataset:
+def citation_dataset(seed: int = 0) -> LabeledDataset:
     """Citation-network-shaped fixture with hierarchical structure.
 
-    Classes split into dense communities of ``community_size`` nodes; edges
+    Classes split into dense communities of ``COMMUNITY_SIZE`` nodes; edges
     are sampled at three rates (within community, within class, across
     classes). Features are sparse binary word indicators: every community
     activates its own word subset at a high rate on top of a lower-rate class
@@ -57,49 +57,40 @@ def citation_dataset(num_nodes: int = 2708, num_classes: int = 7,
     Communities are sized above typical perplexity targets, which keeps the
     blended t-SNE objective well below its starting value on a good layout.
     """
-    if num_nodes < num_classes or community_size < 2:
-        raise ValueError("need at least one community per class")
+    n, num_classes = CITATION_NODES, CITATION_CLASSES
     rng = np.random.default_rng(seed)
-    sizes = [num_nodes // num_classes] * num_classes
-    for i in range(num_nodes - sum(sizes)):
-        sizes[i] += 1
+    sizes = [n // num_classes + (c < n % num_classes) for c in range(num_classes)]
     labels = np.repeat(np.arange(num_classes), sizes)
-    community = np.empty(num_nodes, dtype=np.int64)
-    cid, start = 0, 0
-    for s in sizes:
-        for off in range(0, s, community_size):
-            community[start + off:start + min(off + community_size, s)] = cid
-            cid += 1
-        start += s
+    # a new community starts at every COMMUNITY_SIZE-th node of a class
+    in_class = np.arange(n) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+    community = np.cumsum(in_class % COMMUNITY_SIZE == 0) - 1
 
-    iu, ju = np.triu_indices(num_nodes, k=1)
-    prob = np.where(community[iu] == community[ju], p_community,
-                    np.where(labels[iu] == labels[ju], p_class, p_inter))
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(community[iu] == community[ju], P_COMMUNITY,
+                    np.where(labels[iu] == labels[ju], P_CLASS, P_INTER))
     keep = rng.random(prob.size) < prob
-    graph = Graph.from_edges(num_nodes, np.stack([iu[keep], ju[keep]], axis=1))
+    graph = Graph.from_edges(n, np.stack([iu[keep], ju[keep]], axis=1))
 
-    rates = np.full((num_nodes, feature_dim), background_rate)
-    vocab = rng.permutation(feature_dim)
-    per_class = feature_dim // num_classes
+    rates = np.full((n, CITATION_WORDS), BACKGROUND_RATE)
+    vocab = rng.permutation(CITATION_WORDS)
+    per_class = CITATION_WORDS // num_classes   # 204 words, more than a class draws
     for c in range(num_classes):
         words = vocab[c * per_class:(c + 1) * per_class]
         rows = np.flatnonzero(labels == c)
-        cw = rng.choice(words, size=min(class_words, words.size), replace=False)
-        rates[np.ix_(rows, cw)] = class_rate
+        cw = rng.choice(words, size=CLASS_WORDS, replace=False)
+        rates[np.ix_(rows, cw)] = CLASS_RATE
         for k in np.unique(community[rows]):
-            kw = rng.choice(words, size=min(community_words, words.size),
-                            replace=False)
-            rates[np.ix_(np.flatnonzero(community == k), kw)] = community_rate
-    features = (rng.random((num_nodes, feature_dim)) < rates).astype(np.float64)
+            kw = rng.choice(words, size=COMMUNITY_WORDS, replace=False)
+            rates[np.ix_(np.flatnonzero(community == k), kw)] = COMMUNITY_RATE
+    features = (rng.random((n, CITATION_WORDS)) < rates).astype(np.float64)
     return LabeledDataset(graph=graph, features=features, labels=labels)
 
 
 def random_dataset(num_nodes: int, num_edges: int, feature_dim: int = 16,
-                   num_classes: int = 4, separation: float = 2.0,
                    seed: int = 0) -> LabeledDataset:
-    """Random graph with the requested number of sampled edges (self loops
-    and duplicates removed, so the final count can be slightly lower) and
-    weak class structure in the features. Scales to large node counts."""
+    """Random graph with the requested number of sampled edges (self loops and
+    duplicates removed, so the final count can be slightly lower) and features
+    around 4 class means drawn at twice the noise's scale. Scales to large N."""
     if num_nodes < 2:
         raise ValueError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
@@ -107,7 +98,7 @@ def random_dataset(num_nodes: int, num_edges: int, feature_dim: int = 16,
     endpoints = endpoints[endpoints[:, 0] != endpoints[:, 1]]
     endpoints = np.unique(np.sort(endpoints, axis=1), axis=0)
     graph = Graph.from_edges(num_nodes, endpoints)
-    labels = rng.integers(0, num_classes, size=num_nodes, dtype=np.int64)
-    means = rng.normal(size=(num_classes, feature_dim)) * separation
+    labels = rng.integers(0, 4, size=num_nodes, dtype=np.int64)
+    means = rng.normal(size=(4, feature_dim)) * 2.0
     features = means[labels] + rng.normal(size=(num_nodes, feature_dim))
     return LabeledDataset(graph=graph, features=features, labels=labels)

@@ -136,12 +136,31 @@ class TestFit:
 
     def test_edge_endpoint_out_of_range_exits_1(self, dataset_dir, tmp_path,
                                                 capsys):
-        # perplexity 3 is reachable among 10 nodes, so the edge file is read
-        code = main(["fit", *base_args(dataset_dir)[:4], "--num-nodes", "10",
+        # 10 feature rows and perplexity 3, reachable among 10 nodes, so the
+        # 45-node edge file is read
+        features = tmp_path / "features.csv"
+        rows = (dataset_dir / "features.csv").read_text().splitlines()[:10]
+        features.write_text("\n".join(rows) + "\n")
+        code = main(["fit", "--edges", str(dataset_dir / "edges.txt"),
+                     "--features", str(features), "--num-nodes", "10",
                      "--perplexity", "3", "--alpha", "0.5",
                      "--out-dir", str(tmp_path / "x")])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert "out of range [0, 10)" in capsys.readouterr().err
+
+    def test_wrong_num_nodes_exits_1_before_reading_edges(self, dataset_dir, tmp_path,
+                                                          capsys):
+        # the edge file's bad line would be named if it were read
+        bad = tmp_path / "bad_edges.txt"
+        bad.write_text("0 1\n2 oops\n")
+        code = main(["fit", "--edges", str(bad),
+                     "--features", str(dataset_dir / "features.csv"),
+                     "--num-nodes", "20000000", "--alpha", "0.5",
+                     "--config", str(dataset_dir / "fast.cfg"),
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: inconsistent inputs: feature rows (45) != graph nodes (20000000)\n")
 
     def test_missing_input_file_exits_1_with_one_line(self, dataset_dir,
                                                       tmp_path, capsys):
@@ -411,6 +430,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: --grid") and "[0, 1]" in err
         assert err.count("\n") == 1
+
+    def test_repeated_grid_value_exits_2_before_reading_input(self, dataset_dir,
+                                                              tmp_path, capsys):
+        # each alpha keys its layout: a repeat would write the later run's
+        code = main(["sweep", "--edges", str(tmp_path / "absent.txt"),
+                     *base_args(dataset_dir)[2:], "--grid", "0.5,0.5",
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --grid lists 0.5 more than once: [0.5, 0.5]\n")
 
     def test_empty_grid_exits_2(self, dataset_dir, tmp_path):
         code = main(["sweep", *base_args(dataset_dir), "--grid", ",",

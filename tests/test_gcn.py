@@ -232,11 +232,6 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, trace, np.zeros((ds.graph.num_nodes, 2)))
 
-    def test_eval_trace_holds_nothing_only_backward_reads(self):
-        ds, model, plan = tiny_instance()
-        _, trace = forward(model, plan, ds.features, mode="eval")
-        assert all(lt.slope is None and lt.by_src is None for lt in trace.layers)
-
     def test_wrong_grad_shape_rejected(self):
         ds, model, plan = tiny_instance()
         _, trace = forward(model, plan, ds.features, mode="train")
@@ -262,6 +257,26 @@ class TestBatchPlan:
             # local ids map back to the sampled global ids
             assert np.array_equal(ids[lp.dst], dst_g) and np.array_equal(ids[lp.src], src_g)
             assert lp.inv_deg.tolist() == inv_deg
+
+
+class TestEdgeWalks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_each_walk_lists_every_edge_once_by_end_then_edge(self, data):
+        _, graph, _, fanouts, _, sample = draw_sampled_batch(data)
+        block = data.draw(st.integers(1, graph.num_nodes + 1), label="block")
+        with mock.patch.object(affinity, "_ROW_BLOCK", block):
+            for plan in (build_batch_plan(sample), build_full_plan(graph, len(fanouts))):
+                for lp in plan.layers:
+                    for walk, ends, size in ((lp.by_dst, lp.dst, lp.out_size),
+                                             (lp.by_src, lp.src, lp.in_size)):
+                        assert [rows for rows, _ in walk] == list(affinity.row_blocks(size))
+                        for rows, edges in walk:
+                            assert np.all((rows.start <= ends[edges])
+                                          & (ends[edges] < rows.stop))
+                        listed = [int(e) for _, edges in walk for e in edges]
+                        assert listed == sorted(range(ends.size),
+                                                key=lambda e: (ends[e], e))
 
 
 class TestBlockSum:
@@ -337,13 +352,14 @@ class TestBlockedPasses:
                     "F": lambda: np.asfortranarray(rng.normal(size=(n, 3))),
                     "strided": lambda: rng.normal(size=(n, 6))[:, ::2]}[
             data.draw(st.sampled_from(["C", "F", "strided"]), label="layout")]()
-        plans = [build_full_plan(graph, model.num_layers)]
         batch = rng.choice(n, size=data.draw(st.integers(1, n)), replace=False)
         fanouts = data.draw(st.tuples(st.integers(1, 80), st.integers(1, 80)))
         sample = neighbor_subsample(graph, batch, fanouts, seed=seed)
-        plans.append(build_batch_plan(sample))      # src in sampled order
+        builders = (lambda: build_full_plan(graph, model.num_layers),
+                    lambda: build_batch_plan(sample))      # src in sampled order
 
-        for plan in plans:
+        for build in builders:
+            plan = build()
             want_model = copy.deepcopy(model)
             want_y, want_trace = whole_array_forward(want_model, plan, features)
             grad_y = rng.normal(size=want_y.shape)
@@ -352,6 +368,7 @@ class TestBlockedPasses:
             for block in (affinity._ROW_BLOCK, 1, 3, n + 1):
                 got_model = copy.deepcopy(model)
                 with mock.patch.object(affinity, "_ROW_BLOCK", block):
+                    plan = build()      # a plan cuts its edge walks into blocks
                     y, trace = forward(got_model, plan, features)
                     grads = backward(got_model, trace, grad_y)
                     y_eval, _ = forward(got_model, plan, features, mode="eval")
@@ -388,11 +405,12 @@ class TestBlockedPasses:
         model = init_model(2, 3, seed=5)
         for _, param in model.named_parameters():
             param[:] = rng.normal(size=param.shape)
-        if batched:
-            sample = neighbor_subsample(graph, np.array([0, 5, 67]), (70, 3), seed=6)
-            plan = build_batch_plan(sample)
-        else:
-            plan = build_full_plan(graph, model.num_layers)
+        with mock.patch.object(affinity, "_ROW_BLOCK", 3):   # walks of 3-node blocks
+            if batched:
+                sample = neighbor_subsample(graph, np.array([0, 5, 67]), (70, 3), seed=6)
+                plan = build_batch_plan(sample)
+            else:
+                plan = build_full_plan(graph, model.num_layers)
         gy = rng.normal(size=(plan.batch_size, 2))
 
         def loss():
@@ -400,10 +418,9 @@ class TestBlockedPasses:
             return float((gy * y).sum())
 
         params = dict(model.named_parameters())
-        with mock.patch.object(affinity, "_ROW_BLOCK", 3):
-            _, trace = forward(model, plan, features, mode="train")
-            grads = backward(model, trace, gy)
-            fds = finite_difference_grads(loss, list(params.values()))
+        _, trace = forward(model, plan, features, mode="train")
+        grads = backward(model, trace, gy)
+        fds = finite_difference_grads(loss, list(params.values()))
         for name, fd in zip(params, fds):
             assert max_relative_error(grads[name], fd) <= 1e-5, name
 

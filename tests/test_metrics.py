@@ -409,6 +409,11 @@ class TestAlphaSweep:
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             alpha_sweep(small_sbm, cfg, [0.5, 1.2])
 
+    def test_repeated_grid_value_rejected(self, small_sbm):
+        cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=4, mode="full", seed=0)
+        with pytest.raises(ValueError, match="lists 0.5 more than once"):
+            alpha_sweep(small_sbm, cfg, [0.5, 0.2, 0.5])
+
     def test_training_failure_names_the_alpha(self, small_sbm, monkeypatch):
         def boom(data, cfg):
             raise TrainingError("synthetic failure")

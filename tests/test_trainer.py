@@ -1,6 +1,7 @@
 import logging
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from graphtsne import (Graph, LabeledDataset, MalformedInputError,
                        TrainingError, TrainConfig, composite_loss_and_grad,
                        default_config, embed, joint_p, pairwise_sq_euclidean,
                        train_full_batch, train_minibatch)
-from graphtsne import trainer
+from graphtsne import gcn, trainer
 from graphtsne.affinity import AffinityMatrix
 from graphtsne.gcn import init_model
 from graphtsne.graph import all_pairs_distances
@@ -228,6 +229,18 @@ class TestTrainFullBatch:
         _, r2 = train_full_batch(small_sbm, cfg)
         assert r1.total_losses == r2.total_losses
         assert r1.graph_losses == r2.graph_losses
+
+    def test_edge_walks_made_only_when_a_plan_is_built(self, small_sbm):
+        cfg = TrainConfig(alpha=0.5, epochs=3, hidden_dim=8, mode="full", seed=2)
+        with mock.patch.object(gcn, "_edge_walk", wraps=gcn._edge_walk) as walks, \
+                mock.patch.object(trainer, "build_full_plan",
+                                  wraps=trainer.build_full_plan) as plans:
+            model, _ = train_full_batch(small_sbm, cfg)
+            embed(model, small_sbm)
+        # one plan for the 3 epochs, one for embed; the full plan's layers
+        # share one LayerPlan, which holds a walk by destination and one by source
+        assert plans.call_count == 2
+        assert walks.call_count == 2 * plans.call_count
 
     def test_report_has_one_record_per_epoch(self, small_sbm):
         cfg = TrainConfig(alpha=0.5, epochs=7, hidden_dim=8, mode="full", seed=1)
