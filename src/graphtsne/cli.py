@@ -102,43 +102,43 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _load_dataset(edges_path, features_path, labels_path, num_nodes=None, scored=True):
-    """The inputs as a dataset; one to be scored needs an edge (P_G is a mean over
-    them) and, when labelled, a node for each fold of the 1-NN accuracy."""
-    features = load_features_csv(features_path)
-    n = features.shape[0] if num_nodes is None else num_nodes
+def _load_dataset(args, scored=True):
+    """The command's inputs as a dataset. Features, labels and edges are read
+    in that order, each checked against N before the next is read: N is
+    --num-nodes where the command has it, else the feature rows. A dataset to
+    be scored needs an edge (P_G is a mean over them) and, when labelled, a
+    node for each fold of the 1-NN accuracy."""
+    features = load_features_csv(args.features)
+    n = getattr(args, "num_nodes", features.shape[0])
     if features.shape[0] != n:  # before an N-node graph is built for a wrong N
         raise MalformedInputError(f"inconsistent inputs: feature rows "
                                   f"({features.shape[0]}) != graph nodes ({n})")
-    graph = load_edge_list(edges_path, n)
+    labels = None
+    if args.labels:
+        labels = load_labels_csv(args.labels)
+        if labels.shape[0] != n:
+            raise MalformedInputError(f"{args.labels}: {labels.shape[0]} labels for {n} nodes")
+        if scored and n < DEFAULT_FOLDS:
+            raise MalformedInputError(
+                f"{args.labels}: {n} labelled nodes, but {DEFAULT_FOLDS}-fold 1-NN "
+                f"accuracy needs at least {DEFAULT_FOLDS}")
+    graph = load_edge_list(args.edges, n)
     if scored and graph.num_edges == 0:
-        raise MalformedInputError(f"{edges_path}: no edges")
-    labels = load_labels_csv(labels_path) if labels_path else None
-    if scored and labels is not None and n < DEFAULT_FOLDS:
-        raise MalformedInputError(
-            f"{labels_path}: {n} labelled nodes, but {DEFAULT_FOLDS}-fold 1-NN "
-            f"accuracy needs at least {DEFAULT_FOLDS}")
-    try:
-        return LabeledDataset(graph=graph, features=features, labels=labels)
-    except ValueError as exc:
-        raise MalformedInputError(f"inconsistent inputs: {exc}") from exc
+        raise MalformedInputError(f"{args.edges}: no edges")
+    return LabeledDataset(graph=graph, features=features, labels=labels)
 
 
-def _resolve_config(args, num_nodes, alpha):
+def _resolve_config(args):
+    """The preset for --num-nodes, then --config file values, then flags."""
+    num_nodes = args.num_nodes
     if num_nodes < 1:
         raise ValueError(f"--num-nodes must be >= 1, got {num_nodes}")
-    # sweep passes alpha=None; the placeholder is replaced per grid point
-    cfg = default_config(num_nodes, alpha=0.5 if alpha is None else alpha)
+    cfg = default_config(num_nodes)
     if args.config:
         cfg = dataclasses.replace(cfg, **read_config_file(args.config))
-    flag_overrides = {}
-    for key in ("seed", "mode", "epochs", "perplexity"):
-        value = getattr(args, key)
-        if value is not None:
-            flag_overrides[key] = value
-    if alpha is not None:
-        flag_overrides["alpha"] = alpha
-    cfg = dataclasses.replace(cfg, **flag_overrides)
+    flags = {key: getattr(args, key, None)
+             for key in ("alpha", "seed", "mode", "epochs", "perplexity")}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     cfg.validate()
     if cfg.mode != "full" and cfg.batch_count > num_nodes:
         raise ValueError(f"batch_count {cfg.batch_count} is above --num-nodes {num_nodes}, "
@@ -175,24 +175,21 @@ def _write_layout(out_dir, y: np.ndarray, data: LabeledDataset) -> dict:
     return paths
 
 
-def _manifest(command: str, args, cfg, inputs: dict, outputs: dict) -> dict:
-    return {
-        "command": command,
+def _write_manifest(args, cfg, outputs: dict, **extra) -> None:
+    """Write manifest.json: the command, the input paths it was given, the
+    resolved config, argv and output paths, then ``extra``."""
+    inputs = {key: getattr(args, key)
+              for key in ("edges", "features", "labels", "layout") if hasattr(args, key)}
+    _write_json_atomic(os.path.join(args.out_dir, "manifest.json"), {
+        "command": args.command,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": inputs,
         "config": None if cfg is None else dataclasses.asdict(cfg),
         "argv": [str(a) for a in args.argv_used],
         "outputs": outputs,
-    }
-
-
-def _input_paths(args, with_layout: bool = False) -> dict:
-    paths = {"edges": args.edges, "features": args.features,
-             "labels": args.labels}
-    if with_layout:
-        paths["layout"] = args.layout
-    return paths
+        **extra,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +197,22 @@ def _input_paths(args, with_layout: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    cfg = _resolve_config(args, args.num_nodes, args.alpha)
-    data = _load_dataset(args.edges, args.features, args.labels, args.num_nodes,
-                         scored=False)
+    cfg = _resolve_config(args)
+    data = _load_dataset(args, scored=False)
     model, report = train(data, cfg)
     y = embed(model, data)
 
     outputs = _write_layout(args.out_dir, y, data)
-    manifest = _manifest("fit", args, cfg, _input_paths(args), outputs)
-    manifest["losses"] = report.total_losses
-    manifest["final_loss"] = report.total_losses[-1] if report.total_losses else None
-    _write_json_atomic(os.path.join(args.out_dir, "manifest.json"), manifest)
+    _write_manifest(args, cfg, outputs, losses=report.total_losses,
+                    final_loss=report.total_losses[-1] if report.total_losses else None)
     print(f"wrote {outputs['layout']} ({y.shape[0]} nodes)")
     return 0
 
 
 def cmd_sweep(args) -> int:
     grid = _check_grid(args.grid, "--grid")
-    cfg = _resolve_config(args, args.num_nodes, alpha=None)
-    data = _load_dataset(args.edges, args.features, args.labels, args.num_nodes)
+    cfg = _resolve_config(args)
+    data = _load_dataset(args)
     result = alpha_sweep(data, cfg, grid, knn_k=args.knn_k,
                          t_ks=args.t_ks, t_rs=args.t_rs)
 
@@ -228,11 +222,10 @@ def cmd_sweep(args) -> int:
     _write_json_atomic(sweep_path, [r.to_dict() for r in result.reports])
     _write_summary(summary_path, result, args.t_ks, args.t_rs)
     layout = _write_layout(args.out_dir, result.embeddings[result.alpha_star], data)
-    manifest = _manifest("sweep", args, cfg, _input_paths(args),
-                         {"sweep": sweep_path, "summary": summary_path, **layout})
-    manifest["grid"] = grid
-    manifest["alpha_star"] = result.alpha_star
-    _write_json_atomic(os.path.join(args.out_dir, "manifest.json"), manifest)
+    # each grid point sets its own alpha, so the config records none
+    _write_manifest(args, dataclasses.replace(cfg, alpha=None),
+                    {"sweep": sweep_path, "summary": summary_path, **layout},
+                    grid=grid, alpha_star=result.alpha_star)
     print(f"alpha* = {result.alpha_star}")
     return 0
 
@@ -261,18 +254,14 @@ def _write_summary(path, result, t_ks, t_rs) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    data = _load_dataset(args.edges, args.features, args.labels)
+    data = _load_dataset(args)
     y = read_layout_csv(args.layout, data.graph.num_nodes)
     report = evaluate_layout(data, y, knn_k=args.knn_k, t_ks=args.t_ks,
                              t_rs=args.t_rs, folds=DEFAULT_FOLDS)
 
     metrics_path = os.path.join(args.out_dir, "metrics.json")
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
     _write_json_atomic(metrics_path, report.to_dict())
-    _write_json_atomic(manifest_path,
-                       _manifest("evaluate", args, None,
-                                 _input_paths(args, with_layout=True),
-                                 {"metrics": metrics_path}))
+    _write_manifest(args, None, {"metrics": metrics_path})
     print(f"wrote {metrics_path}")
     return 0
 

@@ -158,8 +158,14 @@ def distance_metrics(graph: Graph, knn_pairs: np.ndarray,
     knn_pairs = np.asarray(knn_pairs, dtype=np.int64)
     if edges.shape[0] == 0:
         raise ValueError("graph has no edges")
+    if knn_pairs.ndim != 2 or knn_pairs.shape[1] != 2:
+        raise ValueError(f"k-NN pairs must have shape (M, 2), got {knn_pairs.shape}")
     if knn_pairs.shape[0] == 0:
         raise ValueError("empty k-NN pair set")
+    bad = (knn_pairs < 0) | (knn_pairs >= y.shape[0])
+    if bad.any():  # a negative id would index from the end
+        raise ValueError(f"k-NN pair id {knn_pairs[bad][0]} out of range "
+                         f"[0, {y.shape[0]})")
     s = standardize_map(y)
     diff_g = s[edges[:, 0]] - s[edges[:, 1]]
     diff_x = s[knn_pairs[:, 0]] - s[knn_pairs[:, 1]]

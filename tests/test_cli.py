@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtsne import metrics
-from graphtsne.cli import _write_layout, main, read_layout_csv
+from graphtsne.cli import (_resolve_config, _write_layout, build_parser, main,
+                           read_layout_csv)
 from graphtsne.graph import (Graph, LabeledDataset, load_edge_list, load_features_csv,
                              load_labels_csv)
 from graphtsne.metrics import evaluate_layout
@@ -46,6 +47,15 @@ def base_args(d, *extra):
     return ["--edges", str(d / "edges.txt"), "--features", str(d / "features.csv"),
             "--labels", str(d / "labels.csv"), "--num-nodes", "45",
             "--config", str(d / "fast.cfg"), *extra]
+
+
+def command_args(d, command):
+    """Arguments that run ``command`` quickly on the test SBM, all but --out-dir."""
+    metric = ["--t-ks", "3", "--t-rs", "1", "--knn-k", "4"]
+    return {"fit": ["fit", *base_args(d), "--alpha", "0.5"],
+            "sweep": ["sweep", *base_args(d), "--grid", "0.5", *metric],
+            "evaluate": ["evaluate", *base_args(d)[:6], "--layout", str(d / "layout.csv"),
+                         *metric]}[command]
 
 
 class TestFit:
@@ -95,6 +105,18 @@ class TestFit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 3        # flag beats fast.cfg
         assert manifest["config"]["hidden_dim"] == 8     # config beats preset
+
+    def test_alpha_flag_overrides_config_file(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text("hidden_dim = 8\nepochs = 2\nalpha = 0.9\n")
+        args = base_args(dataset_dir)
+        args[args.index("--config") + 1] = str(cfg)
+        out = tmp_path / "run"
+        assert main(["fit", *args, "--alpha", "0.2", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] == 0.2
+        # fit requires --alpha; a command without the flag keeps the file's
+        sweep = build_parser().parse_args(["sweep", *args, "--out-dir", str(out)])
+        assert _resolve_config(sweep).alpha == 0.9
 
     def test_mode_minibatch_on_a_small_graph_sets_the_preset_batch_count(
             self, dataset_dir, tmp_path):
@@ -291,6 +313,24 @@ class TestFit:
         assert read_layout_csv(out / "layout.csv", 45).shape == (45, 2)
 
 
+class TestLabelCount:
+    @pytest.mark.parametrize("command", ["fit", "sweep", "evaluate"])
+    def test_wrong_label_count_exits_1_before_reading_edges(self, dataset_dir, tmp_path,
+                                                            capsys, command):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join((dataset_dir / "labels.csv").read_text()
+                                  .splitlines(keepends=True)[:44]))
+        bad = tmp_path / "bad_edges.txt"  # its line 2 would be named if it were read
+        bad.write_text("0 1\n2 oops\n")
+        args = command_args(dataset_dir, command)
+        args[args.index("--labels") + 1] = str(labels)
+        args[args.index("--edges") + 1] = str(bad)
+        out = tmp_path / "out"
+        assert main([*args, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {labels}: 44 labels for 45 nodes\n"
+        assert list(out.iterdir()) == []
+
+
 class TestUnreachablePerplexity:
     """A row calibrated among S nodes reaches a perplexity of at most S - 1. S is
     N (45 here) in full-batch mode and the smallest mini-batch, floor(N /
@@ -355,6 +395,21 @@ class TestOutDir:
         assert err.count("\n") == 1
 
 
+class TestManifest:
+    @pytest.mark.parametrize("command", ["fit", "sweep", "evaluate"])
+    def test_names_the_command_and_its_input_paths(self, dataset_dir, tmp_path, command):
+        d = dataset_dir
+        inputs = {"edges": str(d / "edges.txt"), "features": str(d / "features.csv"),
+                  "labels": str(d / "labels.csv")}
+        if command == "evaluate":
+            inputs["layout"] = str(d / "layout.csv")
+        out = tmp_path / "out"
+        assert main([*command_args(d, command), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["inputs"] == inputs
+
+
 @pytest.fixture(scope="module")
 def sweep_out(dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
@@ -379,6 +434,11 @@ class TestSweep:
         manifest = json.loads((sweep_out / "manifest.json").read_text())
         best = min(entries, key=lambda e: (e["combined"], e["alpha"]))
         assert manifest["alpha_star"] == best["alpha"]
+
+    def test_manifest_records_the_grid_and_no_single_alpha(self, sweep_out):
+        manifest = json.loads((sweep_out / "manifest.json").read_text())
+        assert manifest["grid"] == [0.0, 0.5, 1.0]
+        assert manifest["config"]["alpha"] is None
 
     def test_summary_table_lists_all_alphas_and_star(self, sweep_out):
         text = (sweep_out / "summary.txt").read_text()

@@ -163,6 +163,16 @@ class TestDistanceMetrics:
             distance_metrics(path_graph, np.empty((0, 2), dtype=np.int64),
                              rng.normal(size=(5, 2)))
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([[0, -1], [1, 2]], r"k-NN pair id -1 out of range \[0, 10\)"),  # not node 9
+        ([[0, 99]], r"k-NN pair id 99 out of range \[0, 10\)"),
+        ([0, 1], r"shape \(M, 2\), got \(2,\)")], ids=["negative", "beyond", "1-D"])
+    def test_pair_outside_the_nodes_rejected(self, pairs, message):
+        data = sbm_dataset([5, 5], 0.8, 0.1, feature_dim=3, seed=1)
+        y = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match=message):
+            distance_metrics(data.graph, np.array(pairs), y)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_layout_rejected(self, value):
         data = random_dataset(60, 200, seed=0)
