@@ -15,6 +15,9 @@ Output: edges.txt (undirected pairs of contiguous node ids), features.csv
 (headerless float rows), labels.csv (one integer class id per row), written
 in paper-id order of first appearance in the .content file. Citations whose
 endpoints are missing from the .content file are dropped with a warning.
+Both input files are read and checked before any output file is written:
+a malformed line, a non-numeric word cell among them, exits 1 with an
+`error: <path>: ...` message and writes nothing.
 
 Example:
 
@@ -55,8 +58,12 @@ def main() -> int:
                 print(f"error: {args.content}: line {lineno}: duplicate "
                       f"paper id {paper}", file=sys.stderr)
                 return 1
+            try:
+                feature_rows.append([float(w) for w in words])
+            except ValueError as exc:
+                print(f"error: {args.content}: line {lineno}: {exc}", file=sys.stderr)
+                return 1
             ids[paper] = len(ids)
-            feature_rows.append(words)
             label_names.append(label)
     if not ids:
         print(f"error: {args.content} has no rows", file=sys.stderr)
@@ -96,7 +103,7 @@ def main() -> int:
     with open(os.path.join(args.out_dir, "features.csv"), "w",
               encoding="utf-8") as fh:
         for row in feature_rows:
-            fh.write(",".join(f"{float(w)!r}" for w in row) + "\n")
+            fh.write(",".join(f"{w!r}" for w in row) + "\n")
     with open(os.path.join(args.out_dir, "labels.csv"), "w",
               encoding="utf-8") as fh:
         for name in label_names:

@@ -13,12 +13,12 @@ from .gcn import (GcnModel, backward, build_batch_plan, build_full_plan,
                   forward, init_adam, init_model, adam_step, load_model,
                   maybe_decay_lr, save_model)
 from .graph import (Graph, LabeledDataset, UNREACHABLE, all_pairs_distances,
-                    bfs_shortest_paths, knn_graph, load_edge_list,
-                    load_features_csv, load_labels_csv, neighbor_subsample)
+                    bfs_shortest_paths, load_edge_list, load_features_csv,
+                    load_labels_csv, neighbor_subsample)
 from .metrics import (MetricsReport, SweepResult, alpha_sweep,
                       distance_metrics, evaluate_layout,
                       feature_trustworthiness, graph_trustworthiness,
-                      knn_1_accuracy, standardize_map)
+                      knn_1_accuracy, knn_graph, standardize_map)
 from .svg import render_svg, write_svg
 from .synthetic import citation_dataset, random_dataset, sbm_dataset
 from .trainer import (CompositeLoss, TrainConfig, TrainReport,
@@ -36,11 +36,11 @@ __all__ = [
     "init_adam", "init_model", "adam_step", "load_model", "maybe_decay_lr",
     "save_model",
     "Graph", "LabeledDataset", "UNREACHABLE", "all_pairs_distances",
-    "bfs_shortest_paths", "knn_graph", "load_edge_list", "load_features_csv",
+    "bfs_shortest_paths", "load_edge_list", "load_features_csv",
     "load_labels_csv", "neighbor_subsample",
     "MetricsReport", "SweepResult", "alpha_sweep", "distance_metrics",
     "evaluate_layout", "feature_trustworthiness", "graph_trustworthiness",
-    "knn_1_accuracy", "standardize_map",
+    "knn_1_accuracy", "knn_graph", "standardize_map",
     "render_svg", "write_svg",
     "citation_dataset", "random_dataset", "sbm_dataset",
     "CompositeLoss", "TrainConfig", "TrainReport", "composite_loss_and_grad",

@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="train a model and write a 2-D layout")
     _add_input_flags(fit, with_num_nodes=True)
-    fit.add_argument("--alpha", type=float, required=True,
-                     help="graph-loss weight in [0, 1]")
+    fit.add_argument("--alpha", type=float, default=None,
+                     help="graph-loss weight in [0, 1] (default: --config's, else 0.5)")
     fit.add_argument("--out-dir", required=True)
     _add_train_flags(fit)
     fit.set_defaults(func=cmd_fit)
@@ -211,6 +211,7 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _check_grid(args.grid, "--grid")
+    args.alpha = grid[0]  # the grid sets alpha as a flag would, over the file's
     cfg = _resolve_config(args)
     data = _load_dataset(args)
     result = alpha_sweep(data, cfg, grid, knn_k=args.knn_k,

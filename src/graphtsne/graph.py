@@ -1,4 +1,4 @@
-"""Graph ingestion, shortest paths, kNN construction and neighbor subsampling.
+"""Graph ingestion, shortest paths, rank orders and neighbor subsampling.
 
 Node ids are dense 0-based integers. Graphs are undirected, stored in a
 CSR-style layout (offsets + sorted neighbor lists). Unreachable node pairs
@@ -15,7 +15,8 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .affinity import pairwise_sq_euclidean, row_blocks
+# not called here, but perfbench/tracer.py wraps graph.pairwise_sq_euclidean
+from .affinity import pairwise_sq_euclidean  # noqa: F401
 from .errors import MalformedInputError
 
 logger = logging.getLogger(__name__)
@@ -443,24 +444,6 @@ def rank_blocks(blocks):
         np.put_along_axis(by_column, order[ties], code, axis=1)
         order[ties] = np.argsort(by_column, axis=1, kind="stable")
         yield rows, order[:, 1:]
-
-
-def knn_graph(x: np.ndarray, k: int) -> np.ndarray:
-    """Directed k-nearest-neighbor pairs over feature rows.
-
-    Returns an (N*k, 2) int array of pairs (i, j) where j is among the k
-    nearest rows to i by squared Euclidean distance, self excluded, ties
-    broken by the smaller node index. Rows are ordered by source node,
-    then by (distance, index) rank.
-    """
-    n = len(x)
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than the number of rows ({n})")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d = pairwise_sq_euclidean(x)
-    ranked = [order[:, :k] for _, order in rank_blocks((r, d[r]) for r in row_blocks(n))]
-    return np.stack([np.repeat(np.arange(n), k), np.concatenate(ranked).ravel()], axis=1)
 
 
 @dataclass

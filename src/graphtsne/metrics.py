@@ -2,8 +2,9 @@
 
 Five quantities: feature trustworthiness T_X(k), graph trustworthiness
 T_G(r), distance metrics P_G and P_X over a standardized map, and
-cross-validated 1-NN label accuracy. The sweep trains one model per alpha
-and selects alpha* minimizing P_G + P_X.
+cross-validated 1-NN label accuracy. The sweep trains one model per alpha,
+scores each layout as ``evaluate_layout`` does, and selects alpha*
+minimizing P_G + P_X.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from .affinity import distance_blocks, pairwise_sq_euclidean, row_blocks
 from .errors import TrainingError
 from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks
-# not called here, but perfbench/tracer.py wraps metrics.knn_graph
-from .graph import knn_graph  # noqa: F401
 from .trainer import TrainConfig, _child_seed, embed, train
 
 DEFAULT_KNN_K = 10
@@ -69,6 +68,27 @@ def _check_metric_args(n: int, x=None, ks=(), graph: Graph | None = None, rs=(),
             raise ValueError(f"need at least {folds} points for {folds} folds, got {n}")
 
 
+def _feature_pass(x, knn_k: int, ks=(), map_top=None):
+    """The pairs (i, j), j among the knn_k nearest feature rows to i, by i and then
+    rank, and per k in ``ks`` the trustworthiness penalty of ``map_top``'s map
+    neighbors: one pass over row blocks of the feature distances, each sorted once."""
+    n = len(x)
+    penalty = [0] * len(ks)
+    knn = np.empty((n, knn_k), dtype=np.int64)
+    d = pairwise_sq_euclidean(x)
+    for rows, order in rank_blocks((rows, d[rows]) for rows in row_blocks(n)):
+        knn[rows] = order[:, :knn_k]
+        if ks:
+            # feature rank (1 = nearest) of each kept map neighbor
+            rank = np.empty((len(order), n), dtype=np.int64)
+            np.put_along_axis(rank, order, np.arange(1, n), axis=1)
+            near = np.take_along_axis(rank, map_top[rows], axis=1)
+            for slot, k in enumerate(ks):
+                # map neighbors outside the k feature neighbors have rank > k
+                penalty[slot] += int(np.maximum(near[:, :k] - k, 0).sum())
+    return np.stack([np.repeat(np.arange(n), knn_k), knn.ravel()], axis=1), penalty
+
+
 def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | None = None,
            labels=None, folds: int = DEFAULT_FOLDS, seed: int = 0):
     """The requested metrics from one pass over the map's distance blocks, made
@@ -105,20 +125,9 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
             first = (fold_of[order] != fold_of[rows, None]).argmax(axis=1)
             correct[rows] = labels[order[np.arange(len(first)), first]] == labels[rows]
 
-    penalty = [0] * len(ks)
-    knn = np.empty((n, knn_k or 0), dtype=np.int64)
+    knn_pairs, penalty = np.empty((0, 2), dtype=np.int64), [0] * len(ks)
     if x is not None:
-        d = pairwise_sq_euclidean(x)
-        for rows, order in rank_blocks((rows, d[rows]) for rows in row_blocks(n)):
-            knn[rows] = order[:, :knn.shape[1]]
-            # feature rank (1 = nearest) of each kept map neighbor
-            rank = np.empty((len(order), n), dtype=np.int64)
-            np.put_along_axis(rank, order, np.arange(1, n), axis=1)
-            near = np.take_along_axis(rank, map_top[rows], axis=1)
-            for slot, k in enumerate(ks):
-                # map neighbors outside the k feature neighbors have rank > k
-                penalty[slot] += int(np.maximum(near[:, :k] - k, 0).sum())
-    knn_pairs = np.stack([np.repeat(np.arange(n), knn.shape[1]), knn.ravel()], axis=1)
+        knn_pairs, penalty = _feature_pass(x, knn_k or 0, ks, map_top)
     t_feature = {k: 1.0 - 2.0 * p / (n * k * (2 * n - 3 * k - 1))
                  for k, p in zip(ks, penalty)}
     # per-row values are summed in row order (cumsum), as a loop over rows would
@@ -126,6 +135,15 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
     accuracy = None if labels is None else float(
         np.mean([np.mean(correct[members]) for members in fold_members]))
     return t_feature, t_graph, knn_pairs, accuracy
+
+
+def knn_graph(x: np.ndarray, k: int) -> np.ndarray:
+    """Directed k-NN pairs over feature rows, the first k of each row of the
+    feature pass that scores a layout: an (N*k, 2) int array of pairs (i, j),
+    ordered by i and then by squared Euclidean distance from i, ties to the
+    smaller index, self excluded."""
+    _check_metric_args(len(x), knn_k=k)
+    return _feature_pass(x, k)[0]
 
 
 def feature_trustworthiness(x: np.ndarray, y: np.ndarray, k: int) -> float:
@@ -252,7 +270,8 @@ def alpha_sweep(data: LabeledDataset, cfg: TrainConfig, grid,
     alpha* = argmin of P_G + P_X (ties toward smaller alpha).
 
     Each grid point gets a fresh init seeded from (cfg.seed, grid index), so
-    sweeps are deterministic but runs do not share initialization. Training
+    sweeps are deterministic but runs do not share initialization. Layouts
+    are scored with evaluate_layout's 1-NN fold seed, not cfg.seed. Training
     failures are re-raised annotated with the failing alpha.
     """
     grid = _check_grid(grid)
@@ -269,8 +288,7 @@ def alpha_sweep(data: LabeledDataset, cfg: TrainConfig, grid,
             raise TrainingError(f"alpha={a}: {exc}") from exc
         embeddings[a] = y
         reports.append(evaluate_layout(data, y, alpha=a, knn_k=knn_k,
-                                       t_ks=t_ks, t_rs=t_rs, folds=folds,
-                                       seed=cfg.seed))
+                                       t_ks=t_ks, t_rs=t_rs, folds=folds))
     best = min(range(len(grid)), key=lambda i: (reports[i].combined, grid[i]))
     return SweepResult(reports=reports, alpha_star=grid[best],
                        embeddings=embeddings)

@@ -19,10 +19,10 @@ import pytest
 from graphtsne.affinity import joint_p, pairwise_sq_euclidean
 from graphtsne.cli import main, read_layout_csv
 from graphtsne.gcn import backward, build_full_plan, forward, init_model
-from graphtsne.graph import Graph, all_pairs_distances, knn_graph
+from graphtsne.graph import Graph, all_pairs_distances
 from graphtsne.metrics import (alpha_sweep, distance_metrics,
                                feature_trustworthiness, graph_trustworthiness,
-                               knn_1_accuracy)
+                               knn_1_accuracy, knn_graph)
 from graphtsne.synthetic import citation_dataset, random_dataset, sbm_dataset
 from graphtsne.trainer import TrainConfig, composite_loss_and_grad, train_minibatch
 

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtsne import metrics
-from graphtsne.cli import (_resolve_config, _write_layout, build_parser, main,
-                           read_layout_csv)
+from graphtsne.cli import _write_layout, main, read_layout_csv
 from graphtsne.graph import (Graph, LabeledDataset, load_edge_list, load_features_csv,
                              load_labels_csv)
 from graphtsne.metrics import evaluate_layout
@@ -114,9 +113,15 @@ class TestFit:
         out = tmp_path / "run"
         assert main(["fit", *args, "--alpha", "0.2", "--out-dir", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] == 0.2
-        # fit requires --alpha; a command without the flag keeps the file's
-        sweep = build_parser().parse_args(["sweep", *args, "--out-dir", str(out)])
-        assert _resolve_config(sweep).alpha == 0.9
+        # without the flag, the file's alpha applies
+        out = tmp_path / "no-flag"
+        assert main(["fit", *args, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] == 0.9
+
+    def test_alpha_in_neither_flag_nor_file_is_the_preset_half(self, dataset_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(["fit", *base_args(dataset_dir), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] == 0.5
 
     def test_mode_minibatch_on_a_small_graph_sets_the_preset_batch_count(
             self, dataset_dir, tmp_path):
@@ -439,6 +444,33 @@ class TestSweep:
         manifest = json.loads((sweep_out / "manifest.json").read_text())
         assert manifest["grid"] == [0.0, 0.5, 1.0]
         assert manifest["config"]["alpha"] is None
+
+    def test_alpha_star_row_is_what_evaluate_writes_for_its_layout(
+            self, dataset_dir, tmp_path):
+        metric = ["--t-ks", "3,5", "--t-rs", "1,2", "--knn-k", "4"]
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", *base_args(dataset_dir), "--grid", "0.5,1", "--seed", "7",
+                     *metric, "--out-dir", str(sweep)]) == 0
+        evaluated = tmp_path / "evaluate"
+        assert main(["evaluate", *base_args(dataset_dir)[:6], "--layout",
+                     str(sweep / "layout.csv"), *metric, "--out-dir", str(evaluated)]) == 0
+        alpha_star = json.loads((sweep / "manifest.json").read_text())["alpha_star"]
+        row = next(r for r in json.loads((sweep / "sweep.json").read_text())
+                   if r["alpha"] == alpha_star)
+        report = json.loads((evaluated / "metrics.json").read_text())
+        for key in ("alpha", "runtime_s"):
+            del row[key], report[key]
+        assert row == report
+
+    def test_grid_overrides_a_file_alpha_out_of_range(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text("hidden_dim = 8\nepochs = 2\nalpha = 1.5\n")
+        args = base_args(dataset_dir)
+        args[args.index("--config") + 1] = str(cfg)
+        out = tmp_path / "s"
+        assert main(["sweep", *args, "--grid", "0.5", "--t-ks", "3", "--t-rs", "1",
+                     "--knn-k", "4", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] is None
 
     def test_summary_table_lists_all_alphas_and_star(self, sweep_out):
         text = (sweep_out / "summary.txt").read_text()

@@ -384,6 +384,18 @@ class TestKnnGraph:
         with pytest.raises(ValueError):
             knn_graph(x, 5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_row_order_on_ties(self, data):
+        # few distinct small-integer coordinates: most distances tie
+        n = data.draw(st.integers(2, 24), label="n")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        cells = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+        x = np.array(data.draw(st.lists(cells, min_size=n, max_size=n), label="x"),
+                     dtype=np.float64)
+        for k in range(1, n):
+            assert np.array_equal(knn_graph(x, k), brute_knn_pairs(x, k))
+
 
 class TestRankBlocks:
     @settings(max_examples=120, deadline=None)

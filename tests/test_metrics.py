@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtsne.errors import TrainingError
-from graphtsne.graph import Graph, LabeledDataset, knn_graph
+from graphtsne.graph import Graph, LabeledDataset
 from graphtsne.metrics import (MetricsReport, alpha_sweep, distance_metrics,
                                evaluate_layout, feature_trustworthiness,
-                               graph_trustworthiness, knn_1_accuracy,
+                               graph_trustworthiness, knn_1_accuracy, knn_graph,
                                standardize_map)
 from graphtsne.synthetic import random_dataset, sbm_dataset
 from graphtsne.trainer import TrainConfig
