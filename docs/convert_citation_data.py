@@ -78,12 +78,13 @@ def main() -> int:
     edges = set()
     dropped = 0
     with open(args.cites, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             cells = raw.split()
             if not cells:
                 continue
             if len(cells) != 2:
-                print(f"error: {args.cites}: bad line {raw!r}", file=sys.stderr)
+                print(f"error: {args.cites}: line {lineno}: expected cited id, "
+                      f"citing id, got {len(cells)} cells", file=sys.stderr)
                 return 1
             if cells[0] not in ids or cells[1] not in ids:
                 dropped += 1

@@ -36,6 +36,9 @@ Covered:
 - mini-batch training at alpha 0, 0.5 and 1: epoch losses, per batch the
   sampled nodes and edges and the gradient, and the trained model's
   eval-mode embedding of the hub graph below;
+- what train_full_batch and train_minibatch raise, type and message, on a
+  perplexity out of the graph's or the smallest batch's reach and on more
+  batches than nodes;
 - batch plans (every LayerPlan array, and each edge walk as its row slices
   and the digest of its edge ids), a plan and a forward pass on a graph
   with no edges;
@@ -85,12 +88,14 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from fnmatch import fnmatchcase
 
 import numpy as np
 
-from graphtsne import (Graph, LabeledDataset, TrainConfig, all_pairs_distances,
-                       backward, bfs_shortest_paths, build_batch_plan, build_full_plan,
+from graphtsne import (Graph, LabeledDataset, TrainConfig, TrainingError,
+                       all_pairs_distances, backward, bfs_shortest_paths,
+                       build_batch_plan, build_full_plan,
                        citation_dataset, embed, evaluate_layout, forward,
                        init_model, joint_p, knn_graph, load_model, neighbor_subsample,
                        pairwise_sq_euclidean, random_dataset, read_config_file,
@@ -199,6 +204,29 @@ def minibatch(scratch) -> dict:
         out[repr(alpha)] = {"report": report_record(report), "steps": steps,
                             "model": model_record(model, data, scratch),
                             "hub_embed": digest(embed(model, hub))}
+    return out
+
+
+def rejected_configs() -> dict:
+    """The type and message of what training raises on settings that do not
+    fit the 45-node graph, or "no error" where it trains on them."""
+    data = sbm_dataset([15, 15, 15], p_intra=0.5, p_inter=0.04,
+                       feature_dim=6, seed=7)
+    full = TrainConfig(alpha=0.5, epochs=2, hidden_dim=8, mode="full", seed=3)
+    batches = replace(full, mode="minibatch", batch_count=2, fanouts=(3, 3))
+    cases = {"full perplexity 44.5": (train_full_batch, replace(full, perplexity=44.5)),
+             "minibatch perplexity 22.5": (train_minibatch,
+                                           replace(batches, perplexity=22.5)),
+             "minibatch batch_count 46": (train_minibatch,
+                                          replace(batches, batch_count=46, perplexity=2.0))}
+    out = {}
+    for name, (train, cfg) in cases.items():
+        try:
+            train(data, cfg)
+        except (ValueError, TrainingError) as exc:
+            out[name] = [type(exc).__name__, str(exc)]
+        else:
+            out[name] = "no error"
     return out
 
 
@@ -448,8 +476,10 @@ hop_cap = 4
 
 
 def cli_outputs(scratch) -> dict:
+    # block means close enough that some sweep layout scores a 1-NN accuracy
+    # below 1, so a change to the 1-NN folds shows in the sweep's files
     data = sbm_dataset([12, 12, 12], p_intra=0.5, p_inter=0.05,
-                       feature_dim=5, seed=11)
+                       feature_dim=5, separation=1.0, seed=11)
     inputs = ["--edges", "in/edges.txt", "--features", "in/features.csv",
               "--labels", "in/labels.csv", "--num-nodes", "36", "--seed", "4",
               "--epochs", "15", "--perplexity", "8"]
@@ -507,15 +537,12 @@ RTOL = 1e-9   # largest relative float difference --compare accepts
 # moved, or a score whose tie order moved); they are still counted and their
 # drift printed. A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-# fit without --alpha was a usage error. The sweep's 1-NN folds were drawn
-# from --seed and are drawn from seed 0 now, as evaluate draws them, which can
-# move sweep.json's knn_accuracy and summary.txt's 1NN_acc column (the last of
-# 10 numbers a row); on this well-separated SBM every fold scores 1.0 either way
-ONLY_IN_NEW = ("cli/fit-config-alpha",)
-CHANGED = ("cli/sweep/files/sweep.json/*/knn_accuracy",
-           "cli/sweep/files/summary.txt/numbers/9",
-           "cli/sweep/files/summary.txt/numbers/19",
-           "cli/sweep/files/summary.txt/numbers/29")
+ONLY_IN_NEW = ()
+# training checks its settings against the graph as the CLI does: each of
+# these raises the CLI's ValueError, where it trained or failed in training
+CHANGED = ("rejected_configs/full perplexity 44.5*",
+           "rejected_configs/minibatch perplexity 22.5*",
+           "rejected_configs/minibatch batch_count 46*")
 
 
 def named(where: str, globs) -> bool:
@@ -655,8 +682,9 @@ def main() -> int:
         return compare(*args.compare)
     with tempfile.TemporaryDirectory() as scratch:
         record = {"full_batch": full_batch(scratch), "minibatch": minibatch(scratch),
-                  "plans": plans(), "affinities": affinities(),
-                  "readers": readers(scratch), "cli": cli_outputs(scratch)}
+                  "rejected_configs": rejected_configs(), "plans": plans(),
+                  "affinities": affinities(), "readers": readers(scratch),
+                  "cli": cli_outputs(scratch)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

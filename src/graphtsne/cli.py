@@ -21,7 +21,7 @@ from .errors import MalformedInputError, TrainingError
 from .graph import (LabeledDataset, load_edge_list, load_features_csv, load_labels_csv,
                     read_layout_csv)
 from .metrics import (DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_T_KS, DEFAULT_T_RS,
-                      _check_grid, alpha_sweep, evaluate_layout)
+                      _check_grid, _check_metric_args, alpha_sweep, evaluate_layout)
 from .svg import write_svg
 from .trainer import (default_config, embed, parse_comma_ints,
                       read_config_file, train)
@@ -139,17 +139,7 @@ def _resolve_config(args):
     flags = {key: getattr(args, key, None)
              for key in ("alpha", "seed", "mode", "epochs", "perplexity")}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    cfg.validate()
-    if cfg.mode != "full" and cfg.batch_count > num_nodes:
-        raise ValueError(f"batch_count {cfg.batch_count} is above --num-nodes {num_nodes}, "
-                         "so some mini-batch would be empty")
-    # a row calibrated among S nodes has S - 1 others: its perplexity is at most S - 1.
-    # np.array_split makes batches of floor(N / batch_count) and one node more
-    size = num_nodes if cfg.mode == "full" else num_nodes // cfg.batch_count
-    if cfg.perplexity > size - 1:
-        where = "the graph" if cfg.mode == "full" else "the smallest mini-batch"
-        raise ValueError(f"perplexity {cfg.perplexity} is out of reach: {where} has "
-                         f"{size} nodes, so no row reaches more than {size - 1}")
+    cfg.validate(num_nodes)
     return cfg
 
 
@@ -213,6 +203,7 @@ def cmd_sweep(args) -> int:
     grid = _check_grid(args.grid, "--grid")
     args.alpha = grid[0]  # the grid sets alpha as a flag would, over the file's
     cfg = _resolve_config(args)
+    _check_metric_args(args.num_nodes, ks=args.t_ks, rs=args.t_rs, knn_k=args.knn_k)
     data = _load_dataset(args)
     result = alpha_sweep(data, cfg, grid, knn_k=args.knn_k,
                          t_ks=args.t_ks, t_rs=args.t_rs)

@@ -49,7 +49,8 @@ class TrainConfig:
     seed: int = 0
     hop_cap: int = HOP_CAP
 
-    def validate(self) -> None:
+    def validate(self, num_nodes: int) -> None:
+        """Raise ValueError on a setting out of range or unfit for num_nodes nodes."""
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (np.isfinite(self.perplexity) and self.perplexity >= 2.0):
@@ -72,6 +73,16 @@ class TrainConfig:
             raise ValueError(f"hop_cap must be >= 1, got {self.hop_cap}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.mode != "full" and self.batch_count > num_nodes:
+            raise ValueError(f"batch_count {self.batch_count} is above the {num_nodes} "
+                             "nodes, so some mini-batch would be empty")
+        # a row calibrated among S nodes has S - 1 others: its perplexity is at most S - 1.
+        # np.array_split makes batches of floor(N / batch_count) and one node more
+        size = num_nodes if self.mode == "full" else num_nodes // self.batch_count
+        if self.perplexity > size - 1:
+            where = "the graph" if self.mode == "full" else "the smallest mini-batch"
+            raise ValueError(f"perplexity {self.perplexity} is out of reach: {where} has "
+                             f"{size} nodes, so no row reaches more than {size - 1}")
 
 
 def default_config(num_nodes: int, alpha: float = 0.5, seed: int = 0) -> TrainConfig:
@@ -174,17 +185,17 @@ def _train(features: np.ndarray, cfg: TrainConfig, epochs,
            on_step) -> tuple[GcnModel, TrainReport]:
     """The training loop both modes share.
 
-    ``epochs(model)`` returns one iterable of steps per epoch; a step is
-    ``(plan, p_graph, p_feat, args)`` and is followed by
-    ``on_step(epoch, *args, loss)`` when on_step is given. An epoch's losses
-    are means over its steps, and the learning-rate plateau schedule sees
-    the epoch mean.
+    ``epochs`` yields one iterable of steps per epoch, and is first advanced
+    after the model is made; a step is ``(plan, p_graph, p_feat, args)`` and
+    is followed by ``on_step(epoch, *args, loss)`` when on_step is given. An
+    epoch's losses are means over its steps, and the learning-rate plateau
+    schedule sees the epoch mean.
     """
     start = time.perf_counter()
     model = init_model(features.shape[1], cfg.hidden_dim, seed=cfg.seed)
     adam = init_adam(model, cfg.lr)
     report = TrainReport()
-    for epoch, steps in enumerate(epochs(model)):
+    for epoch, steps in enumerate(epochs):
         losses = []
         for plan, p_graph, p_feat, args in steps:
             y, trace = forward(model, plan, features, mode="train")
@@ -214,6 +225,20 @@ def _train(features: np.ndarray, cfg: TrainConfig, epochs,
     return model, report
 
 
+def _full_batch_epochs(data: LabeledDataset, cfg: TrainConfig):
+    """One whole-graph step per epoch; the affinities are built at the first."""
+    p_graph, p_feat, unconverged = _affinities(
+        cfg, data.graph.num_nodes,
+        lambda: all_pairs_distances(data.graph, hop_cap=cfg.hop_cap),
+        lambda: pairwise_sq_euclidean(data.features))
+    if unconverged:  # e.g. identical feature rows: every conditional is uniform
+        raise TrainingError(f"{unconverged[0]} affinity is degenerate: "
+                            "no row reached the target perplexity")
+    step = (build_full_plan(data.graph, NUM_LAYERS), p_graph, p_feat, ())
+    for _ in range(cfg.epochs):
+        yield [step]
+
+
 def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
                      on_epoch=None) -> tuple[GcnModel, TrainReport]:
     """Train with one forward/backward/Adam step per epoch over the whole graph.
@@ -223,22 +248,10 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
     each distance matrix is calibrated into its P in place. A term with
     weight 0 is not built and reports 0. Fully deterministic for a fixed seed.
     """
-    cfg.validate()
     if cfg.mode != "full":
         raise ValueError("train_full_batch requires cfg.mode == 'full'")
-
-    def epochs(model):
-        p_graph, p_feat, unconverged = _affinities(
-            cfg, data.graph.num_nodes,
-            lambda: all_pairs_distances(data.graph, hop_cap=cfg.hop_cap),
-            lambda: pairwise_sq_euclidean(data.features))
-        if unconverged:  # e.g. identical feature rows: every conditional is uniform
-            raise TrainingError(f"{unconverged[0]} affinity is degenerate: "
-                                "no row reached the target perplexity")
-        step = (build_full_plan(data.graph, model.num_layers), p_graph, p_feat, ())
-        return ([step] for _ in range(cfg.epochs))
-
-    return _train(data.features, cfg, epochs, on_epoch)
+    cfg.validate(data.graph.num_nodes)
+    return _train(data.features, cfg, _full_batch_epochs(data, cfg), on_epoch)
 
 
 def _child_seed(*entropy: int) -> int:
@@ -254,10 +267,6 @@ def _batch_steps(data: LabeledDataset, cfg: TrainConfig, epoch: int):
         np.random.SeedSequence([cfg.seed, epoch])).permutation(graph.num_nodes)
     unconverged = 0
     for b, batch_nodes in enumerate(np.array_split(perm, cfg.batch_count)):
-        if batch_nodes.size < 3:
-            logger.warning("epoch %d: skipping batch %d with %d node(s)",
-                           epoch, b, batch_nodes.size)
-            continue
         batch_nodes = np.sort(batch_nodes)
         sample = neighbor_subsample(graph, batch_nodes, cfg.fanouts,
                                     seed=_child_seed(cfg.seed, epoch, b))
@@ -287,19 +296,16 @@ def train_minibatch(data: LabeledDataset, cfg: TrainConfig,
     Per batch: graph distances are true shortest paths on the full graph
     between batch nodes (hop-capped), feature distances are restricted to the
     batch, and affinities are normalized within the batch (a term with
-    weight 0 is not built and reports 0). Batches smaller than 3 nodes, or
-    whose built affinities are fully degenerate, are skipped with a warning;
-    executed batches whose graph or feature affinity has no row at the
-    target perplexity are counted in one warning per epoch. Reported epoch
-    losses are means over executed batches.
+    weight 0 is not built and reports 0). Batches whose built affinities are
+    fully degenerate are skipped with a warning; executed batches whose
+    graph or feature affinity has no row at the target perplexity are
+    counted in one warning per epoch. Reported epoch losses are means over
+    executed batches.
     """
-    cfg.validate()
     if cfg.mode != "minibatch":
         raise ValueError("train_minibatch requires cfg.mode == 'minibatch'")
-
-    def epochs(model):
-        return (_batch_steps(data, cfg, epoch) for epoch in range(cfg.epochs))
-
+    cfg.validate(data.graph.num_nodes)
+    epochs = (_batch_steps(data, cfg, epoch) for epoch in range(cfg.epochs))
     return _train(data.features, cfg, epochs, on_batch)
 
 

@@ -371,7 +371,7 @@ class TestUnreachablePerplexity:
         args[args.index("--edges") + 1] = str(tmp_path / "absent.txt")
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err == ("error: batch_count 46 is above --num-nodes 45, so some "
+        assert err == ("error: batch_count 46 is above the 45 nodes, so some "
                        "mini-batch would be empty\n")
 
     @pytest.mark.parametrize("mode, perplexity", [("full", "44"), ("minibatch", "21")])
@@ -550,9 +550,11 @@ class TestSweep:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "train", counting_train)
-        code = main(["sweep", *base_args(dataset_dir), "--grid", "0.5", flag, value,
-                     "--out-dir", str(tmp_path / "s")])
-        assert code == 2
+        args = ["sweep", *base_args(dataset_dir), "--grid", "0.5", flag, value,
+                "--out-dir", str(tmp_path / "s")]
+        assert main(args) == 2
+        args[args.index("--edges") + 1] = str(tmp_path / "absent.txt")
+        assert main(args) == 2  # before any input is read: an absent file exits 1
         assert calls == []
 
     def test_edgeless_graph_exits_1_naming_edges_file_before_training(

@@ -61,3 +61,11 @@ def test_non_numeric_word_exits_1_before_writing(tmp_path):
     assert proc.stderr.startswith(f"error: {tmp_path / 'in.content'}: line 2: ")
     assert "'x'" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_malformed_citation_exits_1_naming_its_line(tmp_path):
+    proc = convert(tmp_path, CONTENT, cites="p10 p30\n\np10 p20 p30\n")
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {tmp_path / 'in.cites'}: line 3: expected "
+                           "cited id, citing id, got 3 cells\n")
+    assert not (tmp_path / "out").exists()

@@ -171,17 +171,53 @@ class TestCompositeLoss:
         assert peak < n * n * 8
 
 
+def accepts(cfg, num_nodes) -> bool:
+    try:
+        cfg.validate(num_nodes)
+    except ValueError:
+        return False
+    return True
+
+
+def perplexities(size):
+    """Valid perplexities, often at or next to size - 1, the most that a row
+    calibrated among size nodes reaches."""
+    edge = float(size - 1)
+    near = [edge - 0.5, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
+            edge + 0.5]
+    return st.one_of(st.sampled_from([max(2.0, float(p)) for p in near]),
+                     st.floats(2.0, 300.0))
+
+
 class TestTrainConfig:
     def test_validation_catches_bad_fields(self):
         good = dict(alpha=0.5, epochs=5, hidden_dim=8, mode="full")
-        TrainConfig(**good).validate()
+        TrainConfig(**good).validate(45)
         for bad in (dict(alpha=-0.1), dict(perplexity=1.0), dict(epochs=-1),
                     dict(mode="bogus"), dict(lr=0.0), dict(lr=float("nan")),
                     dict(lr=float("inf")), dict(perplexity=float("nan")),
                     dict(perplexity=float("inf")), dict(seed=-1)):
             cfg = TrainConfig(**{**good, **bad})
             with pytest.raises(ValueError):
-                cfg.validate()
+                cfg.validate(45)
+
+    @given(n=st.integers(0, 300), batch_count=st.integers(1, 400), data=st.data())
+    def test_minibatch_accepted_exactly_when_every_batch_reaches_it(
+            self, n, batch_count, data):
+        parts = np.array_split(np.arange(n), batch_count)
+        perplexity = data.draw(perplexities(min(len(part) for part in parts)))
+        cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=4, mode="minibatch",
+                          batch_count=batch_count, perplexity=perplexity)
+        # a batch reaches the perplexity when it holds at least perplexity + 1 nodes
+        fits = all(len(part) - 1 >= perplexity for part in parts)
+        assert accepts(cfg, n) == fits
+
+    @given(n=st.integers(0, 300), data=st.data())
+    def test_full_batch_accepted_exactly_when_the_graph_reaches_it(self, n, data):
+        perplexity = data.draw(perplexities(n))
+        cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=4, mode="full",
+                          perplexity=perplexity)
+        assert accepts(cfg, n) == (n - 1 >= perplexity)
 
     def test_preset_split_by_size(self):
         small = default_config(10000)
@@ -214,6 +250,23 @@ class TestTrainFullBatch:
         for (_, a), (_, b) in zip(model.named_state(), reference.named_state()):
             assert np.array_equal(a, b)
         assert len(report.total_losses) == 0
+
+    def test_unreachable_perplexity_rejected_before_distances(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("distances were built for a config validate rejects")
+
+        for name in ("all_pairs_distances", "pairwise_sq_euclidean"):
+            monkeypatch.setattr(trainer, name, fail)
+        complete = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        data = LabeledDataset(graph=Graph.from_edges(6, complete),
+                              features=np.random.default_rng(0).normal(size=(6, 3)))
+        cfg = TrainConfig(alpha=0.5, epochs=2, hidden_dim=4, mode="full",
+                          perplexity=5.5)
+        with pytest.raises(ValueError, match="^perplexity 5.5 is out of reach: the "
+                           "graph has 6 nodes, so no row reaches more than 5$"):
+            train_full_batch(data, cfg)
+        monkeypatch.undo()
+        train_full_batch(data, replace(cfg, perplexity=5.0))  # N - 1 itself trains
 
     def test_sbm_loss_halves_in_200_epochs(self):
         ds = sbm_dataset([30, 30, 30], p_intra=0.5, p_inter=0.005,
@@ -308,7 +361,8 @@ class TestTrainFullBatch:
         g = Graph.from_edges(6, [])
         data = LabeledDataset(graph=g,
                               features=np.random.default_rng(0).normal(size=(6, 3)))
-        cfg = TrainConfig(alpha=0.5, epochs=2, hidden_dim=4, mode="full")
+        cfg = TrainConfig(alpha=0.5, epochs=2, hidden_dim=4, mode="full",
+                          perplexity=3.0)
         with pytest.raises(TrainingError, match="graph"):
             train_full_batch(data, cfg)
 
@@ -365,7 +419,7 @@ class TestTrainFullBatch:
 
     def test_wrong_mode_rejected(self, small_sbm):
         cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=8, mode="minibatch")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires cfg.mode == 'full'"):
             train_full_batch(small_sbm, cfg)
 
 
@@ -402,21 +456,25 @@ class TestTrainMinibatch:
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.arange(40))
 
-    def test_tiny_batches_skipped_with_warning(self, caplog):
+    def test_tiny_batches_rejected_before_sampling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a batch was sampled for a config validate rejects")
+
+        for name in ("neighbor_subsample", "bfs_shortest_paths"):
+            monkeypatch.setattr(trainer, name, fail)
         ds = random_dataset(8, 30, feature_dim=4, seed=14)
-        # 8 nodes over 5 batches: sizes 2,2,2,1,1 -> all below 3, except none
+        # 8 nodes over 5 batches: sizes 2,2,2,1,1, none above the lowest perplexity
         cfg = TrainConfig(alpha=0.5, epochs=1, hidden_dim=4, mode="minibatch",
-                          batch_count=5, fanouts=(2, 2), seed=15)
-        with caplog.at_level(logging.WARNING):
-            with pytest.raises(TrainingError, match="skipped"):
-                train_minibatch(ds, cfg)
-        assert any("skipping batch" in rec.message for rec in caplog.records)
+                          batch_count=5, fanouts=(2, 2), seed=15, perplexity=2.0)
+        with pytest.raises(ValueError, match="^perplexity 2.0 is out of reach: the "
+                           "smallest mini-batch has 1 nodes"):
+            train_minibatch(ds, cfg)
 
     def test_mixed_batch_sizes_executes_large_ones(self, caplog):
         ds = random_dataset(11, 40, feature_dim=4, seed=16)
         # 11 nodes over 3 batches: sizes 4,4,3 -> all execute
         cfg = TrainConfig(alpha=0.5, epochs=2, hidden_dim=4, mode="minibatch",
-                          batch_count=3, fanouts=(2, 2), seed=17)
+                          batch_count=3, fanouts=(2, 2), seed=17, perplexity=2.0)
         counted = []
         _, report = train_minibatch(ds, cfg,
                                     on_batch=lambda e, b, s, l: counted.append(b))
@@ -425,14 +483,16 @@ class TestTrainMinibatch:
 
     def test_unconverged_batches_counted_once_per_epoch(self, caplog):
         ds = random_dataset(11, 40, feature_dim=4, seed=16)
-        # batches of 3-4 nodes can never reach perplexity 30
+        # hops cut at 1 make each graph row uniform over its in-batch
+        # neighbors, so its perplexity is a whole number and never 2.5
         cfg = TrainConfig(alpha=0.5, epochs=2, hidden_dim=4, mode="minibatch",
-                          batch_count=3, fanouts=(2, 2), seed=17)
+                          batch_count=2, fanouts=(2, 2), seed=17, perplexity=2.5,
+                          hop_cap=1)
         with caplog.at_level(logging.WARNING, logger="graphtsne.trainer"):
             train_minibatch(ds, cfg)
         assert [rec.message for rec in caplog.records] == [
-            f"epoch {epoch}: 3 executed batch(es) have a graph or feature "
-            f"affinity with no row at perplexity 30" for epoch in (0, 1)]
+            f"epoch {epoch}: 2 executed batch(es) have a graph or feature "
+            f"affinity with no row at perplexity 2.5" for epoch in (0, 1)]
 
     def test_no_unconverged_warning_when_batches_converge(self, caplog):
         ds = random_dataset(60, 240, feature_dim=5, seed=18)
@@ -445,7 +505,7 @@ class TestTrainMinibatch:
     def test_determinism(self):
         ds = random_dataset(60, 240, feature_dim=5, seed=18)
         cfg = TrainConfig(alpha=0.4, epochs=2, hidden_dim=8, mode="minibatch",
-                          batch_count=4, fanouts=(3, 3), seed=19)
+                          batch_count=4, fanouts=(3, 3), seed=19, perplexity=5.0)
         _, r1 = train_minibatch(ds, cfg)
         _, r2 = train_minibatch(ds, cfg)
         assert r1.total_losses == r2.total_losses
@@ -457,7 +517,7 @@ class TestTrainMinibatch:
         with pytest.raises(ValueError, match="fanout"):
             train_minibatch(ds, cfg)
         with pytest.raises(ValueError, match="fanouts"):
-            replace(cfg, fanouts=(3, 3, 3)).validate()
+            replace(cfg, fanouts=(3, 3, 3)).validate(30)
 
 
 class Stop(Exception):
