@@ -57,6 +57,8 @@ Covered:
 - every rank_blocks order (hashed) on the citation stand-in's features and on
   a seeded 2-D layout rounded to 0.1, so that its distances tie, the layout's
   once from its distance matrix and once from the loss's distance blocks;
+- rank_prefix's first m columns (hashed) of those distance blocks, for
+  m = 1, 18, 118 and N - 1;
 - evaluate_layout on that layout and on it rounded, its report without the
   run time;
 - the four input readers (edge list, features, labels, layout) on files
@@ -72,8 +74,8 @@ Covered:
   file), `graphtsne sweep` and `graphtsne evaluate` write, with the
   manifests' timestamps and the reports' run times removed.
 
-Uses the public API plus `graph.rank_blocks`, `affinity.distance_blocks` and
-`affinity.row_blocks`; a tree that lacks one of them is dumped with its own
+Uses the public API plus `graph.rank_blocks`, `graph.rank_prefix`,
+`affinity.distance_blocks` and `affinity.row_blocks`; a tree that lacks one of them is dumped with its own
 copy of this script. Takes about 10 s on a 2-core machine.
 """
 
@@ -103,7 +105,7 @@ from graphtsne import (Graph, LabeledDataset, TrainConfig, TrainingError,
 from graphtsne.affinity import distance_blocks, row_blocks
 from graphtsne.cli import main as cli_main, read_layout_csv
 from graphtsne.graph import (load_edge_list, load_features_csv, load_labels_csv,
-                            rank_blocks)
+                            rank_blocks, rank_prefix)
 
 ALPHAS = (0.0, 0.5, 1.0)
 FULL_FLOATS = 10_000   # larger float arrays (the N x N affinities) are hashed and sampled
@@ -292,6 +294,16 @@ def rank_orders(blocks) -> str:
     return f"int64{[n, n - 1]}:{sha.hexdigest()}"
 
 
+def prefix_orders(blocks, m: int) -> str:
+    """SHA-256 of rank_prefix's first m columns of every (rows, distances) block."""
+    sha, n = hashlib.sha256(), 0
+    for rows, block in blocks:
+        prefix = rank_prefix(rows, block, m)
+        sha.update(np.ascontiguousarray(prefix, dtype=np.int64).tobytes())
+        n += len(prefix)
+    return f"int64{[n, m]}:{sha.hexdigest()}"
+
+
 def affinity_record(distances) -> dict:
     aff = joint_p(distances, 30.0)
     return {"p": digest(aff.p), "sigmas": digest(aff.sigmas),
@@ -323,6 +335,9 @@ def affinities() -> dict:
         pairwise_sq_euclidean(rounded)))
     # the blocks the loss and the metrics' map pass rank
     out["rank_blocks_rounded_map"] = rank_orders(distance_blocks(rounded))
+    out["rank_prefix_rounded_map"] = {  # the prefixes the map pass reads
+        str(m): prefix_orders(distance_blocks(rounded), m)
+        for m in (1, 18, 118, len(rounded) - 1)}
     for name, y in (("evaluate_layout", layout), ("evaluate_rounded_layout", rounded)):
         report = evaluate_layout(data, y, alpha=0.5).to_dict()
         del report["runtime_s"]
@@ -537,12 +552,8 @@ RTOL = 1e-9   # largest relative float difference --compare accepts
 # moved, or a score whose tie order moved); they are still counted and their
 # drift printed. A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-ONLY_IN_NEW = ()
-# training checks its settings against the graph as the CLI does: each of
-# these raises the CLI's ValueError, where it trained or failed in training
-CHANGED = ("rejected_configs/full perplexity 44.5*",
-           "rejected_configs/minibatch perplexity 22.5*",
-           "rejected_configs/minibatch batch_count 46*")
+ONLY_IN_NEW = ("affinities/rank_prefix_rounded_map",)
+CHANGED = ()
 
 
 def named(where: str, globs) -> bool:

@@ -426,7 +426,9 @@ def rank_blocks(blocks):
     Each block is sorted by NumPy's default, unstable argsort. A row with no two equal
     values has only one order. In a row with ties, each distinct value gets a dense
     code, and a stable argsort of the codes as small unsigned integers (NumPy's radix
-    sort below 65536 columns) orders every tie by index.
+    sort below 65536 columns) orders every tie by index. The metrics rank feature rows
+    with it, whose every rank T_X reads; a map block, of which they read only the
+    nearest columns, goes through ``rank_prefix``.
     """
     for rows, block in blocks:
         n = block.shape[1]
@@ -444,6 +446,36 @@ def rank_blocks(blocks):
         np.put_along_axis(by_column, order[ties], code, axis=1)
         order[ties] = np.argsort(by_column, axis=1, kind="stable")
         yield rows, order[:, 1:]
+
+
+def rank_prefix(rows: slice, block: np.ndarray, m: int) -> np.ndarray:
+    """The first m columns, 1 <= m < n, of ``rank_blocks``' order of one ``(rows,
+    block)``: nearest first, ties to the smaller index also across the cut, NaN last.
+    Sets the block's self entries to -inf as ``rank_blocks`` does.
+
+    ``np.argpartition`` picks m + 1 columns per row, self among them, which are put
+    in index order and then stably sorted by value. In a row where the value at the
+    cut has more equal entries than were picked, the picked ones need not be those
+    of smallest index, so that row picks again: every smaller value, then the equal
+    ones in index order.
+    """
+    np.fill_diagonal(block[:, rows], -np.inf)
+    pick = np.argpartition(block, m, axis=1)[:, :m + 1]
+    cut = np.take_along_axis(block, pick[:, m:], axis=1)
+    same = block == cut
+    nan_cut = np.isnan(cut[:, 0])
+    same[nan_cut] = np.isnan(block[nan_cut])
+    same_picked = np.take_along_axis(same, pick, axis=1)
+    redo = np.flatnonzero(np.count_nonzero(same, axis=1)
+                          > np.count_nonzero(same_picked, axis=1))
+    if redo.size:
+        # key 0: picked below the cut, 1: equal to it, 2: beyond it
+        key = np.where(same[redo], 1, 2).astype(np.uint8)
+        np.put_along_axis(key, pick[redo], same_picked[redo], axis=1)
+        pick[redo] = np.argsort(key, axis=1, kind="stable")[:, :m + 1]
+    pick.sort(axis=1)
+    by_value = np.argsort(np.take_along_axis(block, pick, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(pick, by_value, axis=1)[:, 1:]
 
 
 @dataclass

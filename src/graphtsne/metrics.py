@@ -16,7 +16,7 @@ import numpy as np
 
 from .affinity import distance_blocks, pairwise_sq_euclidean, row_blocks
 from .errors import TrainingError
-from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks
+from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks, rank_prefix
 from .trainer import TrainConfig, _child_seed, embed, train
 
 DEFAULT_KNN_K = 10
@@ -71,7 +71,8 @@ def _check_metric_args(n: int, x=None, ks=(), graph: Graph | None = None, rs=(),
 def _feature_pass(x, knn_k: int, ks=(), map_top=None):
     """The pairs (i, j), j among the knn_k nearest feature rows to i, by i and then
     rank, and per k in ``ks`` the trustworthiness penalty of ``map_top``'s map
-    neighbors: one pass over row blocks of the feature distances, each sorted once."""
+    neighbors: one pass over row blocks of the feature distances, each sorted once
+    in full, since a map neighbor's feature rank can lie anywhere in its row."""
     n = len(x)
     penalty = [0] * len(ks)
     knn = np.empty((n, knn_k), dtype=np.int64)
@@ -93,7 +94,11 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
            labels=None, folds: int = DEFAULT_FOLDS, seed: int = 0):
     """The requested metrics from one pass over the map's distance blocks, made
     as the loss makes them, and one over row blocks of the feature distance
-    matrix, each block sorted once.
+    matrix (``_feature_pass``).
+    A map block is ranked only as far as its metrics read: ``rank_prefix`` gives
+    its first m columns, m the largest k of T_X or the largest r-hop neighborhood
+    among its rows for T_G. 1-NN reads a masked ``argmin``: the nearest column of
+    another fold, ties to the smaller index.
     Returns ({k: T_X(k)}, {r: T_G(r)}, k-NN feature pairs, 1-NN accuracy)."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
@@ -107,23 +112,36 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
 
     map_top = np.empty((n, max(ks, default=0)), dtype=np.int64)
     jaccard = np.empty((len(rs), n))
-    for rows, order in rank_blocks(distance_blocks(y)):
-        if ks:
-            map_top[rows] = order[:, :map_top.shape[1]]
-        if rs:  # one BFS for every radius; hops in map order, self cut
+    for rows, d in distance_blocks(y):
+        b = np.arange(rows.stop - rows.start)
+        if labels is not None:  # argmin takes the first of equal values
+            masked = np.where(fold_of == fold_of[rows, None], np.inf, d)
+            nearest = masked.argmin(axis=1)
+            # argmin puts NaN first and cannot tell a masked inf from a real one,
+            # distances a layout near the float range makes: sort such a row
+            for i in np.flatnonzero(~np.isfinite(masked[b, nearest])):
+                other = np.flatnonzero(fold_of != fold_of[rows.start + i])
+                nearest[i] = other[np.argsort(d[i, other], kind="stable")[0]]
+            correct[rows] = labels[nearest] == labels[rows]
+        width = map_top.shape[1]
+        if rs:  # one BFS for every radius; neighborhood sizes with self cut
             hops = bfs_shortest_paths(graph, np.arange(rows.start, rows.stop),
                                       np.arange(n), hop_cap=max(rs))
-            hops = np.take_along_axis(hops, order, axis=1)
-            for slot, r in enumerate(rs):
+            sizes = [np.count_nonzero(hops <= r, axis=1) - 1 for r in rs]
+            width = max(width, max(int(size.max()) for size in sizes))
+        if not (ks or rs):
+            continue
+        # the map-nearest columns every metric reads: the k of T_X, |N_r(i)| of T_G
+        prefix = rank_prefix(rows, d, min(max(width, 1), n - 1))
+        map_top[rows] = prefix[:, :map_top.shape[1]]
+        if rs:
+            hops = np.take_along_axis(hops, prefix, axis=1)
+            for slot, (r, size) in enumerate(zip(rs, sizes)):
                 # within[b, m - 1]: r-hop neighbors among the m map-nearest
                 within = np.cumsum(hops <= r, axis=1)
-                size = within[:, -1]
-                inter = within[np.arange(len(size)), size - 1]
+                inter = within[b, size - 1]
                 jaccard[slot, rows] = np.where(
                     size > 0, inter / np.maximum(2 * size - inter, 1), 1.0)
-        if labels is not None:  # the nearest point of another fold, ties to the smaller index
-            first = (fold_of[order] != fold_of[rows, None]).argmax(axis=1)
-            correct[rows] = labels[order[np.arange(len(first)), first]] == labels[rows]
 
     knn_pairs, penalty = np.empty((0, 2), dtype=np.int64), [0] * len(ks)
     if x is not None:

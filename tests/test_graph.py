@@ -12,7 +12,7 @@ from graphtsne import (Graph, MalformedInputError, UNREACHABLE,
                        load_edge_list, load_features_csv, load_labels_csv,
                        neighbor_subsample)
 from graphtsne import affinity, graph
-from graphtsne.graph import rank_blocks
+from graphtsne.graph import rank_blocks, rank_prefix
 from graphtsne.synthetic import random_dataset
 
 from conftest import PADDING, assert_loads_like_oracle, draw_input_file, draw_sampled_batch
@@ -422,6 +422,24 @@ class TestRankBlocks:
                     assert np.array_equal(order, want[rows])
                     covered = rows.stop
             assert covered == n
+
+
+class TestRankPrefix:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 40), top=st.integers(0, 4),
+           extra=st.sampled_from([(), (np.inf,), (np.nan,), (np.inf, np.nan)]),
+           block=st.integers(1, 41), seed=st.integers(0, 2**32 - 1))
+    def test_prefix_matches_stable_argsort(self, n, top, extra, block, seed):
+        # integers in [0, top], maybe beside inf or NaN: top 0 makes every row one
+        # value, and a small top puts ties at each cut m
+        palette = np.array([*range(top + 1), *extra], dtype=np.float64)
+        d = palette[np.random.default_rng(seed).integers(0, len(palette), size=(n, n))]
+        want = stable_rank_orders(d)
+        with mock.patch.object(affinity, "_ROW_BLOCK", block):
+            for m in range(1, n):
+                for rows in affinity.row_blocks(n):
+                    assert np.array_equal(rank_prefix(rows, d[rows].copy(), m),
+                                          want[rows, :m])
 
 
 class TestNeighborSubsample:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtsne.affinity import distance_blocks
 from graphtsne.errors import TrainingError
 from graphtsne.graph import Graph, LabeledDataset
 from graphtsne.metrics import (MetricsReport, alpha_sweep, distance_metrics,
@@ -20,7 +21,7 @@ from graphtsne.trainer import TrainConfig
 
 from conftest import child_env
 from oracles import (brute_knn_pairs, distance_metrics_oracle, knn_1_oracle,
-                     standardize_oracle, trust_feature_oracle,
+                     stable_rank_orders, standardize_oracle, trust_feature_oracle,
                      trust_graph_oracle)
 
 
@@ -189,6 +190,31 @@ class TestDistanceMetrics:
             distance_metrics(data.graph, knn_graph(data.features, 5), y)
 
 
+def test_prefix_width_edges_match_oracles():
+    """One row block holds a hub whose r-hop neighborhood is every other node
+    (prefix width n - 1), or every other node but an isolated one (size 0);
+    on a 3 x 3 grid a same-fold point ties with the nearest other-fold one."""
+    n, folds, seed = 24, 4, 5
+    y = np.random.default_rng(1).integers(0, 3, size=(n, 2)).astype(np.float64)
+    labels = np.random.default_rng(2).integers(0, 3, size=n)
+    fold_of = np.empty(n, dtype=np.int64)
+    for f, members in enumerate(np.array_split(
+            np.random.default_rng(seed).permutation(n), folds)):
+        fold_of[members] = f
+    d = ((y[:, None] - y[None]) ** 2).sum(axis=2)
+    np.fill_diagonal(d, np.inf)
+    tied = [i for i in range(n) if (d[i, fold_of == fold_of[i]].min()
+                                    == d[i, fold_of != fold_of[i]].min())]
+    assert tied  # the tie the masked 1-NN must not take
+    for isolated in (False, True):
+        g = Graph.from_edges(n, [(0, j) for j in range(1, n - isolated)])
+        for r in (1, 2):
+            assert graph_trustworthiness(g, y, r) == trust_graph_oracle(
+                n, g.edge_pairs, y, r)
+    assert knn_1_accuracy(y, labels, folds=folds, seed=seed) == knn_1_oracle(
+        y, labels, folds, seed)
+
+
 class TestKnn1Accuracy:
     def test_separated_clusters_are_perfect(self):
         y = np.vstack([np.random.default_rng(0).normal(size=(10, 2)) * 0.01,
@@ -205,6 +231,24 @@ class TestKnn1Accuracy:
         labels = rng.integers(0, 3, size=30)
         got = knn_1_accuracy(y, labels, folds=6, seed=11)
         assert got == pytest.approx(knn_1_oracle(y, labels, 6, 11), abs=1e-12)
+
+    def test_overflowing_distances_ranked_nan_last(self):
+        """Coordinates near the float range make the map's distance blocks inf
+        and NaN; each point's neighbor is still the first point of another fold
+        in rank_blocks' order of them, NaN last."""
+        n, folds, seed = 30, 3, 4
+        y = np.random.default_rng(4).integers(-2, 3, size=(n, 2)) * 1e200
+        labels = np.random.default_rng(5).integers(0, 2, size=n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.vstack([block for _, block in distance_blocks(y)])
+            got = knn_1_accuracy(y, labels, folds=folds, seed=seed)
+        assert np.isnan(d).any() and np.isinf(d).any()
+        orders = stable_rank_orders(d)
+        accuracies = []
+        for fold in np.array_split(np.random.default_rng(seed).permutation(n), folds):
+            nearest = [next(j for j in orders[i] if j not in fold) for i in fold]
+            accuracies.append(np.mean(labels[nearest] == labels[fold]))
+        assert got == float(np.mean(accuracies))
 
     def test_bad_fold_counts_rejected(self, rng):
         y = rng.normal(size=(6, 2))
@@ -323,25 +367,32 @@ class TestEvaluateLayout:
         assert rep.knn_accuracy == knn_1_oracle(y, labels, folds, seed) == alone
 
 
-# Prints, as JSON, the hash of each rank order evaluate_layout makes (the map's,
-# then the features') on a 2-D layout rounded to 0.1, whose distances tie, the
-# report, and the losses of a short full-batch fit.
+# Prints, as JSON, the hash of the rank orders evaluate_layout makes (the map's
+# prefixes, then the features' orders) on a 2-D layout rounded to 0.1, whose
+# distances tie, the report, and the losses of a short full-batch fit.
 BLAS_CHILD = """
 import hashlib, json
 import numpy as np
 from graphtsne import (TrainConfig, citation_dataset, evaluate_layout, metrics,
                        random_dataset, train_full_batch)
-hashes, rank_blocks = [], metrics.rank_blocks
+hashes, rank_blocks, rank_prefix = [], metrics.rank_blocks, metrics.rank_prefix
+map_sha = hashlib.sha256()
 def hashed(*args):
     sha = hashlib.sha256()
     for rows, order in rank_blocks(*args):
         sha.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
         yield rows, order
     hashes.append(sha.hexdigest())
+def hashed_prefix(*args):
+    prefix = rank_prefix(*args)
+    map_sha.update(np.ascontiguousarray(prefix, dtype=np.int64).tobytes())
+    return prefix
 metrics.rank_blocks = hashed
+metrics.rank_prefix = hashed_prefix
 data = citation_dataset()
 layout = np.round(np.random.default_rng(2).normal(size=(data.graph.num_nodes, 2)), 1)
 report = evaluate_layout(data, layout).to_dict()
+hashes.insert(0, map_sha.hexdigest())
 del report["runtime_s"]
 _, fit = train_full_batch(random_dataset(1500, 6000, feature_dim=16, seed=0),
                           TrainConfig(alpha=0.5, epochs=5, hidden_dim=64, mode="full"))
