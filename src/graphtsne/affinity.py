@@ -47,17 +47,34 @@ def pairwise_sq_euclidean(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def distance_blocks(x: np.ndarray):
+def distance_blocks(x: np.ndarray, upper: bool = False):
     """Yield ``(rows, d)`` per ``row_blocks`` slice, d a fresh array of the squared
-    distances from those rows of x to every row, clamped at 0, self 0. On a 2-D map
-    its bits do not depend on the BLAS thread count; ``pairwise_sq_euclidean``'s do."""
+    distances from those rows of x to every row, clamped at 0, self 0. With
+    ``upper``, d holds only the columns from ``rows.start`` on: the block's
+    diagonal square and the columns right of it. On a 2-D map its bits do not
+    depend on the BLAS thread count; ``pairwise_sq_euclidean``'s do."""
     x = np.asarray(x, dtype=np.float64)
     sq = np.einsum("ij,ij->i", x, x)
     for rows in row_blocks(len(x)):
-        d = sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
+        cols = slice(rows.start if upper else 0, None)
+        d = sq[rows, None] + sq[None, cols] - 2.0 * (x[rows] @ x[cols].T)
         np.maximum(d, 0.0, out=d)
-        np.fill_diagonal(d[:, rows], 0.0)
+        np.fill_diagonal(d[:, rows.start - cols.start:], 0.0)
         yield rows, d
+
+
+def _check_symmetric(block: np.ndarray, mirror: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ``block`` equals ``mirror``, the transposed
+    entries facing it, up to rounding: finite where it is finite, and within
+    rtol 1e-9 and atol 1e-12 measured from either entry."""
+    if np.array_equal(block, mirror):   # NaN is never equal: it is checked below
+        return
+    finite = np.isfinite(block)
+    # both directions: allclose measures the difference against its second argument
+    if not (np.array_equal(finite, np.isfinite(mirror))
+            and np.allclose(block[finite], mirror[finite], rtol=1e-9, atol=1e-12)
+            and np.allclose(mirror[finite], block[finite], rtol=1e-9, atol=1e-12)):
+        raise ValueError(f"{what} must be symmetric")
 
 
 @dataclass
@@ -144,29 +161,72 @@ def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> Calibration
                              bound_hit=bool(bound_hit), degenerate=bool(np.isnan(sigma)))
 
 
-@dataclass
 class AffinityMatrix:
-    """Symmetric joint probabilities over point pairs in the input space."""
+    """Symmetric joint probabilities over point pairs in the input space,
+    stored once: ``blocks`` holds P[rows, rows.start:] for each slice of
+    ``row_blocks(size)``, the block's diagonal square and the columns right
+    of it.
 
-    p: np.ndarray
-    sigmas: np.ndarray
-    n_degenerate: int = 0
-    n_converged: int = 0
-    n_bound_hit: int = 0     # rows whose unconverged search ran into SIGMA_LO or SIGMA_HI
+    ``AffinityMatrix(p, sigmas)`` copies those blocks out of a dense P, whose
+    upper triangle is all it keeps; it raises ValueError on a P that is not
+    square, or not symmetric up to rounding (checked block by block, as
+    ``joint_p`` checks distances).
+    """
+
+    def __init__(self, p: np.ndarray, sigmas: np.ndarray, n_degenerate: int = 0,
+                 n_converged: int = 0, n_bound_hit: int = 0) -> None:
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise ValueError("affinity matrix must be square")
+        self.size = p.shape[0]
+        self.blocks = []
+        for rows in row_blocks(self.size):
+            s = rows.start
+            _check_symmetric(p[rows, s:], p[s:, rows].T, "affinity matrix")
+            block = p[rows, s:].copy()
+            square = block[:, :rows.stop - s]
+            lower = np.tril_indices(len(square), -1)
+            square[lower] = square.T[lower]   # the square's upper triangle, mirrored
+            self.blocks.append(block)
+        self.sigmas = sigmas
+        self.n_degenerate = n_degenerate
+        self.n_converged = n_converged
+        self.n_bound_hit = n_bound_hit   # rows whose unconverged search ran into SIGMA_LO or SIGMA_HI
+
+    @classmethod
+    def zeros(cls, n: int) -> AffinityMatrix:
+        """The all-zero P on n points of a term with weight 0: its blocks are
+        made by np.zeros and never written, so they hold no resident memory."""
+        zero = cls(np.zeros((0, 0)), sigmas=np.full(n, np.nan))
+        zero.size = n
+        zero.blocks = [np.zeros((rows.stop - rows.start, n - rows.start))
+                       for rows in row_blocks(n)]
+        return zero
 
     @property
-    def size(self) -> int:
-        return self.p.shape[0]
+    def p(self) -> np.ndarray:
+        """The dense symmetric N x N matrix, built anew at each read."""
+        n = self.size
+        p = np.empty((n, n))
+        for block in self.blocks:
+            s = n - block.shape[1]
+            rows = slice(s, s + len(block))
+            p[rows, s:] = block
+            p[s:, rows] = block.T
+        return p
 
     @cached_property
     def p_log_p_and_sum(self) -> tuple[float, float]:
-        """(sum of p log p over p > 0, sum of p): the KL's map-free part, made once."""
-        h = 0.0
-        for rows in row_blocks(self.size):
-            block = self.p[rows]
-            pm = block[block > 0.0]
-            h += float(np.dot(pm, np.log(pm)))
-        return h, float(self.p.sum())
+        """(sum of p log p over p > 0, sum of p) over all of P: the KL's
+        map-free part, made once from the stored triangle."""
+        h = total = 0.0
+        for block in self.blocks:  # the diagonal square once, the rest twice
+            b = len(block)
+            for part, share in ((block[:, :b], 1.0), (block[:, b:], 2.0)):
+                pm = part[part > 0.0]
+                h += share * float(np.dot(pm, np.log(pm)))
+                total += share * float(part.sum())
+        return h, total
 
 
 def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
@@ -183,11 +243,12 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
 
 
 def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
-    """``joint_p`` built over ``d`` itself, which the caller hands over: on
-    return d holds P (on an error, part of it), and no other N x N array is
-    made. Each block of rows is checked for symmetry against the columns
-    from its first row on, which no earlier block has overwritten, and then
-    replaced by its conditionals; a second walk symmetrizes d block by block."""
+    """``joint_p`` built over ``d`` itself, which the caller hands over: d is
+    made into the dense P (on an error, part of it), whose upper-triangle
+    blocks the result copies out, so d is freed when the caller drops it.
+    Each block of rows is checked for symmetry against the columns from its
+    first row on, which no earlier block has overwritten, and then replaced
+    by its conditionals; a second walk symmetrizes d block by block."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -196,14 +257,7 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     n_converged = n_bound_hit = 0
     for rows in row_blocks(n):
         s = rows.start
-        block, mirror = d[rows, s:], d[s:, rows].T
-        if not np.array_equal(block, mirror):   # NaN is never equal: it is checked here
-            finite = np.isfinite(block)
-            # both directions: allclose measures the difference against its second argument
-            if not (np.array_equal(finite, np.isfinite(mirror))
-                    and np.allclose(block[finite], mirror[finite], rtol=1e-9, atol=1e-12)
-                    and np.allclose(mirror[finite], block[finite], rtol=1e-9, atol=1e-12)):
-                raise ValueError("distance matrix must be symmetric")
+        _check_symmetric(d[rows, s:], d[s:, rows].T, "distance matrix")
         block = d[rows].copy()
         np.fill_diagonal(block[:, rows], np.inf)  # the self entry gets probability 0
         sigmas[rows], _, converged, bound_hit, d[rows] = _calibrate(block, target_perplexity)
@@ -218,5 +272,5 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
         d[rows, s:] = t
         d[s:, rows] = t.T
     d /= d.sum()
-    return AffinityMatrix(p=d, sigmas=sigmas, n_degenerate=n_degenerate,
+    return AffinityMatrix(d, sigmas=sigmas, n_degenerate=n_degenerate,
                           n_converged=n_converged, n_bound_hit=n_bound_hit)

@@ -131,6 +131,9 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
             width = max(width, max(int(size.max()) for size in sizes))
         if not (ks or rs):
             continue
+        if n == 1:  # no other node: every r-hop neighborhood is empty and counts 1
+            jaccard[:, rows] = 1.0
+            continue
         # the map-nearest columns every metric reads: the k of T_X, |N_r(i)| of T_G
         prefix = rank_prefix(rows, d, min(max(width, 1), n - 1))
         map_top[rows] = prefix[:, :map_top.shape[1]]

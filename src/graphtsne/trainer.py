@@ -117,44 +117,69 @@ class CompositeLoss:
     grad: np.ndarray
 
 
+def _triangle_vdot(p: np.ndarray, q: np.ndarray) -> float:
+    """<P, Q> over the pairs that one upper-triangle row block of symmetric P
+    and Q stands for: twice the block's, less its diagonal square's, since
+    the square's pairs count once and the others also stand for their mirrors."""
+    b = len(p)
+    return 2.0 * float(np.vdot(p, q)) - float(np.vdot(p[:, :b], q[:, :b]))
+
+
 def composite_loss_and_grad(p_graph, p_feat, y: np.ndarray,
                             alpha: float) -> CompositeLoss:
     """Blended KL loss over a shared map distribution and its exact gradient.
 
     total = alpha * KL(p_graph || q) + (1 - alpha) * KL(p_feat || q); the
-    gradient is the same convex combination. Accepts AffinityMatrix objects
-    or raw matrices. Row blocks of the map make no N x N temporary: each KL is
-    sum p log p + <P, log1p(d)> + log(sum w) * sum P (van der Maaten, JMLR 2014).
+    gradient is the same convex combination. Accepts AffinityMatrix objects or
+    raw matrices, which are wrapped as AffinityMatrix: P is symmetric, as
+    ``joint_p`` makes it, only its upper triangle is read, and a raw P that is
+    not symmetric raises ValueError. Each KL is sum p log p + <P, log1p(d)> +
+    log(sum w) * sum P (van der Maaten, JMLR 2014), made in one walk of the
+    upper triangle of map row blocks (``distance_blocks(y, upper=True)``), so
+    no N x N temporary is made and each pair is read once. A block's diagonal
+    square counts once; the part right of it gives its rows' attraction and
+    repulsion terms, transposed gives its columns' terms, and counts twice in
+    <P, log1p(d)> and sum w. A map of at most 64 points is one diagonal square.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     pg, px = (p if isinstance(p, AffinityMatrix) else
-              AffinityMatrix(p=np.asarray(p), sigmas=np.full(len(p), np.nan))
+              AffinityMatrix(p, sigmas=np.full(len(p), np.nan))
               for p in (p_graph, p_feat))
     y = np.asarray(y, dtype=np.float64)
-    if pg.p.shape != (y.shape[0], y.shape[0]) or px.p.shape != pg.p.shape:
+    if pg.size != y.shape[0] or px.size != pg.size:
         raise ValueError("affinity matrices must be BxB matching y rows")
     if y.shape[0] < 2:
         raise ValueError("need at least 2 map points")
     z, inner_g, inner_x = 0.0, 0.0, 0.0
-    attr, rep = np.empty_like(y), np.empty_like(y)
-    for rows, d in distance_blocks(y):
+    # per point i: sum_j a_ij and sum_j a_ij y_j, a = blended P * w, and the same of w^2
+    a_sum, a_y = np.zeros(len(y)), np.zeros_like(y)
+    w2_sum, w2_y = np.zeros(len(y)), np.zeros_like(y)
+    for (rows, d), g, x in zip(distance_blocks(y, upper=True), pg.blocks, px.blocks):
+        if not d.shape == g.shape == x.shape:
+            raise ValueError("affinity blocks do not match the map's row blocks")
+        b, right = rows.stop - rows.start, slice(rows.stop, None)
         log1p_d = np.log1p(d)  # -log w
-        inner_g += float(np.vdot(pg.p[rows], log1p_d))
-        inner_x += float(np.vdot(px.p[rows], log1p_d))
+        inner_g += _triangle_vdot(g, log1p_d)
+        inner_x += _triangle_vdot(x, log1p_d)
         d += 1.0
         w = np.reciprocal(d, out=d)
-        np.fill_diagonal(w[:, rows], 0.0)
-        z += float(w.sum())
-        a = (alpha * pg.p[rows] + (1.0 - alpha) * px.p[rows]) * w
-        attr[rows] = a.sum(axis=1)[:, None] * y[rows] - a @ y
+        np.fill_diagonal(w, 0.0)
+        z += 2.0 * float(w.sum()) - float(w[:, :b].sum())
+        a = (alpha * g + (1.0 - alpha) * x) * w
         w *= w
-        rep[rows] = w.sum(axis=1)[:, None] * y[rows] - w @ y
+        for m, m_sum, m_y in ((a, a_sum, a_y), (w, w2_sum, w2_y)):
+            m_sum[rows] += m.sum(axis=1)
+            m_y[rows] += m @ y[rows.start:]
+            m_sum[right] += m[:, b:].sum(axis=0)
+            m_y[right] += m[:, b:].T @ y[rows]
     log_z = float(np.log(z))
     (h_g, sum_g), (h_x, sum_x) = pg.p_log_p_and_sum, px.p_log_p_and_sum
     graph_term = h_g + inner_g + log_z * sum_g
     feature_term = h_x + inner_x + log_z * sum_x
     total = alpha * graph_term + (1.0 - alpha) * feature_term
+    attr = a_sum[:, None] * y - a_y
+    rep = w2_sum[:, None] * y - w2_y
     return CompositeLoss(total=total, graph_term=graph_term,
                          feature_term=feature_term, grad=4.0 * (attr - rep / z))
 
@@ -169,8 +194,7 @@ def _affinities(cfg: TrainConfig, size: int, graph_distances, feature_distances)
     for which, weight, distances in (("graph", cfg.alpha, graph_distances),
                                      ("feature", 1.0 - cfg.alpha, feature_distances)):
         if weight == 0.0:
-            terms.append(AffinityMatrix(p=np.zeros((size, size)),
-                                        sigmas=np.full(size, np.nan)))
+            terms.append(AffinityMatrix.zeros(size))
             continue
         try:
             terms.append(joint_p(distances(), cfg.perplexity))
@@ -245,8 +269,9 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
 
     Both affinity matrices are built once up front, from all-pairs BFS hops
     cut off at cfg.hop_cap and from squared Euclidean feature distances;
-    each distance matrix is calibrated into its P in place. A term with
-    weight 0 is not built and reports 0. Fully deterministic for a fixed seed.
+    each distance matrix is calibrated into its P in place, and P is kept
+    as its upper triangle. A term with weight 0 is not built and reports 0.
+    Fully deterministic for a fixed seed.
     """
     if cfg.mode != "full":
         raise ValueError("train_full_batch requires cfg.mode == 'full'")

@@ -29,6 +29,7 @@ import numpy as np
 
 from types import SimpleNamespace
 
+from graphtsne import affinity
 from graphtsne.affinity import AffinityMatrix, pairwise_sq_euclidean
 from graphtsne.errors import MalformedInputError
 from graphtsne.gcn import BN_EPS, BN_MOMENTUM
@@ -280,6 +281,27 @@ def joint_p_loop(distances, target_perplexity):
     p = (conditionals + conditionals.T) / (2.0 * n)
     p /= p.sum()
     return p, sigmas, n_degenerate, n_converged, n_bound_hit
+
+
+def dense_joint_p(distances, target_perplexity):
+    """The dense N x N P of a build that keeps it whole: each row block of a
+    copy of the distances is calibrated by ``affinity._calibrate`` and
+    overwritten with its conditionals, then the matrix is symmetrized block by
+    block from the diagonal on and divided by its sum. ``joint_p`` makes its
+    triangle the same way, so its ``.p`` has these bytes."""
+    d = np.array(distances, dtype=np.float64)
+    n = d.shape[0]
+    for rows in affinity.row_blocks(n):
+        block = d[rows].copy()
+        np.fill_diagonal(block[:, rows], np.inf)
+        d[rows] = affinity._calibrate(block, target_perplexity)[-1]
+    for rows in affinity.row_blocks(n):
+        s = rows.start
+        t = (d[rows, s:] + d[s:, rows].T) / (2.0 * n)
+        d[rows, s:] = t
+        d[s:, rows] = t.T
+    d /= d.sum()
+    return d
 
 
 def kl_oracle(p, y):

@@ -11,7 +11,7 @@ from graphtsne import (EmptyAffinityError, Graph, UNREACHABLE, affinity,
                        joint_p, pairwise_sq_euclidean)
 
 from conftest import finite_difference_grads, max_relative_error
-from oracles import (calibrate_row_loop, joint_p_loop, joint_p_reference,
+from oracles import (calibrate_row_loop, dense_joint_p, joint_p_loop, joint_p_reference,
                      naive_sq_euclidean, studentt_q, whole_array_sq_euclidean)
 
 
@@ -98,10 +98,16 @@ class TestDistanceBlocks:
                         (rng.normal(size=(n, dim)), 1e-12)):
             whole = pairwise_sq_euclidean(x)
             covered = 0
-            for rows, d in affinity.distance_blocks(x):
+            for (rows, d), (upper_rows, upper) in zip(
+                    affinity.distance_blocks(x), affinity.distance_blocks(x, upper=True)):
                 assert rows.start == covered and d.shape == (rows.stop - rows.start, n)
                 assert np.all(d >= 0.0) and np.all(np.diagonal(d[:, rows]) == 0.0)
                 assert np.allclose(d, whole[rows], rtol=rtol, atol=rtol * whole.max())
+                # the upper form: the same rows, the columns from the first of them on
+                assert upper_rows == rows and upper.shape == (len(d), n - rows.start)
+                assert np.all(upper >= 0.0) and np.all(np.diagonal(upper) == 0.0)
+                assert np.allclose(upper, whole[rows, rows.start:], rtol=rtol,
+                                   atol=rtol * whole.max())
                 covered = rows.stop
             assert covered == n
 
@@ -239,9 +245,9 @@ class TestJointP:
                     n_converged, n_degenerate, n_bound_hit)
                 np.testing.assert_allclose(aff.sigmas, sigmas, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(aff.p, p, rtol=1e-12, atol=0.0)
-                # one kernel: the copy the public call makes changes no bit
-                assert in_place.p is owned
-                assert in_place.p.tobytes() == aff.p.tobytes()
+                # one kernel: the copy the public call makes changes no bit;
+                # the handed-over matrix is made into the dense P
+                assert in_place.p.tobytes() == owned.tobytes() == aff.p.tobytes()
                 assert in_place.sigmas.tobytes() == aff.sigmas.tobytes()
                 assert (in_place.n_converged, in_place.n_degenerate,
                         in_place.n_bound_hit) == (n_converged, n_degenerate, n_bound_hit)
@@ -287,6 +293,42 @@ class TestJointP:
                 tracemalloc.stop()
             # here the 64-row blocks of the calibration hold about 0.4 N^2
             assert peak < (arrays + 0.75) * n * n * 8, calibrate.__name__
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_stored_triangle_gives_the_dense_build_bit_for_bit(self, data):
+        """``.p`` of the stored triangle has the bytes of the dense P that a
+        build keeping all of it makes, in row blocks of any height."""
+        n = data.draw(st.integers(1, 12))
+        d = draw_distances(data, n)
+        perplexity = data.draw(st.floats(2.0, 8.0))
+        block = data.draw(st.sampled_from([1, 3, n + 1]))
+        with mock.patch.object(affinity, "_ROW_BLOCK", block):
+            try:
+                aff = joint_p(d, perplexity)
+            except EmptyAffinityError:
+                return
+            dense = dense_joint_p(d, perplexity)
+            np.full((n, n), np.nan)  # so the freed memory .p may be given holds NaN
+            assert aff.p.tobytes() == dense.tobytes()
+            assert [len(b) for b in aff.blocks] == [
+                rows.stop - rows.start for rows in affinity.row_blocks(n)]
+
+    def test_returned_matrix_holds_one_triangle(self):
+        """P is kept once: the upper-triangle row blocks, about N^2 / 2 floats,
+        and the N x N matrix it is built in is freed when joint_p returns."""
+        n = 1500
+        x = np.random.default_rng(0).normal(size=(n, 16))
+        for calibrate in (affinity._joint_p_owned, joint_p):
+            tracemalloc.start()
+            try:
+                aff = calibrate(pairwise_sq_euclidean(x), 30.0)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sum(block.nbytes for block in aff.blocks) < (n * n / 2 + 64 * n) * 8
+            assert held <= (n * n / 2 + 64 * n) * 8, calibrate.__name__
+            del aff
 
     def test_asymmetric_input_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -341,8 +383,8 @@ class TestJointP:
         p = joint_p(pairwise_sq_euclidean(rng.normal(size=(150, 3))), 10.0).p
         pm = p[p > 0.0]
         for block in (affinity._ROW_BLOCK, 1, 3, 151):
-            aff = affinity.AffinityMatrix(p=p, sigmas=np.full(150, np.nan))
             with mock.patch.object(affinity, "_ROW_BLOCK", block):
+                aff = affinity.AffinityMatrix(p=p, sigmas=np.full(150, np.nan))
                 h, total = aff.p_log_p_and_sum
             assert h == pytest.approx(float(np.sum(pm * np.log(pm))), rel=1e-12)
             assert total == pytest.approx(1.0, rel=1e-12)

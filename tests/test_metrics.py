@@ -119,6 +119,19 @@ class TestGraphTrustworthiness:
         rotated = graph_trustworthiness(small_sbm.graph, y @ rot.T, 1)
         assert rotated == pytest.approx(base, abs=1e-9)
 
+    def test_single_node_counts_as_one(self):
+        """One node has no other, so its r-hop neighbourhood is empty: it counts
+        1, as the oracle counts it; the full suite then stops at P_G, which
+        needs an edge, with a ValueError."""
+        g = Graph.from_edges(1, [])
+        y = np.zeros((1, 2))
+        for r in (1, 2):
+            assert graph_trustworthiness(g, y, r) == 1.0
+            assert trust_graph_oracle(1, g.edge_pairs, y, r) == 1.0
+        data = LabeledDataset(graph=g, features=np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="no edges"):
+            evaluate_layout(data, y, knn_k=None, t_ks=(), t_rs=(1, 2))
+
     def test_radius_zero_rejected(self, path_graph):
         with pytest.raises(ValueError, match=">= 1"):
             graph_trustworthiness(path_graph, np.zeros((5, 2)), 0)

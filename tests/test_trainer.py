@@ -114,36 +114,45 @@ class TestCompositeLoss:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_row_blocks_match_dense_oracle(self, data):
-        n = data.draw(st.integers(2, 200), label="n")
+        """The triangle walk against the dense oracle on symmetric P's, stored
+        in row blocks of any height; a raw P that is not symmetric is rejected."""
+        # from 3 points: any symmetric P on 2 points is 0 or Q, whose gradient is
+        # a rounding of 0 that a relative bound cannot measure
+        n = data.draw(st.integers(3, 200), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        block = data.draw(st.sampled_from([1, 3, n + 1]), label="block")
 
         def affinity():
             kind = data.draw(st.sampled_from(["dense", "zero rows", "all zero"]))
             p = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+            p = p + p.T
             if kind == "zero rows":  # e.g. nodes no other node reaches
                 dead = rng.random(n) < 0.3
                 p[dead] = 0.0
                 p[:, dead] = 0.0
             if kind == "all zero":  # a term with weight 0
                 p[:] = 0.0
-            # a symmetric P on 2 points equals Q: its KL is a rounding of 0
-            if n > 2 and data.draw(st.booleans()):
-                p = p + p.T
             np.fill_diagonal(p, 0.0)
             if p.any():
                 p /= p.sum()
             if data.draw(st.booleans()):
-                return AffinityMatrix(p=p, sigmas=np.full(n, np.nan))
+                return AffinityMatrix(p, sigmas=np.full(n, np.nan))
             return p
 
-        pg, px = affinity(), affinity()
         alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
                           label="alpha")
         y = rng.normal(size=(n, 2)) * 10.0 ** data.draw(st.floats(-3.0, 1.0))
-        block = data.draw(st.sampled_from([1, 3, n + 1]), label="block")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("graphtsne.affinity._ROW_BLOCK", block)
+            pg, px = affinity(), affinity()
             fused = composite_loss_and_grad(pg, px, y, alpha)
+            if data.draw(st.booleans(), label="asymmetric"):
+                i, j = data.draw(st.sampled_from(
+                    [(i, j) for i in range(n) for j in range(n) if i != j]), label="pair")
+                p = pg.p if isinstance(pg, AffinityMatrix) else pg.copy()
+                p[i, j] = 2.0 * p[j, i] + 1.0 / n**2
+                with pytest.raises(ValueError, match="symmetric"):
+                    composite_loss_and_grad(p, px, y, alpha)
         dense = dense_composite_loss(pg, px, y, alpha)
         for name in ("total", "graph_term", "feature_term"):
             assert type(getattr(fused, name)) is float
@@ -156,11 +165,11 @@ class TestCompositeLoss:
     def test_one_call_holds_no_n_by_n_temporary(self):
         n = 1500
         rng = np.random.default_rng(0)
-        pg, px = rng.random((n, n)), rng.random((n, n))
+        pg, px = (p + p.T for p in (rng.random((n, n)), rng.random((n, n))))
         for p in (pg, px):
             np.fill_diagonal(p, 0.0)
             p /= p.sum()
-        pg, px = (AffinityMatrix(p=p, sigmas=np.ones(n)) for p in (pg, px))
+        pg, px = (AffinityMatrix(p, sigmas=np.ones(n)) for p in (pg, px))
         y = rng.normal(size=(n, 2))
         tracemalloc.start()
         try:
@@ -346,7 +355,8 @@ class TestTrainFullBatch:
         assert calls[0][0] is hops[0]
         for distances, result in calls:
             assert result.n_converged > 0
-            assert result.p is distances  # each distance matrix became its P
+            # each distance matrix was made into its P, whose triangle the result keeps
+            assert result.p.tobytes() == distances.tobytes()
 
     def test_identical_features_raise_named_training_error(self):
         # uniform feature rows: no bandwidth can hit the target perplexity
