@@ -178,13 +178,27 @@ class AffinityMatrix:
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("affinity matrix must be square")
+        for rows in row_blocks(len(p)):
+            s = rows.start
+            _check_symmetric(p[rows, s:], p[s:, rows].T, "affinity matrix")
+        self._keep(p, sigmas, n_degenerate, n_converged, n_bound_hit)
+
+    @classmethod
+    def _of_symmetric(cls, p: np.ndarray, sigmas: np.ndarray, n_degenerate: int,
+                      n_converged: int, n_bound_hit: int) -> AffinityMatrix:
+        """The constructor on a square float64 P that is exactly symmetric as
+        built, such as ``_joint_p_owned``'s, which it does not check again."""
+        self = cls.__new__(cls)
+        self._keep(p, sigmas, n_degenerate, n_converged, n_bound_hit)
+        return self
+
+    def _keep(self, p: np.ndarray, sigmas: np.ndarray, n_degenerate: int,
+              n_converged: int, n_bound_hit: int) -> None:
         self.size = p.shape[0]
         self.blocks = []
         for rows in row_blocks(self.size):
-            s = rows.start
-            _check_symmetric(p[rows, s:], p[s:, rows].T, "affinity matrix")
-            block = p[rows, s:].copy()
-            square = block[:, :rows.stop - s]
+            block = p[rows, rows.start:].copy()
+            square = block[:, :rows.stop - rows.start]
             lower = np.tril_indices(len(square), -1)
             square[lower] = square.T[lower]   # the square's upper triangle, mirrored
             self.blocks.append(block)
@@ -272,5 +286,4 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
         d[rows, s:] = t
         d[s:, rows] = t.T
     d /= d.sum()
-    return AffinityMatrix(d, sigmas=sigmas, n_degenerate=n_degenerate,
-                          n_converged=n_converged, n_bound_hit=n_bound_hit)
+    return AffinityMatrix._of_symmetric(d, sigmas, n_degenerate, n_converged, n_bound_hit)

@@ -21,6 +21,17 @@ the backward pass gets the destination gate gradient with no further walk.
 The backward pass walks by source, recomputing the gates from the trace's
 per-node gate terms. Each node's edge terms are added one after another in
 edge order, from 0.0.
+
+Where the features are narrower than the hidden units (F < H), layer 1
+folds the input projection into its source-side weights: gate_src and
+msg_in of its input nodes are made from the features as x (w in_w)^T +
+(w in_b + b), and h = x in_w^T + in_b only for its output nodes, which the
+self term, gate_dst and the residual read. The backward pass carries the
+fold to in_w through A = d^T x, the F-wide product of a source term's
+gradient d with the features, so neither pass makes an H-wide array over
+layer 1's input rows, the 2-hop frontier of a mini-batch. With F >= H the
+projection is made first, as the cheaper order. Only rounding tells the
+two orders apart. An eval-mode forward keeps no per-layer trace.
 """
 
 from __future__ import annotations
@@ -237,9 +248,18 @@ def _gated_sums(walk: list, ends: np.ndarray, others: np.ndarray,
 # Forward / backward
 # ---------------------------------------------------------------------------
 
+def _folds(model: GcnModel) -> bool:
+    """Whether layer 1 reads its source-side terms straight from the features,
+    through the input projection folded into its source weights: so it does
+    when there is a layer 1 and the features are narrower than the hidden
+    units, where an H-wide product over its inputs costs more than an F-wide
+    one."""
+    return model.num_layers > 0 and model.input_dim < model.hidden_dim
+
+
 @dataclass
 class _LayerTrace:
-    h_in: np.ndarray
+    h_in: np.ndarray        # the layer's input; layer 1's output rows only where it folds
     gate_dst: np.ndarray    # gate_dst_w h + gate_dst_b for the output nodes
     gate_src: np.ndarray    # gate_src_w h + gate_src_b for all input nodes
     msg_in: np.ndarray      # msg_w h + msg_b for all input nodes
@@ -251,8 +271,9 @@ class _LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """What ``backward`` reads of a forward pass: per layer the N x H node
-    terms, no array with a row per edge (the plan holds the edge walks)."""
+    """What ``backward`` reads of a train-mode forward pass: per layer the
+    N x H node terms, no array with a row per edge (the plan holds the edge
+    walks). An eval-mode pass keeps no layers."""
 
     plan: PropagationPlan
     x_sub: np.ndarray
@@ -286,15 +307,22 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
     full = (ids.size == len(features) and features.flags.c_contiguous
             and np.array_equal(ids, np.arange(ids.size)))
     x_sub = features if full else features[ids]
-    h = x_sub @ model.in_w.T + model.in_b
+    fold = _folds(model)
+    # folded, layer 1's input h is needed only on its output rows
+    h = (x_sub[:plan.layers[0].out_size] if fold else x_sub) @ model.in_w.T + model.in_b
     trace = ForwardTrace(plan=plan, x_sub=x_sub, train_mode=mode == "train")
 
-    for layer, lp in zip(model.layers, plan.layers):
+    for l, (layer, lp) in enumerate(zip(model.layers, plan.layers)):
         h_in = h
         out_n = lp.out_size
         gate_dst = h_in[:out_n] @ layer.gate_dst_w.T + layer.gate_dst_b
-        gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
-        msg_in = h_in @ layer.msg_w.T + layer.msg_b
+        if fold and l == 0:     # from the features, by the folded weights and biases
+            gate_src, msg_in = (x_sub @ (w @ model.in_w).T + (w @ model.in_b + b)
+                                for w, b in ((layer.gate_src_w, layer.gate_src_b),
+                                             (layer.msg_w, layer.msg_b)))
+        else:
+            gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
+            msg_in = h_in @ layer.msg_w.T + layer.msg_b
 
         s = h_in[:out_n] @ layer.self_w.T   # plus the mean gated message
         slope = np.empty_like(gate_dst)
@@ -315,9 +343,10 @@ def forward(model: GcnModel, plan: PropagationPlan, features: np.ndarray,
         z = layer.bn_scale * x_hat + layer.bn_shift
         relu_mask = z > 0.0
         h = np.where(relu_mask, z, 0.0) + h_in[:out_n]
-        trace.layers.append(_LayerTrace(
-            h_in=h_in, gate_dst=gate_dst, gate_src=gate_src, msg_in=msg_in,
-            slope=slope, x_hat=x_hat, inv_std=inv_std, relu_mask=relu_mask))
+        if trace.train_mode:    # only backward reads them, and it needs train mode
+            trace.layers.append(_LayerTrace(
+                h_in=h_in, gate_dst=gate_dst, gate_src=gate_src, msg_in=msg_in,
+                slope=slope, x_hat=x_hat, inv_std=inv_std, relu_mask=relu_mask))
     trace.h_final = h
     y = h[:plan.batch_size] @ model.out_w.T
     return y, trace
@@ -337,6 +366,8 @@ def backward(model: GcnModel, trace: ForwardTrace,
     if grad_y.shape != (plan.batch_size, model.out_dim):
         raise ValueError("grad_y shape does not match the plan batch")
 
+    fold = _folds(model)
+    folded = []     # (w, A, db) of layer 1's source terms where it folds
     grads = {"out_w": grad_y.T @ trace.h_final[:plan.batch_size]}
     dh = np.zeros_like(trace.h_final)
     dh[:plan.batch_size] = grad_y @ model.out_w
@@ -378,20 +409,36 @@ def backward(model: GcnModel, trace: ForwardTrace,
         dgate_src *= lt.msg_in
         dgate_dst = np.multiply(dagg, lt.slope, out=dagg)   # and dagg no more
 
-        grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
-        grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
         grads[prefix + "gate_dst_w"] = dgate_dst.T @ lt.h_in[:out_n]
         grads[prefix + "gate_dst_b"] = dgate_dst.sum(axis=0)
-        grads[prefix + "gate_src_w"] = dgate_src.T @ lt.h_in
-        grads[prefix + "gate_src_b"] = dgate_src.sum(axis=0)
 
-        dh_in += dmsg_in @ layer.msg_w
-        dh_in[:out_n] += dgate_dst @ layer.gate_dst_w
-        dh_in += dgate_src @ layer.gate_src_w
+        if fold and l == 0:
+            # layer 1's source terms were made from the features: with
+            # A = d.T @ x_sub, w's gradient is A @ in_w.T + outer(db, in_b),
+            # and the input projection gains w.T @ A and w.T @ db below, so
+            # no H-wide array over layer 1's input rows is made
+            for name, d in (("gate_src", dgate_src), ("msg", dmsg_in)):
+                a = d.T @ trace.x_sub
+                db = d.sum(axis=0)
+                grads[prefix + name + "_w"] = a @ model.in_w.T + np.outer(db, model.in_b)
+                grads[prefix + name + "_b"] = db
+                folded.append((getattr(layer, name + "_w"), a, db))
+            dh_in += dgate_dst @ layer.gate_dst_w
+        else:
+            grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
+            grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
+            grads[prefix + "gate_src_w"] = dgate_src.T @ lt.h_in
+            grads[prefix + "gate_src_b"] = dgate_src.sum(axis=0)
+            dh_in += dmsg_in @ layer.msg_w
+            dh_in[:out_n] += dgate_dst @ layer.gate_dst_w
+            dh_in += dgate_src @ layer.gate_src_w
         dh = dh_in
 
-    grads["in_w"] = dh.T @ trace.x_sub
+    grads["in_w"] = dh.T @ trace.x_sub[:len(dh)]   # folded, layer 1's output rows
     grads["in_b"] = dh.sum(axis=0)
+    for w, a, db in folded:
+        grads["in_w"] += w.T @ a
+        grads["in_b"] += w.T @ db
     return grads
 
 
@@ -418,19 +465,30 @@ def init_adam(model: GcnModel, lr: float) -> AdamState:
 
 
 def adam_step(state: AdamState, model: GcnModel, grads: dict) -> None:
-    """One Adam update with bias correction; parameters updated in place."""
+    """One Adam update with bias correction; parameters updated in place.
+
+    The update of each parameter is m = b1 m + (1 - b1) g, v = b2 v +
+    (1 - b2) g g and param -= lr (m / bc1) / (sqrt(v / bc2) + eps), made in
+    two scratch arrays sized for the largest parameter and shared by all."""
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for name, param in model.named_parameters():
+    params = list(model.named_parameters())
+    size = max(param.size for _, param in params)
+    scratch = np.empty(size), np.empty(size)
+    for name, param in params:
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        t, u = (buf[:param.size].reshape(param.shape) for buf in scratch)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=t)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(1.0 - ADAM_BETA2, g, out=t)
+        v += np.multiply(t, g, out=t)
+        np.multiply(state.lr, np.divide(m, bc1, out=t), out=t)
+        np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAM_EPS, out=u)
+        param -= np.divide(t, u, out=t)
 
 
 def maybe_decay_lr(state: AdamState, epoch_loss: float) -> bool:

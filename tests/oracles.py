@@ -16,6 +16,9 @@ factored order the library uses (the forward's gate slope times the
 destination's gradient; the source's message times a sum by source);
 ``per_edge=True`` sums each edge's full product instead, as the library
 did before, to check that factoring moved the gradients only by rounding.
+Both passes fold the input projection into layer 1's source weights where
+the features are narrower than the hidden units, in the library's order of
+operations, so the bit-for-bit check covers both of its branches.
 The ``*_oracle`` file readers are the library's former loaders, which read
 and checked one line at a time, kept as they were but for
 ``labels_csv_oracle``'s int64 range check and its reading of a cell that
@@ -389,15 +392,25 @@ def whole_array_forward(model, plan, features, mode="train"):
     the model's batch-norm running statistics."""
     train = mode == "train"
     x_sub = np.asarray(features, dtype=np.float64)[plan.node_ids]
-    h = x_sub @ model.in_w.T + model.in_b
+    fold = model.input_dim < model.hidden_dim
+    if fold:
+        h = x_sub[:plan.layers[0].out_size] @ model.in_w.T + model.in_b
+    else:
+        h = x_sub @ model.in_w.T + model.in_b
     layers = []
-    for layer, lp in zip(model.layers, plan.layers):
+    for l, (layer, lp) in enumerate(zip(model.layers, plan.layers)):
         h_in = h
         out_n = lp.out_size
         self_term = h_in[:out_n] @ layer.self_w.T
         gate_dst = h_in[:out_n] @ layer.gate_dst_w.T + layer.gate_dst_b
-        gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
-        msg_in = h_in @ layer.msg_w.T + layer.msg_b
+        if fold and l == 0:
+            gate_src = (x_sub @ (layer.gate_src_w @ model.in_w).T
+                        + (layer.gate_src_w @ model.in_b + layer.gate_src_b))
+            msg_in = (x_sub @ (layer.msg_w @ model.in_w).T
+                      + (layer.msg_w @ model.in_b + layer.msg_b))
+        else:
+            gate_src = h_in @ layer.gate_src_w.T + layer.gate_src_b
+            msg_in = h_in @ layer.msg_w.T + layer.msg_b
 
         gate = 1.0 / (1.0 + np.exp(-(gate_dst[lp.dst] + gate_src[lp.src])))
         msg = gate * msg_in[lp.src]
@@ -435,6 +448,7 @@ def whole_array_backward(model, trace, grad_y, per_edge=False):
     dh = np.zeros_like(trace.h_final)
     dh[:plan.batch_size] = grad_y @ model.out_w
 
+    fold = model.input_dim < model.hidden_dim
     for l in range(model.num_layers - 1, -1, -1):
         layer = model.layers[l]
         lp = plan.layers[l]
@@ -467,10 +481,28 @@ def whole_array_backward(model, trace, grad_y, per_edge=False):
                                     lp.in_size) * lt.msg_in
         dmsg_in = _add_at_sum(dmsg_edge, lp.src, lp.in_size)
 
-        grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
-        grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
         grads[prefix + "gate_dst_w"] = dgate_dst.T @ lt.h_in[:out_n]
         grads[prefix + "gate_dst_b"] = dgate_dst.sum(axis=0)
+        if fold and l == 0:
+            a_gate = dgate_src.T @ trace.x_sub
+            a_msg = dmsg_in.T @ trace.x_sub
+            grads[prefix + "gate_src_w"] = (a_gate @ model.in_w.T
+                                            + np.outer(dgate_src.sum(axis=0), model.in_b))
+            grads[prefix + "gate_src_b"] = dgate_src.sum(axis=0)
+            grads[prefix + "msg_w"] = (a_msg @ model.in_w.T
+                                       + np.outer(dmsg_in.sum(axis=0), model.in_b))
+            grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
+            dh_in += dgate_dst @ layer.gate_dst_w
+            dh = dh_in
+            grads["in_w"] = dh.T @ trace.x_sub[:out_n]
+            grads["in_w"] += layer.gate_src_w.T @ a_gate
+            grads["in_w"] += layer.msg_w.T @ a_msg
+            grads["in_b"] = dh.sum(axis=0)
+            grads["in_b"] += layer.gate_src_w.T @ dgate_src.sum(axis=0)
+            grads["in_b"] += layer.msg_w.T @ dmsg_in.sum(axis=0)
+            return grads
+        grads[prefix + "msg_w"] = dmsg_in.T @ lt.h_in
+        grads[prefix + "msg_b"] = dmsg_in.sum(axis=0)
         grads[prefix + "gate_src_w"] = dgate_src.T @ lt.h_in
         grads[prefix + "gate_src_b"] = dgate_src.sum(axis=0)
 

@@ -379,6 +379,18 @@ class TestJointP:
             with pytest.raises(ValueError, match="symmetric"):
                 joint_p(asymmetric, 10.0)
 
+    def test_joint_p_blocks_as_the_checking_constructor_makes_them(self, rng):
+        # joint_p stores its P unchecked; the public constructor checks any P
+        aff = joint_p(pairwise_sq_euclidean(rng.normal(size=(150, 3))), 10.0)
+        p = aff.p
+        again = affinity.AffinityMatrix(p, sigmas=aff.sigmas)
+        assert len(again.blocks) == len(aff.blocks)
+        for got, want in zip(aff.blocks, again.blocks):
+            assert got.tobytes() == want.tobytes()
+        p[3, 100] = 2.0 * p[100, 3] + 1e-3
+        with pytest.raises(ValueError, match="affinity matrix must be symmetric"):
+            affinity.AffinityMatrix(p, sigmas=aff.sigmas)
+
     def test_p_log_p_and_sum_made_once_over_row_blocks(self, rng):
         p = joint_p(pairwise_sq_euclidean(rng.normal(size=(150, 3))), 10.0).p
         pm = p[p > 0.0]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtsne import Graph, affinity, init_model, load_model, save_model
+from graphtsne import Graph, affinity, gcn, init_model, load_model, save_model
 from graphtsne.gcn import (LR_DECAY_FACTOR, LR_PATIENCE, AdamState, GcnModel,
                            _block_sum, _gate, adam_step, backward, build_batch_plan,
                            build_full_plan, forward, init_adam, maybe_decay_lr,
@@ -226,6 +226,43 @@ class TestBackward:
         for name, fd in zip(params, fds):
             assert max_relative_error(grads[name], fd) <= 1e-5, name
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_matches_finite_differences_features_wider_than_hidden(self, rng, batched):
+        # 6 features to 3 hidden units: layer 1 projects its inputs, unfolded
+        ds = random_dataset(20, 60, feature_dim=6, seed=17)
+        model = init_model(6, 3, seed=18)
+        assert not gcn._folds(model)
+        if batched:
+            sample = neighbor_subsample(ds.graph, np.array([1, 4, 9, 13]), (2, 3), seed=19)
+            plan = build_batch_plan(sample)
+        else:
+            plan = build_full_plan(ds.graph, model.num_layers)
+        gy = rng.normal(size=(plan.batch_size, 2))
+
+        def loss():
+            y, _ = forward(model, plan, ds.features, mode="train")
+            return float((gy * y).sum())
+
+        _, trace = forward(model, plan, ds.features, mode="train")
+        grads = backward(model, trace, gy)
+        params = dict(model.named_parameters())
+        fds = finite_difference_grads(loss, list(params.values()))
+        for name, fd in zip(params, fds):
+            assert max_relative_error(grads[name], fd) <= 1e-5, name
+
+    @pytest.mark.parametrize("in_dim, hidden", [(3, 5), (5, 3)])
+    def test_no_conv_layers_is_the_projections(self, rng, in_dim, hidden):
+        model = init_model(in_dim, hidden, seed=2, num_layers=0)
+        plan = build_full_plan(Graph.from_edges(4, [(0, 1)]), 0)
+        x = rng.normal(size=(4, in_dim))
+        gy = rng.normal(size=(4, 2))
+        y, trace = forward(model, plan, x)
+        h = x @ model.in_w.T + model.in_b
+        assert y.tobytes() == (h @ model.out_w.T).tobytes()
+        grads = backward(model, trace, gy)
+        assert grads.keys() == {"in_w", "in_b", "out_w"}
+        assert np.allclose(grads["in_w"], (gy @ model.out_w).T @ x, atol=1e-12)
+
     def test_eval_trace_rejected(self):
         ds, model, plan = tiny_instance()
         _, trace = forward(model, plan, ds.features, mode="eval")
@@ -322,10 +359,11 @@ class TestBlockSum:
             assert arr.dtype == np.float64 and np.isfinite(arr).all()
 
 
-def draw_graph_and_model(data):
+def draw_graph_and_model(data, hidden=st.integers(2, 5)):
     """A hypothesis-drawn graph of 1-90 nodes, maybe with a hub of degree
-    n - 1, and a model whose every parameter is standard normal; returns
-    (n, graph, model, rng, seed)."""
+    n - 1, and a model of 3 features to 2-5 hidden units, so layer 1 folds
+    the input projection or not, whose every parameter is standard normal;
+    returns (n, graph, model, rng, seed)."""
     n = data.draw(st.integers(1, 90), label="n")
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
                                          st.integers(0, n - 1)),
@@ -336,7 +374,7 @@ def draw_graph_and_model(data):
     graph = Graph.from_edges(n, sorted(pairs))  # nodes on no pair are isolated
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
-    model = init_model(3, 4, seed=seed % 1000)
+    model = init_model(3, data.draw(hidden, label="hidden"), seed=seed % 1000)
     for _, param in model.named_parameters():
         param[:] = rng.normal(size=param.shape)
     return n, graph, model, rng, seed
@@ -395,6 +433,34 @@ class TestBlockedPasses:
             scale = max(np.abs(g).max() for g in per_edge.values())
             for name, want in per_edge.items():
                 assert np.abs(factored[name] - want).max() <= 1e-12 * scale, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_folded_layer_one_matches_unfolded_formulas(self, data):
+        # 3 features to 4-5 hidden units: layer 1 folds the input projection
+        n, graph, model, rng, seed = draw_graph_and_model(data, hidden=st.integers(4, 5))
+        assert gcn._folds(model)
+        features = rng.normal(size=(n, 3))
+        batch = rng.choice(n, size=data.draw(st.integers(1, n)), replace=False)
+        sample = neighbor_subsample(graph, batch, (80, 80), seed=seed)
+        for plan in (build_full_plan(graph, model.num_layers), build_batch_plan(sample)):
+            grad_y = rng.normal(size=(plan.batch_size, 2))
+            passes = []
+            for fold in (True, False):
+                pass_model = copy.deepcopy(model)
+                with mock.patch.object(gcn, "_folds", return_value=fold):
+                    y, trace = forward(pass_model, plan, features)
+                    grads = backward(pass_model, trace, grad_y)
+                    y_eval, _ = forward(pass_model, plan, features, mode="eval")
+                passes.append((y, y_eval, grads, pass_model))
+            (y, y_eval, got, got_model), (want_y, want_eval, want, want_model) = passes
+            for a, b in ((y, want_y), (y_eval, want_eval)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+            scale = max(np.abs(g).max() for g in want.values())
+            for name, g in want.items():
+                assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+            for (name, a), (_, b) in zip(got_model.named_state(), want_model.named_state()):
+                assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0), name
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_matches_finite_differences_across_blocks(self, rng, batched):
