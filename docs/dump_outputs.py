@@ -56,9 +56,10 @@ Covered:
   counts;
 - knn_graph pairs for k = 1, 10 and 50 on the citation stand-in's features,
   whose many ties test the tie order, and on the real-valued features;
-- every rank_blocks order (hashed) on the citation stand-in's features and on
-  a seeded 2-D layout rounded to 0.1, so that its distances tie, the layout's
-  once from its distance matrix and once from the loss's distance blocks;
+- every rank_prefix order in full (hashed, under the "rank_blocks_" keys of
+  earlier dumps) on the citation stand-in's features and on a seeded 2-D
+  layout rounded to 0.1, so that its distances tie, the layout's once from
+  its distance matrix and once from the loss's distance blocks;
 - rank_prefix's first m columns (hashed) of those distance blocks, for
   m = 1, 18, 118 and N - 1;
 - evaluate_layout on that layout and on it rounded, its report without the
@@ -76,8 +77,8 @@ Covered:
   file), `graphtsne sweep` and `graphtsne evaluate` write, with the
   manifests' timestamps and the reports' run times removed.
 
-Uses the public API plus `graph.rank_blocks`, `graph.rank_prefix`,
-`affinity.distance_blocks` and `affinity.row_blocks`; a tree that lacks one of them is dumped with its own
+Uses the public API plus `graph.rank_prefix`, `affinity.distance_blocks` and
+`affinity.row_blocks`; a tree that lacks one of them is dumped with its own
 copy of this script. Takes about 10 s on a 2-core machine.
 """
 
@@ -107,7 +108,7 @@ from graphtsne import (Graph, LabeledDataset, TrainConfig, TrainingError,
 from graphtsne.affinity import distance_blocks, row_blocks
 from graphtsne.cli import main as cli_main, read_layout_csv
 from graphtsne.graph import (load_edge_list, load_features_csv, load_labels_csv,
-                            rank_blocks, rank_prefix)
+                            rank_prefix)
 
 ALPHAS = (0.0, 0.5, 1.0)
 FULL_FLOATS = 10_000   # larger float arrays (the N x N affinities) are hashed and sampled
@@ -294,16 +295,17 @@ def plans() -> dict:
 
 
 def matrix_blocks(distances):
-    """A distance matrix as the (rows, distances[rows]) blocks rank_blocks takes."""
+    """A distance matrix as (rows, distances[rows]) blocks, as distance_blocks yields."""
     return ((rows, distances[rows]) for rows in row_blocks(len(distances)))
 
 
 def rank_orders(blocks) -> str:
-    """SHA-256 of every rank_blocks order of (rows, distances) blocks, block by block."""
+    """SHA-256 of rank_prefix's whole order of every (rows, distances) block."""
     sha, n = hashlib.sha256(), 0
-    for _, order in rank_blocks(blocks):
-        sha.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
-        n += len(order)
+    for rows, block in blocks:
+        n = block.shape[1]
+        sha.update(np.ascontiguousarray(rank_prefix(rows, block, n - 1),
+                                        dtype=np.int64).tobytes())
     return f"int64{[n, n - 1]}:{sha.hexdigest()}"
 
 

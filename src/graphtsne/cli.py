@@ -277,6 +277,9 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"error: training failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

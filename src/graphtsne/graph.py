@@ -417,65 +417,55 @@ def all_pairs_distances(graph: Graph, hop_cap: int | None = None) -> np.ndarray:
     return bfs_shortest_paths(graph, ids, ids, hop_cap=hop_cap)
 
 
-def rank_blocks(blocks):
-    """Yield ``(rows, order)`` per ``(rows, block)`` of distances from those rows to all
-    n points, whose self entries it sets to -inf: ``order[b]`` lists every column but
-    ``rows.start + b``, nearest first, ties to the smaller index and NaN last, the order
-    of a stable argsort.
-
-    Each block is sorted by NumPy's default, unstable argsort. A row with no two equal
-    values has only one order. In a row with ties, each distinct value gets a dense
-    code, and a stable argsort of the codes as small unsigned integers (NumPy's radix
-    sort below 65536 columns) orders every tie by index. The metrics rank feature rows
-    with it, whose every rank T_X reads; a map block, of which they read only the
-    nearest columns, goes through ``rank_prefix``.
-    """
-    for rows, block in blocks:
-        n = block.shape[1]
-        np.fill_diagonal(block[:, rows], -np.inf)  # self sorts first, then is cut
-        order = np.argsort(block, axis=1)
-        ranked = np.take_along_axis(block, order, axis=1)
-        # NaNs sort last, and a stable sort keeps them in index order like equal values
-        tied = ranked[:, 1:] == ranked[:, :-1]
-        tied |= np.isnan(ranked[:, :-1])
-        ties = np.flatnonzero(tied.any(axis=1))
-        # code[t, j]: the number of distinct values sorted before position j
-        code = np.zeros((ties.size, n), dtype=np.min_scalar_type(n))
-        np.cumsum(~tied[ties], axis=1, dtype=code.dtype, out=code[:, 1:])
-        by_column = np.empty_like(code)
-        np.put_along_axis(by_column, order[ties], code, axis=1)
-        order[ties] = np.argsort(by_column, axis=1, kind="stable")
-        yield rows, order[:, 1:]
-
-
 def rank_prefix(rows: slice, block: np.ndarray, m: int) -> np.ndarray:
-    """The first m columns, 1 <= m < n, of ``rank_blocks``' order of one ``(rows,
-    block)``: nearest first, ties to the smaller index also across the cut, NaN last.
-    Sets the block's self entries to -inf as ``rank_blocks`` does.
+    """The first m < n columns of each row of ``block``, the distances from ``rows``
+    to all n points: nearest first, ties to the smaller index also across the cut,
+    NaN last, the order of a stable argsort; m = n - 1 is every column. The block's
+    self entries are set to -inf, so that self sorts first and is cut.
 
-    ``np.argpartition`` picks m + 1 columns per row, self among them, which are put
-    in index order and then stably sorted by value. In a row where the value at the
-    cut has more equal entries than were picked, the picked ones need not be those
-    of smallest index, so that row picks again: every smaller value, then the equal
-    ones in index order.
+    Below n - 1, ``np.argpartition`` picks m + 1 columns per row, self among them,
+    which are put in index order. In a row where the value at the cut has more equal
+    entries than were picked, the picked ones need not be those of smallest index,
+    so that row picks again: every smaller value, then the equal ones in index order.
+    The picked columns are sorted by NumPy's default, unstable argsort. A row with no
+    two equal values has only one order. In a row with ties, each distinct value gets
+    a dense code, and a stable argsort of the codes as small unsigned integers
+    (NumPy's radix sort below 65536 columns) orders every tie by index.
     """
+    n = block.shape[1]
     np.fill_diagonal(block[:, rows], -np.inf)
-    pick = np.argpartition(block, m, axis=1)[:, :m + 1]
-    cut = np.take_along_axis(block, pick[:, m:], axis=1)
-    same = block == cut
-    nan_cut = np.isnan(cut[:, 0])
-    same[nan_cut] = np.isnan(block[nan_cut])
-    same_picked = np.take_along_axis(same, pick, axis=1)
-    redo = np.flatnonzero(np.count_nonzero(same, axis=1)
-                          > np.count_nonzero(same_picked, axis=1))
-    if redo.size:
-        # key 0: picked below the cut, 1: equal to it, 2: beyond it
-        key = np.where(same[redo], 1, 2).astype(np.uint8)
-        np.put_along_axis(key, pick[redo], same_picked[redo], axis=1)
-        pick[redo] = np.argsort(key, axis=1, kind="stable")[:, :m + 1]
-    pick.sort(axis=1)
-    by_value = np.argsort(np.take_along_axis(block, pick, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(pick, by_value, axis=1)[:, 1:]
+    if m + 1 < n:
+        pick = np.argpartition(block, m, axis=1)[:, :m + 1]
+        cut = np.take_along_axis(block, pick[:, m:], axis=1)
+        same = block == cut
+        nan_cut = np.isnan(cut[:, 0])
+        same[nan_cut] = np.isnan(block[nan_cut])
+        same_picked = np.take_along_axis(same, pick, axis=1)
+        redo = np.flatnonzero(np.count_nonzero(same, axis=1)
+                              > np.count_nonzero(same_picked, axis=1))
+        if redo.size:
+            # key 0: picked below the cut, 1: equal to it, 2: beyond it
+            key = np.where(same[redo], 1, 2).astype(np.uint8)
+            np.put_along_axis(key, pick[redo], same_picked[redo], axis=1)
+            pick[redo] = np.argsort(key, axis=1, kind="stable")[:, :m + 1]
+        pick.sort(axis=1)
+        block = np.take_along_axis(block, pick, axis=1)
+    order = np.argsort(block, axis=1)
+    ranked = np.take_along_axis(block, order, axis=1)
+    # NaNs sort last, and a stable sort keeps them in index order like equal values
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    tied |= np.isnan(ranked[:, :-1])
+    ties = np.flatnonzero(tied.any(axis=1))
+    # code[t, j]: the number of distinct values sorted before position j
+    width = block.shape[1]
+    code = np.zeros((ties.size, width), dtype=np.min_scalar_type(width))
+    np.cumsum(~tied[ties], axis=1, dtype=code.dtype, out=code[:, 1:])
+    by_column = np.empty_like(code)
+    np.put_along_axis(by_column, order[ties], code, axis=1)
+    order[ties] = np.argsort(by_column, axis=1, kind="stable")
+    if m + 1 < n:
+        order = np.take_along_axis(pick, order, axis=1)
+    return order[:, 1:m + 1]
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .affinity import distance_blocks, pairwise_sq_euclidean, row_blocks
 from .errors import TrainingError
-from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_blocks, rank_prefix
+from .graph import Graph, LabeledDataset, bfs_shortest_paths, rank_prefix
 from .trainer import TrainConfig, _child_seed, embed, train
 
 DEFAULT_KNN_K = 10
@@ -71,13 +71,15 @@ def _check_metric_args(n: int, x=None, ks=(), graph: Graph | None = None, rs=(),
 def _feature_pass(x, knn_k: int, ks=(), map_top=None):
     """The pairs (i, j), j among the knn_k nearest feature rows to i, by i and then
     rank, and per k in ``ks`` the trustworthiness penalty of ``map_top``'s map
-    neighbors: one pass over row blocks of the feature distances, each sorted once
-    in full, since a map neighbor's feature rank can lie anywhere in its row."""
+    neighbors: one pass over row blocks of the feature distances, each ranked by
+    ``rank_prefix``. With ``ks`` every row is ranked in full, since a map neighbor's
+    feature rank can lie anywhere in its row; without, only its first knn_k columns."""
     n = len(x)
     penalty = [0] * len(ks)
     knn = np.empty((n, knn_k), dtype=np.int64)
     d = pairwise_sq_euclidean(x)
-    for rows, order in rank_blocks((rows, d[rows]) for rows in row_blocks(n)):
+    for rows in row_blocks(n):
+        order = rank_prefix(rows, d[rows], n - 1 if ks else knn_k)
         knn[rows] = order[:, :knn_k]
         if ks:
             # feature rank (1 = nearest) of each kept map neighbor
@@ -94,11 +96,11 @@ def _score(y, x=None, ks=(), graph: Graph | None = None, rs=(), knn_k: int | Non
            labels=None, folds: int = DEFAULT_FOLDS, seed: int = 0):
     """The requested metrics from one pass over the map's distance blocks, made
     as the loss makes them, and one over row blocks of the feature distance
-    matrix (``_feature_pass``).
-    A map block is ranked only as far as its metrics read: ``rank_prefix`` gives
-    its first m columns, m the largest k of T_X or the largest r-hop neighborhood
-    among its rows for T_G. 1-NN reads a masked ``argmin``: the nearest column of
-    another fold, ties to the smaller index.
+    matrix (``_feature_pass``). Both passes rank through ``rank_prefix``, and
+    a map block only as far as its metrics read: its first m columns, m the
+    largest k of T_X or the largest r-hop neighborhood among its rows for T_G.
+    1-NN reads a masked ``argmin``: the nearest column of another fold, ties to
+    the smaller index.
     Returns ({k: T_X(k)}, {r: T_G(r)}, k-NN feature pairs, 1-NN accuracy)."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]

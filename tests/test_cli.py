@@ -662,6 +662,22 @@ class TestEvaluate:
         assert "row 3: non-finite value" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    def test_out_of_memory_exits_3_on_one_line(self, dataset_dir, tmp_path, capsys,
+                                               monkeypatch):
+        # the error NumPy raises when the feature distances do not fit, as at
+        # N = 50000
+        message = ("Unable to allocate 18.6 GiB for an array with shape (50000, 50000) "
+                   "and data type float64")
+
+        def no_memory(x):
+            raise MemoryError(message)
+        monkeypatch.setattr(metrics, "pairwise_sq_euclidean", no_memory)
+        out = tmp_path / "m"
+        code = main(command_args(dataset_dir, "evaluate") + ["--out-dir", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not (out / "metrics.json").exists()
+
 
 @pytest.fixture(scope="module")
 def nine_node_dir(tmp_path_factory):

@@ -12,7 +12,7 @@ from graphtsne import (Graph, MalformedInputError, UNREACHABLE,
                        load_edge_list, load_features_csv, load_labels_csv,
                        neighbor_subsample)
 from graphtsne import affinity, graph
-from graphtsne.graph import rank_blocks, rank_prefix
+from graphtsne.graph import rank_prefix
 from graphtsne.synthetic import random_dataset
 
 from conftest import PADDING, assert_loads_like_oracle, draw_input_file, draw_sampled_batch
@@ -397,49 +397,36 @@ class TestKnnGraph:
             assert np.array_equal(knn_graph(x, k), brute_knn_pairs(x, k))
 
 
-class TestRankBlocks:
-    @settings(max_examples=120, deadline=None)
+class TestRankPrefix:
+    @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 200),
            palette=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf,
                                              -np.inf, np.nan]), min_size=1, max_size=4),
            share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
            seed=st.integers(0, 2**32 - 1))
-    def test_orders_match_stable_argsort(self, n, palette, share, seed):
+    def test_prefix_matches_stable_argsort(self, n, palette, share, seed):
         rng = np.random.default_rng(seed)
         # all values distinct, then a share of them replaced from a small palette:
         # share 1 gives small-integer rows, all-equal rows (one value), -0.0 beside
-        # +0.0, inf and NaN; share 0.01 leaves some rows of a block without a tie
+        # +0.0, inf and NaN, and ties at each cut m; share 0.01 leaves some rows of
+        # a block without a tie
         d = rng.permutation(n * n).reshape(n, n) + 0.5
         cut = rng.random((n, n)) < share
         d[cut] = np.array(palette)[rng.integers(0, len(palette), size=int(cut.sum()))]
         want = stable_rank_orders(d)
+        # every m on small rows, else the first, a middle one and the whole order;
+        # a 1-point row has only m = 0
+        ms = (range(1, n) if n <= 40 else (1, n // 2, n - 1)) or (0,)
         for block in (affinity._ROW_BLOCK, 1, 3, n + 1):
             with mock.patch.object(affinity, "_ROW_BLOCK", block):
-                covered = 0
-                blocks = ((rows, d[rows].copy()) for rows in affinity.row_blocks(n))
-                for rows, order in rank_blocks(blocks):
-                    assert rows.start == covered
-                    assert np.array_equal(order, want[rows])
-                    covered = rows.stop
-            assert covered == n
-
-
-class TestRankPrefix:
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(2, 40), top=st.integers(0, 4),
-           extra=st.sampled_from([(), (np.inf,), (np.nan,), (np.inf, np.nan)]),
-           block=st.integers(1, 41), seed=st.integers(0, 2**32 - 1))
-    def test_prefix_matches_stable_argsort(self, n, top, extra, block, seed):
-        # integers in [0, top], maybe beside inf or NaN: top 0 makes every row one
-        # value, and a small top puts ties at each cut m
-        palette = np.array([*range(top + 1), *extra], dtype=np.float64)
-        d = palette[np.random.default_rng(seed).integers(0, len(palette), size=(n, n))]
-        want = stable_rank_orders(d)
-        with mock.patch.object(affinity, "_ROW_BLOCK", block):
-            for m in range(1, n):
-                for rows in affinity.row_blocks(n):
-                    assert np.array_equal(rank_prefix(rows, d[rows].copy(), m),
-                                          want[rows, :m])
+                for m in ms:
+                    covered = 0
+                    for rows in affinity.row_blocks(n):
+                        assert rows.start == covered
+                        assert np.array_equal(rank_prefix(rows, d[rows].copy(), m),
+                                              want[rows, :m])
+                        covered = rows.stop
+                    assert covered == n
 
 
 class TestNeighborSubsample:

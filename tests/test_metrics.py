@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtsne.affinity import distance_blocks
+from graphtsne.affinity import distance_blocks, row_blocks
 from graphtsne.errors import TrainingError
 from graphtsne.graph import Graph, LabeledDataset
 from graphtsne.metrics import (MetricsReport, alpha_sweep, distance_metrics,
@@ -248,7 +248,7 @@ class TestKnn1Accuracy:
     def test_overflowing_distances_ranked_nan_last(self):
         """Coordinates near the float range make the map's distance blocks inf
         and NaN; each point's neighbor is still the first point of another fold
-        in rank_blocks' order of them, NaN last."""
+        in their stable rank order, ties to the smaller index and NaN last."""
         n, folds, seed = 30, 3, 4
         y = np.random.default_rng(4).integers(-2, 3, size=(n, 2)) * 1e200
         labels = np.random.default_rng(5).integers(0, 2, size=n)
@@ -380,32 +380,24 @@ class TestEvaluateLayout:
         assert rep.knn_accuracy == knn_1_oracle(y, labels, folds, seed) == alone
 
 
-# Prints, as JSON, the hash of the rank orders evaluate_layout makes (the map's
-# prefixes, then the features' orders) on a 2-D layout rounded to 0.1, whose
-# distances tie, the report, and the losses of a short full-batch fit.
+# Prints, as JSON, the hash of each rank order evaluate_layout makes, in call
+# order (the map's prefixes, then the features' orders), on a 2-D layout rounded
+# to 0.1, whose distances tie, the report, and the losses of a short full-batch fit.
 BLAS_CHILD = """
 import hashlib, json
 import numpy as np
 from graphtsne import (TrainConfig, citation_dataset, evaluate_layout, metrics,
                        random_dataset, train_full_batch)
-hashes, rank_blocks, rank_prefix = [], metrics.rank_blocks, metrics.rank_prefix
-map_sha = hashlib.sha256()
+hashes, rank_prefix = [], metrics.rank_prefix
 def hashed(*args):
-    sha = hashlib.sha256()
-    for rows, order in rank_blocks(*args):
-        sha.update(np.ascontiguousarray(order, dtype=np.int64).tobytes())
-        yield rows, order
-    hashes.append(sha.hexdigest())
-def hashed_prefix(*args):
-    prefix = rank_prefix(*args)
-    map_sha.update(np.ascontiguousarray(prefix, dtype=np.int64).tobytes())
-    return prefix
-metrics.rank_blocks = hashed
-metrics.rank_prefix = hashed_prefix
+    order = rank_prefix(*args)
+    hashes.append(hashlib.sha256(
+        np.ascontiguousarray(order, dtype=np.int64).tobytes()).hexdigest())
+    return order
+metrics.rank_prefix = hashed
 data = citation_dataset()
 layout = np.round(np.random.default_rng(2).normal(size=(data.graph.num_nodes, 2)), 1)
 report = evaluate_layout(data, layout).to_dict()
-hashes.insert(0, map_sha.hexdigest())
 del report["runtime_s"]
 _, fit = train_full_batch(random_dataset(1500, 6000, feature_dim=16, seed=0),
                           TrainConfig(alpha=0.5, epochs=5, hidden_dim=64, mode="full"))
@@ -424,7 +416,9 @@ def test_scores_do_not_depend_on_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         runs.append(json.loads(proc.stdout))
     one, two = runs
-    assert len(one["orders"]) == 2 and one["orders"] == two["orders"]
+    # a map prefix and a feature order per row block of citation's 2708 nodes
+    assert len(one["orders"]) == 2 * len(list(row_blocks(2708)))
+    assert one["orders"] == two["orders"]
     assert one["report"] == two["report"]  # floats read back from their exact repr
     assert np.allclose(one["losses"], two["losses"], rtol=1e-12, atol=0.0)
 
