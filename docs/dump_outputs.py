@@ -567,8 +567,9 @@ RTOL = 1e-9   # largest relative float difference --compare accepts
 # moved, or a score whose tie order moved); they are still counted and their
 # drift printed. A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
-ONLY_IN_NEW = ("full_batch/300_nodes",)
-CHANGED = ("full_batch/300_nodes/*",)
+ONLY_IN_NEW = ()
+CHANGED = ("affinities/feature/p/*", "affinities/graph/p/*", "affinities/real_feature/p/*",
+           "full_batch/300_nodes/0.5/*", "full_batch/300_nodes/1.0/*")
 
 
 def named(where: str, globs) -> bool:

@@ -178,44 +178,38 @@ class AffinityMatrix:
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("affinity matrix must be square")
+        blocks = []
         for rows in row_blocks(len(p)):
             s = rows.start
             _check_symmetric(p[rows, s:], p[s:, rows].T, "affinity matrix")
-        self._keep(p, sigmas, n_degenerate, n_converged, n_bound_hit)
-
-    @classmethod
-    def _of_symmetric(cls, p: np.ndarray, sigmas: np.ndarray, n_degenerate: int,
-                      n_converged: int, n_bound_hit: int) -> AffinityMatrix:
-        """The constructor on a square float64 P that is exactly symmetric as
-        built, such as ``_joint_p_owned``'s, which it does not check again."""
-        self = cls.__new__(cls)
-        self._keep(p, sigmas, n_degenerate, n_converged, n_bound_hit)
-        return self
-
-    def _keep(self, p: np.ndarray, sigmas: np.ndarray, n_degenerate: int,
-              n_converged: int, n_bound_hit: int) -> None:
-        self.size = p.shape[0]
-        self.blocks = []
-        for rows in row_blocks(self.size):
-            block = p[rows, rows.start:].copy()
-            square = block[:, :rows.stop - rows.start]
+            block = p[rows, s:].copy()
+            square = block[:, :rows.stop - s]
             lower = np.tril_indices(len(square), -1)
             square[lower] = square.T[lower]   # the square's upper triangle, mirrored
-            self.blocks.append(block)
+            blocks.append(block)
+        vars(self).update(vars(self._of_blocks(blocks, sigmas, n_degenerate,
+                                               n_converged, n_bound_hit)))
+
+    @classmethod
+    def _of_blocks(cls, blocks: list[np.ndarray], sigmas: np.ndarray, n_degenerate: int = 0,
+                   n_converged: int = 0, n_bound_hit: int = 0) -> AffinityMatrix:
+        """The constructor on the stored blocks themselves, as ``joint_p`` and
+        ``zeros`` make them: exactly symmetric squares, kept unchecked."""
+        self = cls.__new__(cls)
+        self.size = sum(len(block) for block in blocks)
+        self.blocks = blocks
         self.sigmas = sigmas
         self.n_degenerate = n_degenerate
         self.n_converged = n_converged
         self.n_bound_hit = n_bound_hit   # rows whose unconverged search ran into SIGMA_LO or SIGMA_HI
+        return self
 
     @classmethod
     def zeros(cls, n: int) -> AffinityMatrix:
         """The all-zero P on n points of a term with weight 0: its blocks are
         made by np.zeros and never written, so they hold no resident memory."""
-        zero = cls(np.zeros((0, 0)), sigmas=np.full(n, np.nan))
-        zero.size = n
-        zero.blocks = [np.zeros((rows.stop - rows.start, n - rows.start))
-                       for rows in row_blocks(n)]
-        return zero
+        return cls._of_blocks([np.zeros((rows.stop - rows.start, n - rows.start))
+                               for rows in row_blocks(n)], sigmas=np.full(n, np.nan))
 
     @property
     def p(self) -> np.ndarray:
@@ -248,21 +242,22 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
 
     Each row's conditional is calibrated independently, then symmetrized as
     p_ij = (p_{j|i} + p_{i|j}) / (2B) and renormalized so the matrix sums to
-    exactly 1. Rows with no finite off-diagonal entry contribute zero.
+    1. Rows with no finite off-diagonal entry contribute zero.
     Raises EmptyAffinityError when every row is degenerate. Never modifies
-    ``distances``: P is built in a copy of it.
+    ``distances``: the conditionals are written over a copy of it.
     """
     return _joint_p_owned(np.array(distances, dtype=np.float64, order="C", copy=True),
                           target_perplexity)
 
 
 def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
-    """``joint_p`` built over ``d`` itself, which the caller hands over: d is
-    made into the dense P (on an error, part of it), whose upper-triangle
-    blocks the result copies out, so d is freed when the caller drops it.
-    Each block of rows is checked for symmetry against the columns from its
-    first row on, which no earlier block has overwritten, and then replaced
-    by its conditionals; a second walk symmetrizes d block by block."""
+    """``joint_p`` over ``d`` itself, which the caller hands over: each block
+    of rows is checked for symmetry against the columns from its first row
+    on, which no earlier block has overwritten, and then replaced by its
+    conditionals C. From then on d is only read: P is born as its stored
+    blocks, each (C[rows, s:] + C[s:, rows].T) / 2n from the diagonal on, a
+    new array, and all are divided by the triangle's total, each diagonal
+    square counted once and the columns right of it twice."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -280,10 +275,12 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     n_degenerate = int(np.isnan(sigmas).sum())
     if n_degenerate == n:
         raise EmptyAffinityError("every row of the distance matrix is unreachable")
+    blocks, total = [], 0.0
     for rows in row_blocks(n):  # p_ij = (p_{j|i} + p_{i|j}) / 2n from the diagonal on
         s = rows.start
         t = (d[rows, s:] + d[s:, rows].T) / (2.0 * n)
-        d[rows, s:] = t
-        d[s:, rows] = t.T
-    d /= d.sum()
-    return AffinityMatrix._of_symmetric(d, sigmas, n_degenerate, n_converged, n_bound_hit)
+        total += t[:, :len(t)].sum() + 2.0 * t[:, len(t):].sum()
+        blocks.append(t)
+    for t in blocks:
+        t /= total
+    return AffinityMatrix._of_blocks(blocks, sigmas, n_degenerate, n_converged, n_bound_hit)

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .affinity import AffinityMatrix, distance_blocks, pairwise_sq_euclidean
-# each distance matrix is a temporary that becomes its P; _affinities calls
+# calibration writes over each distance matrix, a temporary; _affinities calls
 # this module's joint_p by name, so wrapping trainer.joint_p sees every call
 from .affinity import _joint_p_owned as joint_p
 from .errors import EmptyAffinityError, TrainingError
 from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
                   backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
-from .graph import (Graph, LabeledDataset, _read_table, all_pairs_distances,
+from .graph import (LabeledDataset, _read_table, all_pairs_distances,
                     bfs_shortest_paths, neighbor_subsample)
 
 logger = logging.getLogger(__name__)
@@ -269,9 +269,9 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
 
     Both affinity matrices are built once up front, from all-pairs BFS hops
     cut off at cfg.hop_cap and from squared Euclidean feature distances;
-    each distance matrix is calibrated into its P in place, and P is kept
-    as its upper triangle. A term with weight 0 is not built and reports 0.
-    Fully deterministic for a fixed seed.
+    each distance matrix is overwritten by its conditionals, from which P is
+    made as its upper triangle. A term with weight 0 is not built and
+    reports 0. Fully deterministic for a fixed seed.
     """
     if cfg.mode != "full":
         raise ValueError("train_full_batch requires cfg.mode == 'full'")

@@ -290,8 +290,10 @@ def dense_joint_p(distances, target_perplexity):
     """The dense N x N P of a build that keeps it whole: each row block of a
     copy of the distances is calibrated by ``affinity._calibrate`` and
     overwritten with its conditionals, then the matrix is symmetrized block by
-    block from the diagonal on and divided by its sum. ``joint_p`` makes its
-    triangle the same way, so its ``.p`` has these bytes."""
+    block from the diagonal on and divided by the total of its stored
+    triangle, each block copied out as ``joint_p`` keeps it and summed with
+    its diagonal square once and the columns right of it twice. ``joint_p``
+    makes its triangle the same way, so its ``.p`` has these bytes."""
     d = np.array(distances, dtype=np.float64)
     n = d.shape[0]
     for rows in affinity.row_blocks(n):
@@ -303,7 +305,11 @@ def dense_joint_p(distances, target_perplexity):
         t = (d[rows, s:] + d[s:, rows].T) / (2.0 * n)
         d[rows, s:] = t
         d[s:, rows] = t.T
-    d /= d.sum()
+    total = 0.0
+    for rows in affinity.row_blocks(n):
+        t = d[rows, rows.start:].copy()
+        total += t[:, :len(t)].sum() + 2.0 * t[:, len(t):].sum()
+    d /= total
     return d
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -246,8 +247,14 @@ class TestJointP:
                 np.testing.assert_allclose(aff.sigmas, sigmas, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(aff.p, p, rtol=1e-12, atol=0.0)
                 # one kernel: the copy the public call makes changes no bit;
-                # the handed-over matrix is made into the dense P
-                assert in_place.p.tobytes() == owned.tobytes() == aff.p.tobytes()
+                # the handed-over matrix is left holding the conditionals C,
+                # and P, made from them, lives in new arrays
+                assert in_place.p.tobytes() == aff.p.tobytes()
+                assert not any(np.shares_memory(b, owned) for b in in_place.blocks)
+                np.testing.assert_allclose(owned.sum(axis=1), np.isfinite(aff.sigmas),
+                                           rtol=1e-12, atol=0.0)
+                joint = owned + owned.T
+                np.testing.assert_allclose(in_place.p, joint / joint.sum(), rtol=1e-12, atol=0.0)
                 assert in_place.sigmas.tobytes() == aff.sigmas.tobytes()
                 assert (in_place.n_converged, in_place.n_degenerate,
                         in_place.n_bound_hit) == (n_converged, n_degenerate, n_bound_hit)
@@ -279,9 +286,10 @@ class TestJointP:
         assert np.all(aff.sigmas[40:] > 0.1 * affinity.SIGMA_HI)  # searched up to the bound
 
     def test_input_matrix_freed_before_p_is_made(self):
-        """The kernel the trainer calls makes P in the distance matrix it is
-        handed, so no other N x N array is alive at once; the public joint_p
-        adds only its copy of the input, which becomes P."""
+        """The kernel the trainer calls writes the conditionals over the
+        distance matrix it is handed and makes P's triangle beside it, so no
+        other N x N array is alive at once; the public joint_p adds only its
+        copy of the input."""
         n = 1500
         x = np.random.default_rng(0).normal(size=(n, 16))
         for calibrate, arrays in ((affinity._joint_p_owned, 1), (joint_p, 2)):
@@ -298,7 +306,9 @@ class TestJointP:
     @given(st.data())
     def test_stored_triangle_gives_the_dense_build_bit_for_bit(self, data):
         """``.p`` of the stored triangle has the bytes of the dense P that a
-        build keeping all of it makes, in row blocks of any height."""
+        build keeping all of it makes, in row blocks of any height; each
+        block's diagonal square is exactly symmetric as built, and the
+        triangle, its squares once and the rest twice, sums to 1."""
         n = data.draw(st.integers(1, 12))
         d = draw_distances(data, n)
         perplexity = data.draw(st.floats(2.0, 8.0))
@@ -313,6 +323,11 @@ class TestJointP:
             assert aff.p.tobytes() == dense.tobytes()
             assert [len(b) for b in aff.blocks] == [
                 rows.stop - rows.start for rows in affinity.row_blocks(n)]
+            squares = [b[:, :len(b)] for b in aff.blocks]
+            assert all(np.array_equal(square, square.T) for square in squares)
+            total = math.fsum(square.sum() for square in squares) + 2.0 * math.fsum(
+                b[:, len(b):].sum() for b in aff.blocks)
+            assert abs(total - 1.0) <= 1e-15
 
     def test_returned_matrix_holds_one_triangle(self):
         """P is kept once: the upper-triangle row blocks, about N^2 / 2 floats,

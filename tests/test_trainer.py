@@ -344,8 +344,9 @@ class TestTrainFullBatch:
             return hops[-1]
 
         def joint_p_spy(distances, perplexity):
-            calls.append((distances, calibrate(distances, perplexity)))
-            return calls[-1][1]
+            calls.append((distances, distances.copy(), perplexity,
+                          calibrate(distances, perplexity)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(trainer, "all_pairs_distances", hops_spy)
         monkeypatch.setattr(trainer, "joint_p", joint_p_spy)
@@ -353,10 +354,12 @@ class TestTrainFullBatch:
                                                 mode="full", perplexity=5.0))
         assert len(hops) == 1 and len(calls) == 2
         assert calls[0][0] is hops[0]
-        for distances, result in calls:
+        for distances, copy, perplexity, result in calls:
             assert result.n_converged > 0
-            # each distance matrix was made into its P, whose triangle the result keeps
-            assert result.p.tobytes() == distances.tobytes()
+            # each distance matrix was handed over: P has the bytes the public
+            # joint_p makes from a copy, in arrays of its own
+            assert result.p.tobytes() == joint_p(copy, perplexity).p.tobytes()
+            assert not any(np.shares_memory(b, distances) for b in result.blocks)
 
     def test_identical_features_raise_named_training_error(self):
         # uniform feature rows: no bandwidth can hit the target perplexity
