@@ -568,8 +568,7 @@ RTOL = 1e-9   # largest relative float difference --compare accepts
 # drift printed. A change that moves nothing leaves all three empty.
 ONLY_IN_OLD = ()
 ONLY_IN_NEW = ()
-CHANGED = ("affinities/feature/p/*", "affinities/graph/p/*", "affinities/real_feature/p/*",
-           "full_batch/300_nodes/0.5/*", "full_batch/300_nodes/1.0/*")
+CHANGED = ()
 
 
 def named(where: str, globs) -> bool:

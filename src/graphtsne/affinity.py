@@ -4,8 +4,8 @@ The KL loss against the Student-t map affinities is
 ``trainer.composite_loss_and_grad``, which makes them a block of rows at a time.
 
 All computations here run in float64. Input distances may contain the
-unreachable sentinel (inf); such entries always receive exactly zero
-conditional probability.
+unreachable sentinel (inf); such entries, and -inf and NaN ones, always
+receive exactly zero conditional probability.
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ class CalibrationResult:
 
 
 def _calibrate(rows: np.ndarray, target_perplexity: float):
-    """``calibrate_row`` for every row of a block at once: one bisection, each
-    row searched on its distinct finite distances and their counts. Returns
-    per-row sigma (nan for a row with no finite entry), the perplexity the
-    search measured at it (0 for such a row), converged, bound_hit and the
-    conditionals."""
+    """``calibrate_row``'s search for every row of a block at once: one
+    bisection, each row searched on its distinct finite distances and their
+    counts. Returns per row sigma (nan for a row with no finite entry), the
+    perplexity measured at it (0 for such a row), converged, bound_hit, and for
+    ``_conditionals`` the shift (least finite distance) and the weight total."""
     rows = np.where(np.isfinite(rows), rows, np.inf)
     ordered = np.sort(rows, axis=1)
     if np.any(ordered[:, :1] < 0.0):
@@ -134,31 +134,41 @@ def _calibrate(rows: np.ndarray, target_perplexity: float):
     live = width > 0
     bound_hit = live & ~converged & ((lo == SIGMA_LO) | (hi == SIGMA_HI))
     sigma[~live] = np.nan
-    # exp(-inf) = 0 gives unreachable entries exactly 0; a row with no finite entry stays 0
-    w = np.exp((rows[live] - ordered[live, :1]) / (-2.0 * sigma[live, None] ** 2))
-    conditionals = np.zeros_like(rows)
-    conditionals[live] = w / w.sum(axis=1, keepdims=True)
-    return sigma, perplexity, converged, bound_hit, conditionals
+    total = _conditionals(rows, ordered[:, 0], sigma, np.ones(len(rows))).sum(axis=1)
+    return sigma, perplexity, converged, bound_hit, ordered[:, 0], total
+
+
+def _conditionals(d: np.ndarray, shift: np.ndarray, sigma: np.ndarray, total: np.ndarray):
+    """p_{j|i} = exp((d_ij - shift_i) / -2 sigma_i^2) / total_i at each entry of
+    ``d``, from ``_calibrate``'s returns for row i; exactly 0 at every inf, -inf
+    and NaN entry and in a row with no finite entry (sigma nan)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # entries about to be zeroed
+        c = np.subtract(d, shift[:, None])
+        c /= -2.0 * sigma[:, None] ** 2
+        np.exp(c, out=c)
+    c /= total[:, None]
+    c[~np.isfinite(d) | np.isnan(sigma)[:, None]] = 0.0
+    return c
 
 
 def calibrate_row(dist_row: np.ndarray, target_perplexity: float) -> CalibrationResult:
     """Find the Gaussian bandwidth whose conditional distribution hits a target perplexity.
 
     ``dist_row`` holds one point's distances to the others (``joint_p``
-    passes the self entry as inf). Entries equal to the unreachable
-    sentinel (inf) get probability exactly zero. The bandwidth
-    is found by bisection on log(sigma) over [1e-20, 1e20], stopping when
-    the achieved perplexity (2^entropy) is within 1e-4 of the target or
-    after 60 iterations; running into a search bound is reported, not
-    raised. A row with no finite entry is flagged degenerate and gets an
-    all-zero conditional.
+    passes the self entry as inf). Entries equal to the unreachable sentinel
+    (inf), and -inf and NaN entries, get probability exactly zero. The
+    bandwidth is found by bisection on log(sigma) over [1e-20, 1e20], stopping
+    when the achieved perplexity (2^entropy) is within 1e-4 of the target or
+    after 60 iterations; running into a search bound is reported, not raised.
+    A row with no finite entry is flagged degenerate and gets an all-zero
+    conditional. ``_conditionals`` makes it, as it makes ``joint_p``'s.
     """
-    row = np.asarray(dist_row, dtype=np.float64)
-    [sigma], [perplexity], [converged], [bound_hit], [conditional] = _calibrate(
-        row[None], target_perplexity)
-    return CalibrationResult(sigma=float(sigma), conditional=conditional,
-                             perplexity=float(perplexity), converged=bool(converged),
-                             bound_hit=bool(bound_hit), degenerate=bool(np.isnan(sigma)))
+    row = np.asarray(dist_row, dtype=np.float64)[None]
+    sigma, perplexity, converged, bound_hit, shift, total = _calibrate(row, target_perplexity)
+    return CalibrationResult(sigma=float(sigma[0]),
+                             conditional=_conditionals(row, shift, sigma, total)[0],
+                             perplexity=float(perplexity[0]), converged=bool(converged[0]),
+                             bound_hit=bool(bound_hit[0]), degenerate=bool(np.isnan(sigma[0])))
 
 
 class AffinityMatrix:
@@ -241,35 +251,26 @@ def joint_p(distances: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     """Perplexity-calibrated joint probability matrix from pairwise distances.
 
     Each row's conditional is calibrated independently, then symmetrized as
-    p_ij = (p_{j|i} + p_{i|j}) / (2B) and renormalized so the matrix sums to
-    1. Rows with no finite off-diagonal entry contribute zero.
-    Raises EmptyAffinityError when every row is degenerate. Never modifies
-    ``distances``: the conditionals are written over a copy of it.
+    p_ij = (p_{j|i} + p_{i|j}) / 2n and renormalized so the matrix sums to
+    1. Rows with no finite off-diagonal entry contribute zero. Raises
+    EmptyAffinityError when every row is degenerate. ``distances`` is only
+    read, in two passes over ``row_blocks``: the first checks each block for
+    symmetry and calibrates its rows; the second makes each stored block as
+    (C(d[rows, s:]) + C(d[s:, rows]).T) / 2n, C the ``_conditionals``.
     """
-    return _joint_p_owned(np.array(distances, dtype=np.float64, order="C", copy=True),
-                          target_perplexity)
-
-
-def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
-    """``joint_p`` over ``d`` itself, which the caller hands over: each block
-    of rows is checked for symmetry against the columns from its first row
-    on, which no earlier block has overwritten, and then replaced by its
-    conditionals C. From then on d is only read: P is born as its stored
-    blocks, each (C[rows, s:] + C[s:, rows].T) / 2n from the diagonal on, a
-    new array, and all are divided by the triangle's total, each diagonal
-    square counted once and the columns right of it twice."""
-    d = np.asarray(d, dtype=np.float64)
+    d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
     n = d.shape[0]
-    sigmas = np.full(n, np.nan)
+    sigmas, shifts, totals = (np.full(n, np.nan) for _ in range(3))
     n_converged = n_bound_hit = 0
     for rows in row_blocks(n):
         s = rows.start
         _check_symmetric(d[rows, s:], d[s:, rows].T, "distance matrix")
         block = d[rows].copy()
         np.fill_diagonal(block[:, rows], np.inf)  # the self entry gets probability 0
-        sigmas[rows], _, converged, bound_hit, d[rows] = _calibrate(block, target_perplexity)
+        sigmas[rows], _, converged, bound_hit, shifts[rows], totals[rows] = _calibrate(
+            block, target_perplexity)
         n_converged += int(converged.sum())
         n_bound_hit += int(bound_hit.sum())
     n_degenerate = int(np.isnan(sigmas).sum())
@@ -278,7 +279,9 @@ def _joint_p_owned(d: np.ndarray, target_perplexity: float) -> AffinityMatrix:
     blocks, total = [], 0.0
     for rows in row_blocks(n):  # p_ij = (p_{j|i} + p_{i|j}) / 2n from the diagonal on
         s = rows.start
-        t = (d[rows, s:] + d[s:, rows].T) / (2.0 * n)
+        t = (_conditionals(d[rows, s:], shifts[rows], sigmas[rows], totals[rows])
+             + _conditionals(d[s:, rows], shifts[s:], sigmas[s:], totals[s:]).T) / (2.0 * n)
+        np.fill_diagonal(t, 0.0)  # the self entry, whatever d's diagonal holds
         total += t[:, :len(t)].sum() + 2.0 * t[:, len(t):].sum()
         blocks.append(t)
     for t in blocks:

@@ -18,10 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affinity import AffinityMatrix, distance_blocks, pairwise_sq_euclidean
-# calibration writes over each distance matrix, a temporary; _affinities calls
-# this module's joint_p by name, so wrapping trainer.joint_p sees every call
-from .affinity import _joint_p_owned as joint_p
+from .affinity import AffinityMatrix, distance_blocks, joint_p, pairwise_sq_euclidean
 from .errors import EmptyAffinityError, TrainingError
 from .gcn import (NUM_LAYERS, GcnModel, build_batch_plan, build_full_plan,
                   backward, forward, init_adam, init_model, adam_step, maybe_decay_lr)
@@ -269,8 +266,8 @@ def train_full_batch(data: LabeledDataset, cfg: TrainConfig,
 
     Both affinity matrices are built once up front, from all-pairs BFS hops
     cut off at cfg.hop_cap and from squared Euclidean feature distances;
-    each distance matrix is overwritten by its conditionals, from which P is
-    made as its upper triangle. A term with weight 0 is not built and
+    ``joint_p`` only reads each distance matrix, in two passes of row blocks,
+    and makes P as its upper triangle. A term with weight 0 is not built and
     reports 0. Fully deterministic for a fixed seed.
     """
     if cfg.mode != "full":

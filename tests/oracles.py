@@ -287,30 +287,33 @@ def joint_p_loop(distances, target_perplexity):
 
 
 def dense_joint_p(distances, target_perplexity):
-    """The dense N x N P of a build that keeps it whole: each row block of a
-    copy of the distances is calibrated by ``affinity._calibrate`` and
-    overwritten with its conditionals, then the matrix is symmetrized block by
-    block from the diagonal on and divided by the total of its stored
-    triangle, each block copied out as ``joint_p`` keeps it and summed with
-    its diagonal square once and the columns right of it twice. ``joint_p``
-    makes its triangle the same way, so its ``.p`` has these bytes."""
-    d = np.array(distances, dtype=np.float64)
+    """The dense N x N P of a build that keeps it whole: each row block of
+    the distances is calibrated by ``affinity._calibrate`` and its
+    conditionals made by ``affinity._conditionals`` from what that returns,
+    into a dense N x N C; then C is symmetrized block by block from the
+    diagonal on and divided by the total of its stored triangle, each block
+    copied out as ``joint_p`` keeps it and summed with its diagonal square
+    once and the columns right of it twice. ``joint_p`` makes its triangle
+    the same way, so its ``.p`` has these bytes."""
+    d = np.asarray(distances, dtype=np.float64)
     n = d.shape[0]
+    c = np.empty((n, n))
     for rows in affinity.row_blocks(n):
         block = d[rows].copy()
         np.fill_diagonal(block[:, rows], np.inf)
-        d[rows] = affinity._calibrate(block, target_perplexity)[-1]
+        sigma, _, _, _, shift, total = affinity._calibrate(block, target_perplexity)
+        c[rows] = affinity._conditionals(block, shift, sigma, total)
     for rows in affinity.row_blocks(n):
         s = rows.start
-        t = (d[rows, s:] + d[s:, rows].T) / (2.0 * n)
-        d[rows, s:] = t
-        d[s:, rows] = t.T
+        t = (c[rows, s:] + c[s:, rows].T) / (2.0 * n)
+        c[rows, s:] = t
+        c[s:, rows] = t.T
     total = 0.0
     for rows in affinity.row_blocks(n):
-        t = d[rows, rows.start:].copy()
+        t = c[rows, rows.start:].copy()
         total += t[:, :len(t)].sum() + 2.0 * t[:, len(t):].sum()
-    d /= total
-    return d
+    c /= total
+    return c
 
 
 def kl_oracle(p, y):

@@ -18,9 +18,10 @@ from oracles import (calibrate_row_loop, dense_joint_p, joint_p_loop, joint_p_re
 
 def draw_distances(data, n):
     """A symmetric n x n matrix of tied integer, real and unreachable
-    entries, with fully unreachable rows and an arbitrary diagonal."""
+    entries, unreachable ones also as -inf and NaN pairs, with fully
+    unreachable rows and an arbitrary diagonal."""
     entry = (st.integers(0, 6).map(float) | st.floats(0.0, 1e3)
-             | st.just(UNREACHABLE))
+             | st.sampled_from([UNREACHABLE, -np.inf, np.nan]))
     iu = np.triu_indices(n, k=1)
     d = np.zeros((n, n))
     d[iu] = data.draw(st.lists(entry, min_size=iu[0].size, max_size=iu[0].size))
@@ -235,30 +236,15 @@ class TestJointP:
             if expected is None:
                 with pytest.raises(EmptyAffinityError):
                     joint_p(d, perplexity)
-                with pytest.raises(EmptyAffinityError):
-                    affinity._joint_p_owned(d.copy(), perplexity)
             else:
                 aff = joint_p(d, perplexity)
-                owned = d.copy()
-                in_place = affinity._joint_p_owned(owned, perplexity)
                 p, sigmas, n_degenerate, n_converged, n_bound_hit = expected
                 assert (aff.n_converged, aff.n_degenerate, aff.n_bound_hit) == (
                     n_converged, n_degenerate, n_bound_hit)
                 np.testing.assert_allclose(aff.sigmas, sigmas, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(aff.p, p, rtol=1e-12, atol=0.0)
-                # one kernel: the copy the public call makes changes no bit;
-                # the handed-over matrix is left holding the conditionals C,
-                # and P, made from them, lives in new arrays
-                assert in_place.p.tobytes() == aff.p.tobytes()
-                assert not any(np.shares_memory(b, owned) for b in in_place.blocks)
-                np.testing.assert_allclose(owned.sum(axis=1), np.isfinite(aff.sigmas),
-                                           rtol=1e-12, atol=0.0)
-                joint = owned + owned.T
-                np.testing.assert_allclose(in_place.p, joint / joint.sum(), rtol=1e-12, atol=0.0)
-                assert in_place.sigmas.tobytes() == aff.sigmas.tobytes()
-                assert (in_place.n_converged, in_place.n_degenerate,
-                        in_place.n_bound_hit) == (n_converged, n_degenerate, n_bound_hit)
-        assert d.tobytes() == given_bytes  # the public joint_p never writes its input
+                assert not any(np.shares_memory(b, d) for b in aff.blocks)
+        assert d.tobytes() == given_bytes  # joint_p never writes its input
         for i in range(n):
             row = d[i].copy()
             row[i] = UNREACHABLE
@@ -286,21 +272,18 @@ class TestJointP:
         assert np.all(aff.sigmas[40:] > 0.1 * affinity.SIGMA_HI)  # searched up to the bound
 
     def test_input_matrix_freed_before_p_is_made(self):
-        """The kernel the trainer calls writes the conditionals over the
-        distance matrix it is handed and makes P's triangle beside it, so no
-        other N x N array is alive at once; the public joint_p adds only its
-        copy of the input."""
+        """joint_p only reads the distance matrix and makes P's triangle
+        beside it, so no other N x N array is alive at once."""
         n = 1500
         x = np.random.default_rng(0).normal(size=(n, 16))
-        for calibrate, arrays in ((affinity._joint_p_owned, 1), (joint_p, 2)):
-            tracemalloc.start()
-            try:
-                calibrate(pairwise_sq_euclidean(x), 30.0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # here the 64-row blocks of the calibration hold about 0.4 N^2
-            assert peak < (arrays + 0.75) * n * n * 8, calibrate.__name__
+        tracemalloc.start()
+        try:
+            joint_p(pairwise_sq_euclidean(x), 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the input and P's triangle make 1.5 N^2; the 64-row blocks add about 0.05 N^2 here
+        assert peak < 1.75 * n * n * 8
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -331,19 +314,17 @@ class TestJointP:
 
     def test_returned_matrix_holds_one_triangle(self):
         """P is kept once: the upper-triangle row blocks, about N^2 / 2 floats,
-        and the N x N matrix it is built in is freed when joint_p returns."""
+        and the distance matrix it is made from is freed when joint_p returns."""
         n = 1500
         x = np.random.default_rng(0).normal(size=(n, 16))
-        for calibrate in (affinity._joint_p_owned, joint_p):
-            tracemalloc.start()
-            try:
-                aff = calibrate(pairwise_sq_euclidean(x), 30.0)
-                held, _ = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert sum(block.nbytes for block in aff.blocks) < (n * n / 2 + 64 * n) * 8
-            assert held <= (n * n / 2 + 64 * n) * 8, calibrate.__name__
-            del aff
+        tracemalloc.start()
+        try:
+            aff = joint_p(pairwise_sq_euclidean(x), 30.0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(block.nbytes for block in aff.blocks) < (n * n / 2 + 64 * n) * 8
+        assert held <= (n * n / 2 + 64 * n) * 8
 
     def test_asymmetric_input_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -362,8 +343,6 @@ class TestJointP:
             with mock.patch.object(affinity, "_ROW_BLOCK", block):
                 with pytest.raises(ValueError, match="symmetric"):
                     joint_p(d, 10.0)
-                with pytest.raises(ValueError, match="symmetric"):
-                    affinity._joint_p_owned(d.copy(), 10.0)
 
     def test_symmetric_nan_entries_are_unreachable(self, rng):
         """NaN is never equal to itself, so a NaN pair takes the full check:

@@ -12,7 +12,7 @@ from graphtsne import (Graph, LabeledDataset, MalformedInputError,
                        TrainingError, TrainConfig, composite_loss_and_grad,
                        default_config, embed, joint_p, pairwise_sq_euclidean,
                        train_full_batch, train_minibatch)
-from graphtsne import gcn, trainer
+from graphtsne import affinity, gcn, trainer
 from graphtsne.affinity import AffinityMatrix
 from graphtsne.gcn import init_model
 from graphtsne.graph import all_pairs_distances
@@ -356,10 +356,16 @@ class TestTrainFullBatch:
         assert calls[0][0] is hops[0]
         for distances, copy, perplexity, result in calls:
             assert result.n_converged > 0
-            # each distance matrix was handed over: P has the bytes the public
-            # joint_p makes from a copy, in arrays of its own
-            assert result.p.tobytes() == joint_p(copy, perplexity).p.tobytes()
+            # each distance matrix is only read, and P lives in arrays of its own
+            assert distances.tobytes() == copy.tobytes()
             assert not any(np.shares_memory(b, distances) for b in result.blocks)
+        assert calibrate is affinity.joint_p  # the one kernel, under its trainer name
+
+    def test_joint_p_reads_a_read_only_distance_matrix(self, rng):
+        d = pairwise_sq_euclidean(rng.normal(size=(100, 3)))
+        frozen = d.copy()
+        frozen.flags.writeable = False
+        assert trainer.joint_p(frozen, 10.0).p.tobytes() == joint_p(d, 10.0).p.tobytes()
 
     def test_identical_features_raise_named_training_error(self):
         # uniform feature rows: no bandwidth can hit the target perplexity
